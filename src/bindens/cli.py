@@ -8,6 +8,7 @@ refusals, 4 numeric failures.
 """
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -18,10 +19,9 @@ import time
 import numpy as np
 
 from . import backend
-from .cv import SearchSpace, coordinate_descent_w, evaluate_space
+from .cv import SearchSpace, _is_better, coordinate_descent_w, evaluate_space
 from .errors import (
     BindensError,
-    BudgetExceededError,
     CapacityError,
     ConfigError,
     DataError,
@@ -113,6 +113,39 @@ def load_config(path):
 
 
 # ---------------------------------------------------------------------------
+# cell indexes as decimal text
+#
+# str() and int() refuse integers beyond 4300 decimal digits (Python's
+# int_max_str_digits), which cell indexes pass from n ~ 14,300 on.
+# decimal.Decimal converts between int and digits without that limit.
+
+
+def _decimal(value):
+    """str(value) for an integer of any size."""
+    return str(decimal.Decimal(value))
+
+
+def _parse_decimal(text):
+    """int(text) for an optionally signed decimal string of any length."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits.isdecimal():
+        raise ValueError(f"invalid decimal integer {text!r}")
+    return int(decimal.Decimal(text))
+
+
+def _cell_json(cell):
+    """A cell index as a JSON number up to 2^53, as decimal text above."""
+    return _decimal(cell) if cell > 2**53 else cell
+
+
+def _json_int(value):
+    """value as a JSON number while str() can print it, as decimal text beyond."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    return value if limit == 0 or value < 10**limit else _decimal(value)
+
+
+# ---------------------------------------------------------------------------
 # config (de)serialization
 
 
@@ -151,7 +184,7 @@ def shrinkage_from_dict(d, n):
             converted = {}
             for key, val in entries.items():
                 try:
-                    converted[int(key)] = float(val)
+                    converted[_parse_decimal(str(key))] = float(val)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"bad sparse shrinkage entry {key!r}: {val!r}") from exc
             return ShrinkageSpec.sparse(n, converted)
@@ -168,7 +201,7 @@ def shrinkage_to_dict(spec):
     if spec.form == "dense":
         return {"form": "dense", "values": [float(v) for v in spec.values]}
     if spec.form == "sparse":
-        return {"form": "sparse", "entries": {str(idx): val for idx, val in spec.entries}}
+        return {"form": "sparse", "entries": {_decimal(idx): val for idx, val in spec.entries}}
     return {"form": "single_interaction", "w": [float(v) for v in spec.w]}
 
 
@@ -306,7 +339,7 @@ def parse_cells_spec(items, n):
         if not text:
             continue
         if text.lstrip("+-").isdigit() and not set(text) <= {"+", "-"}:
-            parsed.append({"kind": "cell", "cell": int(text), "label": None})
+            parsed.append({"kind": "cell", "cell": _parse_decimal(text), "label": None})
             continue
         if set(text) <= {"+", "-", "?"}:
             parsed.append(_parse_pattern(text, n))
@@ -354,7 +387,7 @@ def _data_block(counts, path):
         "observations": counts.total,
         "distinct_cells": len(counts.cells),
         "n": counts.n,
-        "counts": {str(idx): cnt for idx, cnt in counts.cells},
+        "counts": {_decimal(idx): cnt for idx, cnt in counts.cells},
     }
 
 
@@ -435,7 +468,7 @@ def cmd_estimate(args):
         "normalizers": _normalizer_block(estimate.normalizers),
     }
     if cells_out is not None:
-        block["cells"] = [str(c) if c > 2**53 else c for c in cells_out]
+        block["cells"] = [_cell_json(c) for c in cells_out]
     block["values"] = [float(v) for v in estimate.values]
     report["estimate"] = block
     report["timing"] = {"elapsed_ms": (time.perf_counter() - started) * 1000.0}
@@ -515,7 +548,7 @@ def cmd_cv(args):
         for gamma in gammas:
             cfg, rep = coordinate_descent_w(initial, gamma, loss, counts, sweeps, grid, threads=threads)
             rows.append((cfg, rep, {"gamma": gamma, "sweeps": sweeps}))
-            if best is None or _cli_better(rep, best[1]):
+            if best is None or _is_better(rep, best[1]):
                 best = (cfg, rep)
         evaluated = rows
         best_cfg, best_rep = best
@@ -547,16 +580,6 @@ def cmd_cv(args):
     return 0
 
 
-def _cli_better(challenger, incumbent):
-    if math.isnan(challenger.value):
-        return False
-    if math.isnan(incumbent.value):
-        return True
-    if challenger.loss == "kl":
-        return challenger.value > incumbent.value
-    return challenger.value < incumbent.value
-
-
 def _rank_key(report):
     value = report.value
     if math.isnan(value):
@@ -578,7 +601,7 @@ def cmd_query(args):
             raise DataError(f"fit report {args.fit} is missing key {key!r}")
     n = int(fit["n"])
     counts = CountsVector.from_cells(
-        n, {int(idx): int(cnt) for idx, cnt in fit["data"]["counts"].items()}
+        n, {_parse_decimal(idx): int(cnt) for idx, cnt in fit["data"]["counts"].items()}
     )
     config = estimator_from_dict(fit["estimator"], n)
     parsed = parse_cells_spec([s for s in args.cells.split(",")], n)
@@ -595,7 +618,7 @@ def cmd_query(args):
     for item in parsed:
         if item["kind"] == "cell":
             cell = item["cell"]
-            entry = {"cell": str(cell) if cell > 2**53 else cell, "value": value_of[cell]}
+            entry = {"cell": _cell_json(cell), "value": value_of[cell]}
             label = item["label"] or _point_label(cell, n)
             if label:
                 entry["point"] = label
@@ -607,7 +630,7 @@ def cmd_query(args):
             entry = {
                 "pattern": item["pattern"],
                 "coordinate": item["coordinate"],
-                "cells": [item["cell_plus"], item["cell_minus"]],
+                "cells": [_json_int(item["cell_plus"]), _json_int(item["cell_minus"])],
                 "values": [p_plus, p_minus],
             }
             if denom > 0:
@@ -691,6 +714,17 @@ def _bound_check(name, value_ms, limit_ms):
     return {"name": name, "pass": bool(value_ms < limit_ms), "time_ms": value_ms, "limit_ms": limit_ms}
 
 
+def _bench_row(regime, expected, norm_t, el_t, sq_t, checks):
+    """One report row: expected costs and {n: ms} timings per quantity."""
+    times = {"normalization": norm_t, "element": el_t, "squared_element": sq_t}
+    return {
+        "regime": regime,
+        "expected": dict(zip(times, expected)),
+        "times_ms": {name: {str(n): t[n] for n in t} for name, t in times.items()},
+        "checks": checks,
+    }
+
+
 def cmd_bench(args):
     started = time.perf_counter()
     rng = np.random.default_rng(args.seed)
@@ -721,18 +755,7 @@ def cmd_bench(args):
         ),
         _flat_check("squared_element_time_independent_of_n", {n: sq_t[n] for n in big_grid}, 4.0),
     ]
-    rows.append(
-        {
-            "regime": "linear_sparse",
-            "expected": {"normalization": "O(1)", "element": "O(nonzeros)", "squared_element": "O(nonzeros)"},
-            "times_ms": {
-                "normalization": {str(n): norm_t[n] for n in norm_t},
-                "element": {str(n): el_t[n] for n in el_t},
-                "squared_element": {str(n): sq_t[n] for n in sq_t},
-            },
-            "checks": checks,
-        }
-    )
+    rows.append(_bench_row("linear_sparse", ("O(1)", "O(nonzeros)", "O(nonzeros)"), norm_t, el_t, sq_t, checks))
 
     # Regime 2: exponential base with per-coordinate weights (the
     # weighted product kernel); everything closed-form in O(n).
@@ -751,18 +774,7 @@ def cmd_bench(args):
         _bound_check("element_under_10ms_at_n10000", el_t[big], 10.0),
         _bound_check("squared_element_under_10ms_at_n10000", sq_t[big], 10.0),
     ]
-    rows.append(
-        {
-            "regime": "waak",
-            "expected": {"normalization": "O(n)", "element": "O(n)", "squared_element": "O(n)"},
-            "times_ms": {
-                "normalization": {str(n): norm_t[n] for n in norm_t},
-                "element": {str(n): el_t[n] for n in el_t},
-                "squared_element": {str(n): sq_t[n] for n in sq_t},
-            },
-            "checks": checks,
-        }
-    )
+    rows.append(_bench_row("waak", ("O(n)", "O(n)", "O(n)"), norm_t, el_t, sq_t, checks))
 
     # Regime 3: logistic transform over single-interaction weights.
     # Normalization collapses to half the row length; squared elements
@@ -782,18 +794,7 @@ def cmd_bench(args):
         checks.append(
             _growth_check("squared_element_dense_growth", sq_t, dense_grid[-2], dense_grid[-1], 2.0)
         )
-    rows.append(
-        {
-            "regime": "logistic_single_interaction",
-            "expected": {"normalization": "O(1)", "element": "O(n)", "squared_element": "O(n 2^n)"},
-            "times_ms": {
-                "normalization": {str(n): norm_t[n] for n in norm_t},
-                "element": {str(n): el_t[n] for n in el_t},
-                "squared_element": {str(n): sq_t[n] for n in sq_t},
-            },
-            "checks": checks,
-        }
-    )
+    rows.append(_bench_row("logistic_single_interaction", ("O(1)", "O(n)", "O(n 2^n)"), norm_t, el_t, sq_t, checks))
 
     # Regime 4: no closed form (relu over sparse shrinkage); the
     # normalizer pays the full dense transform.
@@ -810,18 +811,7 @@ def cmd_bench(args):
         lo, hi = dense_grid[-2], dense_grid[-1]
         checks.append(_growth_check("normalization_dense_growth", norm_t, lo, hi, 2.0))
         checks.append(_growth_check("squared_element_dense_growth", sq_t, lo, hi, 2.0))
-    rows.append(
-        {
-            "regime": "general_no_closed_form",
-            "expected": {"normalization": "O(n 2^n)", "element": "O(nonzeros)", "squared_element": "O(n 2^n)"},
-            "times_ms": {
-                "normalization": {str(n): norm_t[n] for n in norm_t},
-                "element": {str(n): el_t[n] for n in el_t},
-                "squared_element": {str(n): sq_t[n] for n in sq_t},
-            },
-            "checks": checks,
-        }
-    )
+    rows.append(_bench_row("general_no_closed_form", ("O(n 2^n)", "O(nonzeros)", "O(n 2^n)"), norm_t, el_t, sq_t, checks))
 
     all_pass = all(check["pass"] for row in rows for check in row["checks"])
     report = _common_header("bench", None, int(args.seed))
@@ -871,7 +861,13 @@ def build_parser():
     cv.add_argument("--config", required=True, help="JSON config with a 'cv' block")
     cv.add_argument("--out", required=True, help="output report path")
     cv.add_argument("--loss", choices=("se", "kl"), default=None, help="override the configured loss")
-    cv.add_argument("--threads", type=int, default=1, help="parallelism across grid candidates")
+    cv.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility (must be positive); candidates run in turn "
+        "and BLAS threads act inside each kernel block",
+    )
     cv.set_defaults(func=cmd_cv)
 
     query = commands.add_parser("query", help="evaluate a fitted report at new cells")
@@ -901,22 +897,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, DataError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BindensError as exc:  # any remaining package error is a config-level failure
+    except (BindensError, ValueError, OSError) as exc:  # configuration, data, budget
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

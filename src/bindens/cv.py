@@ -2,21 +2,21 @@
 
 Both losses reduce to inner products between kernel elements and the
 observation counts, so neither ever rebuilds an estimate per held-out
-point: leaving out one observation only shifts one count. Element
-lookups are memoized per (unordered) cell pair within a single risk
-evaluation, and every reduction runs in a fixed ascending-cell order so
-repeated runs are bitwise identical.
+point: leaving out one observation only shifts one count. A risk takes
+one support x support block of Q (and, for SE, of Q @ Q) from the
+batched kernel core over the K distinct observed cells; every reduction
+runs in a fixed ascending-cell order so repeated runs are bitwise
+identical.
 """
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError
-from .estimators import CountsVector, EstimatorConfig, _config_state
+from .estimators import CountsVector, EstimatorConfig, _config_state, _support
 from .shrinkage import ShrinkageSpec
 
 __all__ = [
@@ -42,6 +42,12 @@ class RiskReport:
     canonical (ascending cell) order. For the KL surrogate, dominated
     marks a nonpositive held-out estimate: the surrogate is then -inf,
     which ranks below every finite value, rather than an exception.
+
+    The counters give the distinct unordered cell pairs whose kernel
+    entries the risk depends on, for K distinct observed cells:
+    element_evals is K(K-1)/2 plus the number of cells observed at
+    least twice (their own entry enters their held-out term), and
+    squared_element_evals is K(K+1)/2 for SE and 0 for KL.
     """
 
     loss: str
@@ -51,39 +57,6 @@ class RiskReport:
     element_evals: int
     squared_element_evals: int
     dominated: bool
-
-
-class _PairEvaluator:
-    """Memoizing symmetric element access with distinct-evaluation counters."""
-
-    def __init__(self, config):
-        self.state = _config_state(config)
-        self._elements = {}
-        self._squared = {}
-
-    def element(self, a, b):
-        key = (a, b) if a <= b else (b, a)
-        val = self._elements.get(key)
-        if val is None:
-            val = self.state.element(key[0], key[1])
-            self._elements[key] = val
-        return val
-
-    def squared(self, a, b):
-        key = (a, b) if a <= b else (b, a)
-        val = self._squared.get(key)
-        if val is None:
-            val = self.state.squared(key[0], key[1])
-            self._squared[key] = val
-        return val
-
-    @property
-    def element_evals(self):
-        return len(self._elements)
-
-    @property
-    def squared_evals(self):
-        return len(self._squared)
 
 
 def _check_inputs(config, counts):
@@ -99,20 +72,35 @@ def _check_inputs(config, counts):
         raise InsufficientDataError("leave-one-out needs at least two observations")
 
 
-def _term_for_cell(ev, counts, cell):
-    """Held-out estimate at `cell` when one of its observations is removed.
+def _held_out(gram, cnt, own, total):
+    """Held-out estimate at each row cell with one of its observations removed.
 
-    Only the multiplicity of `cell` itself changes, so the diagonal
-    element is needed exactly when that cell was observed twice or more.
+    gram holds Q between the row cells and the support (it is
+    overwritten); row k's own cell sits in column own[k]. That entry is
+    weighted by its count minus one rather than subtracted after the
+    product: it dominates its row at large n, and the difference would
+    cancel to 0.
     """
-    acc = 0.0
-    for other, cnt in counts.cells:
-        if other == cell:
-            if cnt >= 2:
-                acc += (cnt - 1) * ev.element(cell, cell)
-        else:
-            acc += cnt * ev.element(cell, other)
-    return acc / (counts.total - 1)
+    rows = np.arange(gram.shape[0])
+    own_entries = gram[rows, own]
+    gram[rows, own] = 0.0
+    return (gram @ cnt + own_entries * (cnt[own] - 1.0)) / (total - 1)
+
+
+def _element_evals(counts):
+    k = len(counts.cells)
+    return k * (k - 1) // 2 + sum(1 for _, cnt in counts.cells if cnt >= 2)
+
+
+def _support_terms(state, counts):
+    """Support cells, their counts, and the held-out term at each."""
+    cells, cnt = _support(counts)
+    terms = _held_out(state.gram(cells, cells), cnt, np.arange(len(cells)), counts.total)
+    return cells, cnt, terms
+
+
+def _observation_terms(terms, counts):
+    return tuple(np.repeat(terms, [cnt for _, cnt in counts.cells]).tolist())
 
 
 def loo_term(k, config, counts):
@@ -127,12 +115,10 @@ def loo_term(k, config, counts):
         raise ValueError(f"observation index must be an integer, got {k!r}")
     if not 0 <= k < len(obs):
         raise ValueError(f"observation index {k} out of range [0, {len(obs) - 1}]")
-    ev = _PairEvaluator(config)
-    return _term_for_cell(ev, counts, obs[int(k)])
-
-
-def _cell_terms(ev, counts):
-    return {cell: _term_for_cell(ev, counts, cell) for cell, _ in counts.cells}
+    cell = obs[int(k)]
+    cells, cnt = _support(counts)
+    gram = _config_state(config).gram([cell], cells)
+    return float(_held_out(gram, cnt, [cells.index(cell)], counts.total)[0])
 
 
 def kl_risk(config, counts):
@@ -143,21 +129,19 @@ def kl_risk(config, counts):
     without raising.
     """
     _check_inputs(config, counts)
-    ev = _PairEvaluator(config)
-    terms = _cell_terms(ev, counts)
-    loo_terms = tuple(terms[cell] for cell in counts.observations)
-    dominated = any(not term > 0.0 for term in loo_terms)
+    _, cnt, terms = _support_terms(_config_state(config), counts)
+    dominated = not bool(np.all(terms > 0.0))
     if dominated:
         value = -math.inf
     else:
-        value = math.fsum(cnt * math.log(terms[cell]) for cell, cnt in counts.cells)
+        value = math.fsum((cnt * np.log(terms)).tolist())
     return RiskReport(
         loss="kl",
         value=value,
-        loo_terms=loo_terms,
+        loo_terms=_observation_terms(terms, counts),
         config=config,
-        element_evals=ev.element_evals,
-        squared_element_evals=ev.squared_evals,
+        element_evals=_element_evals(counts),
+        squared_element_evals=0,
         dominated=dominated,
     )
 
@@ -170,24 +154,20 @@ def se_risk(config, counts):
     constant, so rankings are preserved.
     """
     _check_inputs(config, counts)
-    ev = _PairEvaluator(config)
-    items = counts.cells
+    state = _config_state(config)
+    cells, cnt, terms = _support_terms(state, counts)
     N = counts.total
-    quad = 0.0
-    for pos, (a, cnt_a) in enumerate(items):
-        for b, cnt_b in items[pos:]:
-            contrib = (cnt_a / N) * (cnt_b / N) * ev.squared(a, b)
-            quad += contrib if a == b else 2.0 * contrib
-    terms = _cell_terms(ev, counts)
-    loo_terms = tuple(terms[cell] for cell in counts.observations)
-    value = quad - (2.0 / N) * math.fsum(cnt * terms[cell] for cell, cnt in items)
+    p = cnt / N
+    quad = float(p @ state.squared_gram(cells, cells) @ p)
+    value = quad - (2.0 / N) * math.fsum((cnt * terms).tolist())
+    k = len(cells)
     return RiskReport(
         loss="se",
         value=value,
-        loo_terms=loo_terms,
+        loo_terms=_observation_terms(terms, counts),
         config=config,
-        element_evals=ev.element_evals,
-        squared_element_evals=ev.squared_evals,
+        element_evals=_element_evals(counts),
+        squared_element_evals=k * (k + 1) // 2,
         dominated=False,
     )
 
@@ -314,30 +294,29 @@ class SearchSpace:
         return cls(configs=tuple(configs), budget=_check_budget(budget))
 
 
-def _evaluate_many(configs, loss, counts, threads):
-    if threads <= 1 or len(configs) <= 1:
-        return [_risk(loss, cfg, counts) for cfg in configs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda cfg: _risk(loss, cfg, counts), configs))
+def _check_positive(value, name):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 
 def evaluate_space(space, loss, counts, threads=1):
     """Evaluate every candidate up to the budget, keeping declared order.
 
     Returns (reports, best_pos, truncated); truncated is True when the
-    budget cut the enumeration short.
+    budget cut the enumeration short. threads is validated and kept for
+    compatibility: candidates run one after another, and BLAS threads
+    act inside each kernel block.
     """
     if not isinstance(space, SearchSpace):
         raise ConfigError("expected a SearchSpace")
     if loss not in LOSSES:
         raise ConfigError(f"unknown loss {loss!r}; expected one of {LOSSES}")
-    if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+    _check_positive(threads, "threads")
     configs = space.configs
     if not configs:
         raise ConfigError("search space is empty")
     limit = len(configs) if space.budget is None else min(space.budget, len(configs))
-    reports = _evaluate_many(list(configs[:limit]), loss, counts, int(threads))
+    reports = [_risk(loss, cfg, counts) for cfg in configs[:limit]]
     best_pos = 0
     for pos in range(1, len(reports)):
         if _is_better(reports[pos], reports[best_pos]):
@@ -369,10 +348,11 @@ def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid, threads=1
     Each coordinate in turn is scanned over the grid and moved only on
     strict improvement (first-best wins), so the surrogate is monotone
     along the trajectory. Stops early when a full sweep changes nothing.
-    Returns (config, report) for the final weights.
+    Returns (config, report) for the final weights. threads is validated
+    as in evaluate_space and does not fan out.
     """
-    if not isinstance(sweeps, (int, np.integer)) or isinstance(sweeps, bool) or sweeps < 1:
-        raise ConfigError(f"sweeps must be a positive integer, got {sweeps!r}")
+    _check_positive(threads, "threads")
+    _check_positive(sweeps, "sweeps")
     if loss not in LOSSES:
         raise ConfigError(f"unknown loss {loss!r}; expected one of {LOSSES}")
     grid_values = [float(v) for v in grid]
@@ -395,7 +375,7 @@ def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid, threads=1
                 w_new = w.copy()
                 w_new[d] = v
                 cand_cfgs.append(EstimatorConfig.waak(w_new, gamma))
-            reports = _evaluate_many(cand_cfgs, loss, counts, int(threads))
+            reports = [_risk(loss, cfg, counts) for cfg in cand_cfgs]
             best_cfg, best_rep = None, None
             for cfg, rep in zip(cand_cfgs, reports):
                 if _is_better(rep, current) and (best_rep is None or _is_better(rep, best_rep)):

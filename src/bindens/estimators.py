@@ -14,8 +14,12 @@ cell indexes, applied to the empirical cell weights. The families are
   as a waak with unit weights and gamma = sqrt(lam / (1 - lam));
 * mixture: a convex combination of any of the above.
 
-Element access is O(#nonzero(b)) or O(n) without ever touching a 2^n
-buffer; dense materialization is a separate, capacity-guarded path.
+Kernel entries are filled a block at a time: one batched core returns Q
+(or Q @ Q) on two lists of cells as a matrix product over their points,
+their parity features, or a gather from a dense profile, and every
+estimate, leave-one-out risk and scalar element goes through it. Blocks
+cost O(#nonzero(b)) or O(n) per entry without touching a 2^n buffer;
+dense materialization is a separate, capacity-guarded path.
 """
 
 import math
@@ -41,7 +45,7 @@ from .transforms import (
     apply,
     normalizer,
 )
-from .walsh import MAX_DENSE_N, as_point, fwht, index_of_point
+from .walsh import MAX_DENSE_N, _check_index, as_point, fwht, index_of_point
 
 __all__ = [
     "MAX_FULL_N",
@@ -285,54 +289,139 @@ class EstimatorConfig:
 
 
 # ---------------------------------------------------------------------------
-# evaluation states (internal)
+# batched kernel core (internal)
+#
+# Every entry Q[r, c] depends on the cells r and c only through their
+# points x_r, x_c in {-1,+1}^n, so whole blocks of Q are matrix products
+# over the cells. Temporaries are bounded by _BLOCK_ENTRIES floats (with
+# at least _MIN_WIDTH coordinates per step) at any n.
+
+_BLOCK_ENTRIES = 1 << 14
+_MIN_WIDTH = 256
 
 
-class _SignedSumState:
-    """Nonzero shrinkage entries packed into 64-bit words.
+class _Cells:
+    """Zero-based cell indexes as little-endian bits: one row of bytes per
+    cell, also viewed as 64-bit words (word 0 is the whole index for n <= 64)."""
 
-    Element evaluation reduces to sum_k b_k * (-1)^popcount(key_k & mask)
-    where mask is the XOR of the zero-based cell indexes; packing keys
-    into a (count, words) table keeps that a handful of vectorized ops
-    whose cost barely moves with n. Single-interaction shrinkage gets a
-    coordinate-aligned route: its keys are one-hot, so the parities are
-    just the mask bits.
+    def __init__(self, cells, n):
+        for cell in cells:
+            _check_index(cell, n)
+        self.size = len(cells)
+        nbytes = 8 * max(1, (n + 63) // 64)
+        raw = b"".join((int(cell) - 1).to_bytes(nbytes, "little") for cell in cells)
+        self.bytes = np.frombuffer(raw, dtype=np.uint8).reshape(self.size, nbytes)
+        self.words = self.bytes.view(np.uint64)
+
+    def bits(self, start, stop, pivot):
+        """Bits start..stop-1 (start a multiple of 8) of each zero-based
+        index XOR the pivot's bytes, as 0/1 floats."""
+        span = slice(start // 8, (stop + 7) // 8)
+        chunk = self.bytes[:, span] ^ pivot[:, span]
+        return np.unpackbits(chunk, axis=1, bitorder="little")[:, : stop - start].astype(np.float64)
+
+
+def _cell_pair(rows, cols, n):
+    """Pack two cell lists; a list passed as both is packed once."""
+    packed = _Cells(rows, n)
+    return packed, packed if cols is rows else _Cells(cols, n)
+
+
+def _weighted_distance(rows, cols, weights):
+    """sum_d weights[d] [x_r[d] != x_c[d]] for every row cell r and column cell c.
+
+    Bits are taken relative to the first row cell, which leaves the
+    distance unchanged; [b_r != b_c] = b_r + b_c - 2 b_r b_c then sums
+    only coordinates where a cell differs from that pivot, so cells near
+    it keep distances accurate to a few ulps however large sum(weights).
+    """
+    n = weights.size
+    width = max(_MIN_WIDTH, _BLOCK_ENTRIES // max(rows.size, cols.size, 1) // 8 * 8)
+    pivot = rows.bytes[:1]
+    out = np.zeros((rows.size, cols.size))
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        w = weights[start:stop]
+        br = rows.bits(start, stop, pivot)
+        bc = br if cols is rows else cols.bits(start, stop, pivot)
+        wr = br * w
+        out += wr.sum(axis=1)[:, None] + (bc @ w)[None, :] - 2.0 * (wr @ bc.T)
+    return out
+
+
+def _xor_gather(g, rows, cols):
+    """g at the XOR of every row and column index: Q from a dense profile."""
+    return g[rows.words[:, :1] ^ cols.words[:, 0]]
+
+
+def _xor_dot_block(g, rows, cols):
+    """sum_m g[m] g[m ^ x] at every XOR x of a row and a column index.
+
+    One xor_dot per unordered pair: a block of a cell list with itself
+    fills the lower triangle from the upper one.
+    """
+    r, c = rows.words[:, 0], cols.words[:, 0]
+    out = np.empty((r.size, c.size))
+    for a in range(r.size):
+        first = a if cols is rows else 0
+        for b in range(first, c.size):
+            out[a, b] = xor_dot(g, int(r[a] ^ c[b]))
+            if cols is rows:
+                out[b, a] = out[a, b]
+    return out
+
+
+class _ParityFeatures:
+    """Nonzero shrinkage entries b_k as parity features of the cells.
+
+    W diag(b) W restricted to two cell lists is F_r diag(b) F_c^T with
+    F[c, k] = (-1)^popcount(key_k & (c - 1)). Keys stay packed in 64-bit
+    words, cut to the span of words some key touches, so a feature costs
+    a few vectorized ops at any n. Single-interaction keys are one-hot,
+    so their signed sum is sum(w) minus twice the w-weighted distance.
     """
 
     def __init__(self, shrinkage):
         self.n = shrinkage.n
-        self.limit = 1 << self.n
         self.single = shrinkage.form == SINGLE_INTERACTION
         if self.single:
-            self.nbytes = (self.n + 7) // 8
-            self.values = shrinkage.w.copy()
-            self.squared_values = self.values * self.values
-            self.keys = None
-            return
-        self.words = max(1, (self.n + 63) // 64)
-        items = shrinkage.nonzero_items()
-        self.values = np.array([val for _, val in items], dtype=np.float64)
+            self.values = shrinkage.w
+        else:
+            items = shrinkage.nonzero_items()
+            self.values = np.array([val for _, val in items], dtype=np.float64)
+            keys = _Cells([idx for idx, _ in items], self.n).words
+            used = np.flatnonzero(keys.any(axis=0))
+            self.span = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
+            self.keys = keys[:, self.span]
         self.squared_values = self.values * self.values
-        self.keys = np.empty((len(items), self.words), dtype=np.uint64)
-        for r, (idx, _) in enumerate(items):
-            self.keys[r] = np.frombuffer(
-                int(idx - 1).to_bytes(self.words * 8, "little"), dtype=np.uint64
-            )
 
-    def signed_sum(self, mask, values):
+    def features(self, cells):
+        words = cells.words[:, self.span]
+        step = max(1, _BLOCK_ENTRIES // max(1, self.keys.size))
+        masked = [
+            np.bitwise_xor.reduce(words[start : start + step, None, :] & self.keys, axis=2)
+            for start in range(0, cells.size, step)
+        ]
+        return 1.0 - 2.0 * (np.bitwise_count(np.concatenate(masked)) & 1)
+
+    def signed_sums(self, rows, cols, values):
+        """sum_k values_k (-1)^popcount(key_k & (r XOR c)) for every pair."""
         if self.single:
-            raw = np.frombuffer(int(mask).to_bytes(self.nbytes, "little"), dtype=np.uint8)
-            bits = np.unpackbits(raw, bitorder="little")[: self.n].view(np.bool_)
-            return float(values.sum() - 2.0 * values[bits].sum())
-        mask_words = np.frombuffer(
-            int(mask).to_bytes(self.words * 8, "little"), dtype=np.uint64
-        )
-        parity = np.bitwise_count(self.keys & mask_words).sum(axis=1) & 1
-        return float(np.dot(values, 1.0 - 2.0 * parity))
+            return values.sum() - 2.0 * _weighted_distance(rows, cols, values)
+        fr = self.features(rows)
+        fc = fr if cols is rows else self.features(cols)
+        return (fr * values) @ fc.T
 
 
 class _WaakState:
-    """Log-space product-form kernel state for weights w and base gamma."""
+    """Log-space product-form kernel state for weights w and base gamma.
+
+    With t = w log(gamma) and D_t the t-weighted distance of two cells,
+    log Q = sum_d t_d - log Z - 2 D_t = -sum_d log(1 + e^(-2 t_d)) - 2 D_t.
+    Q @ Q has coordinate factor e^(2t) + e^(-2t) on agreement and 2 on
+    disagreement over Z^2, so log Q^2 = sum_d log((e^(2t) + e^(-2t)) /
+    (e^t + e^-t)^2) - D_v with v = log(e^(2t) + e^(-2t)) - log 2.
+    """
 
     def __init__(self, w, gamma):
         arr = np.asarray(w, dtype=np.float64)
@@ -343,34 +432,30 @@ class _WaakState:
         gamma = float(gamma)
         if not math.isfinite(gamma) or gamma < 1.0:
             raise ValueError(f"kernel base must satisfy gamma >= 1, got {gamma}")
-        self.w = arr.copy()
-        self.gamma = gamma
         self.n = int(arr.size)
-        self.limit = 1 << self.n
-        self.nbytes = (self.n + 7) // 8
-        t = self.w * math.log(gamma)
+        t = arr * math.log(gamma)
         self.t = t
-        self.t_total = float(t.sum())
         # log(gamma^w + gamma^-w) per coordinate; their sum is log Z
         self.log_z = float(np.logaddexp(t, -t).sum())
-        t2 = 2.0 * t
-        self.log_sq_factors = np.logaddexp(t2, -t2)
-        self.log_sq_base = float(self.log_sq_factors.sum())
+        lost = np.log1p(np.exp(-2.0 * t))
+        lost_sq = np.log1p(np.exp(-4.0 * t))
+        self.log_diagonal = -float(lost.sum())
+        self.squared_weights = 2.0 * t + lost_sq - _LOG2
+        self.log_squared_diagonal = float((lost_sq - 2.0 * lost).sum())
 
-    def disagreement_bits(self, i, j):
-        mask = (int(i) - 1) ^ (int(j) - 1)
-        raw = np.frombuffer(mask.to_bytes(self.nbytes, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.n].view(np.bool_)
+    def gram(self, rows, cols):
+        return np.exp(self.log_diagonal - 2.0 * _weighted_distance(rows, cols, self.t))
 
-    def element(self, i, j):
-        bits = self.disagreement_bits(i, j)
-        exponent = self.t_total - 2.0 * float(self.t[bits].sum())
-        return math.exp(exponent - self.log_z)
+    def squared_gram(self, rows, cols):
+        distance = _weighted_distance(rows, cols, self.squared_weights)
+        return np.exp(self.log_squared_diagonal - distance)
 
-    def squared(self, i, j):
-        bits = self.disagreement_bits(i, j)
-        swapped = float(np.sum(_LOG2 - self.log_sq_factors[bits]))
-        return math.exp(self.log_sq_base + swapped - 2.0 * self.log_z)
+    def profile(self):
+        """Q[1, m + 1] at every zero-based index m; 2^n entries."""
+        distance = np.zeros(1)
+        for td in self.t:  # index bit d is coordinate d
+            distance = np.concatenate([distance, distance + td])
+        return np.exp(self.log_diagonal - 2.0 * distance)
 
     def normalizer_result(self):
         value = math.exp(self.log_z) if self.log_z < 700.0 else math.inf
@@ -378,8 +463,8 @@ class _WaakState:
 
 
 @lru_cache(maxsize=256)
-def _signed_state(shrinkage):
-    return _SignedSumState(shrinkage)
+def _parity_features(shrinkage):
+    return _ParityFeatures(shrinkage)
 
 
 @lru_cache(maxsize=256)
@@ -405,11 +490,12 @@ def _check_normalizer(norm):
         )
 
 
-def _check_cell(idx, limit, n):
-    if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
-        raise ValueError(f"cell index must be an integer, got {type(idx).__name__}")
-    if idx < 1 or idx > limit:
-        raise ValueError(f"cell index {idx} out of range [1, 2^{n}]")
+def _divide_by_normalizer(values, norm):
+    """values / Z; through log space, keeping signs, when Z overflowed float64."""
+    if math.isfinite(norm.value):
+        return values / norm.value
+    with np.errstate(divide="ignore"):
+        return np.sign(values) * np.exp(np.log(np.abs(values)) - norm.log_value)
 
 
 @lru_cache(maxsize=64)
@@ -428,34 +514,13 @@ def _squared_linear_profile(shrinkage):
 def _transformed_profile(shrinkage, transform):
     """f(fwht(b)) / Z as a dense row; capacity-guarded by to_dense."""
     raw = fwht(shrinkage.to_dense())
-    values = apply(transform, raw)
     norm = _normalizer_cached(transform, shrinkage)
     _check_normalizer(norm)
-    if math.isfinite(norm.value):
-        return values / norm.value
-    # Z overflowed float64 (closed-form exponential at extreme gamma);
-    # positive entries survive in log space, the rest collapse to 0.
-    out = np.zeros_like(values)
-    pos = values > 0
-    out[pos] = np.exp(np.log(values[pos]) - norm.log_value)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _waak_profile_cached(w_bytes, size, gamma):
-    state = _waak_state_cached(w_bytes, size, gamma)
-    spec = ShrinkageSpec.single_interaction(np.frombuffer(w_bytes, dtype=np.float64, count=size))
-    raw = fwht(spec.to_dense())
-    return np.exp(raw * math.log(state.gamma) - state.log_z)
-
-
-def _waak_profile(w, gamma):
-    arr = np.ascontiguousarray(np.asarray(w, dtype=np.float64))
-    return _waak_profile_cached(arr.tobytes(), int(arr.size), float(gamma))
+    return _divide_by_normalizer(apply(transform, raw), norm)
 
 
 # ---------------------------------------------------------------------------
-# element-level evaluation
+# element-level evaluation: single entries of the batched core
 
 
 def element_linear(i, j, shrinkage):
@@ -464,29 +529,13 @@ def element_linear(i, j, shrinkage):
     With b = e_1 this is the uniform estimator (constant 1/2^n); with
     b = 1 it is the identity, i.e. the raw frequency estimator.
     """
-    _validate_linear_shrinkage(shrinkage)
-    state = _signed_state(shrinkage)
-    _check_cell(i, state.limit, state.n)
-    _check_cell(j, state.limit, state.n)
-    if shrinkage.form == DENSE:
-        g = _linear_profile(shrinkage)
-        return float(g[(int(i) - 1) ^ (int(j) - 1)])
-    mask = (int(i) - 1) ^ (int(j) - 1)
-    return math.ldexp(state.signed_sum(mask, state.values), -state.n)
+    return _entry(_ConfigState(EstimatorConfig.linear(shrinkage)), i, j)
 
 
 def squared_element_linear(i, j, shrinkage):
     """Entry (i, j) of the squared linear kernel: shares b's support,
     with each coefficient squared."""
-    _validate_linear_shrinkage(shrinkage)
-    state = _signed_state(shrinkage)
-    _check_cell(i, state.limit, state.n)
-    _check_cell(j, state.limit, state.n)
-    if shrinkage.form == DENSE:
-        g = _squared_linear_profile(shrinkage)
-        return float(g[(int(i) - 1) ^ (int(j) - 1)])
-    mask = (int(i) - 1) ^ (int(j) - 1)
-    return math.ldexp(state.signed_sum(mask, state.squared_values), -state.n)
+    return _entry(_ConfigState(EstimatorConfig.linear(shrinkage)), i, j, squared=True)
 
 
 def element_transformed(i, j, shrinkage, transform):
@@ -496,27 +545,7 @@ def element_transformed(i, j, shrinkage, transform):
     resolved once per (transform, shrinkage) pair through the cheapest
     available dispatch route.
     """
-    if not isinstance(shrinkage, ShrinkageSpec):
-        raise ConfigError("transformed element needs a ShrinkageSpec")
-    if not isinstance(transform, Transform):
-        raise ConfigError("transformed element needs a Transform")
-    state = _signed_state(shrinkage)
-    _check_cell(i, state.limit, state.n)
-    _check_cell(j, state.limit, state.n)
-    norm = _normalizer_cached(transform, shrinkage)
-    _check_normalizer(norm)
-    if shrinkage.form == DENSE:
-        g = _transformed_profile(shrinkage, transform)
-        return float(g[(int(i) - 1) ^ (int(j) - 1)])
-    mask = (int(i) - 1) ^ (int(j) - 1)
-    raw = apply(transform, state.signed_sum(mask, state.values))
-    if math.isfinite(norm.value):
-        return raw / norm.value
-    if raw > 0:
-        return math.exp(math.log(raw) - norm.log_value)
-    if raw == 0:
-        return 0.0
-    return -math.exp(math.log(-raw) - norm.log_value)
+    return _entry(_ConfigState(EstimatorConfig.transformed(shrinkage, transform)), i, j)
 
 
 def element_waak(i, j, w, gamma):
@@ -528,9 +557,7 @@ def element_waak(i, j, w, gamma):
     categorical kernel lam^(n-d) (1-lam)^d at Hamming distance d.
     """
     state = _waak_state(w, gamma)
-    _check_cell(i, state.limit, state.n)
-    _check_cell(j, state.limit, state.n)
-    return state.element(i, j)
+    return float(state.gram(*_cell_pair([i], [j], state.n))[0, 0])
 
 
 def squared_element_waak(i, j, w, gamma):
@@ -540,9 +567,7 @@ def squared_element_waak(i, j, w, gamma):
     2 on disagreement, over the squared normalizer.
     """
     state = _waak_state(w, gamma)
-    _check_cell(i, state.limit, state.n)
-    _check_cell(j, state.limit, state.n)
-    return state.squared(i, j)
+    return float(state.squared_gram(*_cell_pair([i], [j], state.n))[0, 0])
 
 
 def squared_element_general(i, j, shrinkage, transform):
@@ -552,30 +577,12 @@ def squared_element_general(i, j, shrinkage, transform):
     is sum_m g[m] g[m ^ x] with x the XOR of the zero-based indexes:
     O(2^n) per element after an O(n 2^n) setup, dense-capacity guarded.
     """
-    if not isinstance(shrinkage, ShrinkageSpec):
-        raise ConfigError("general squared element needs a ShrinkageSpec")
-    if not isinstance(transform, Transform):
-        raise ConfigError("general squared element needs a Transform")
-    if shrinkage.n > MAX_DENSE_N:
-        raise CapacityError(
-            f"general squared element requires a 2^{shrinkage.n} buffer (limit n={MAX_DENSE_N})"
-        )
-    g = _transformed_profile(shrinkage, transform)
-    limit = g.shape[0]
-    _check_cell(i, limit, shrinkage.n)
-    _check_cell(j, limit, shrinkage.n)
-    return float(xor_dot(g, (int(i) - 1) ^ (int(j) - 1)))
-
-
-@lru_cache(maxsize=64)
-def _mixture_config(components):
-    return EstimatorConfig.mixture(components)
+    return _entry(_ConfigState(EstimatorConfig.transformed(shrinkage, transform)), i, j, squared=True)
 
 
 def element_mixture(i, j, components):
     """Convex combination of component kernel entries."""
-    comps = tuple((float(c), cfg) for c, cfg in components)
-    return matrix_element(i, j, _mixture_config(comps))
+    return _entry(_ConfigState(EstimatorConfig.mixture(components)), i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -583,53 +590,58 @@ def element_mixture(i, j, components):
 
 
 class _ConfigState:
-    """Resolved evaluation strategy for one EstimatorConfig."""
+    """Resolved evaluation strategy for one EstimatorConfig.
+
+    gram and squared_gram fill Q and Q @ Q on two lists of cells; every
+    estimate, risk and scalar element goes through them.
+    """
 
     def __init__(self, config):
         self.config = config
         self.n = config.n
-        self.limit = 1 << self.n
         variant = config.variant
         if variant in ("waak", "aa_classic"):
             self._waak = _waak_state(config.shrinkage.w, config.gamma)
         elif variant == "mixture":
             self._children = [(c, _config_state(cfg)) for c, cfg in config.components]
         elif variant == "transformed":
-            norm = _normalizer_cached(config.transform, config.shrinkage)
-            _check_normalizer(norm)
+            self._norm = _normalizer_cached(config.transform, config.shrinkage)
+            _check_normalizer(self._norm)
 
-    def element(self, i, j):
-        cfg = self.config
-        variant = cfg.variant
-        if variant == "linear":
-            return element_linear(i, j, cfg.shrinkage)
-        if variant in ("waak", "aa_classic"):
-            _check_cell(i, self.limit, self.n)
-            _check_cell(j, self.limit, self.n)
-            return self._waak.element(i, j)
-        if variant == "transformed":
-            return element_transformed(i, j, cfg.shrinkage, cfg.transform)
-        _check_cell(i, self.limit, self.n)
-        _check_cell(j, self.limit, self.n)
-        return math.fsum(c * child.element(i, j) for c, child in self._children)
+    def gram(self, rows, cols):
+        """Q[r, c] for every cell r in rows and c in cols, as an array."""
+        return self._gram(*_cell_pair(rows, cols, self.n))
 
-    def squared(self, i, j):
+    def squared_gram(self, rows, cols):
+        """(Q @ Q)[r, c] for every cell r in rows and c in cols, as an array."""
+        return self._squared_gram(*_cell_pair(rows, cols, self.n))
+
+    def _gram(self, rows, cols):
         cfg = self.config
-        variant = cfg.variant
-        if variant == "linear":
-            return squared_element_linear(i, j, cfg.shrinkage)
-        if variant in ("waak", "aa_classic"):
-            _check_cell(i, self.limit, self.n)
-            _check_cell(j, self.limit, self.n)
-            return self._waak.squared(i, j)
-        if variant == "transformed":
-            return squared_element_general(i, j, cfg.shrinkage, cfg.transform)
-        # mixture: squares mix across components, so go through the
-        # combined dense profile.
-        g = self.profile()
-        _check_cell(i, self.limit, self.n)
-        _check_cell(j, self.limit, self.n)
-        return float(xor_dot(g, (int(i) - 1) ^ (int(j) - 1)))
+        if cfg.variant in ("waak", "aa_classic"):
+            return self._waak.gram(rows, cols)
+        if cfg.variant == "mixture":
+            return sum(c * child._gram(rows, cols) for c, child in self._children)
+        if cfg.shrinkage.form == DENSE:
+            return _xor_gather(self.profile(), rows, cols)
+        features = _parity_features(cfg.shrinkage)
+        raw = features.signed_sums(rows, cols, features.values)
+        if cfg.variant == "linear":
+            return np.ldexp(raw, -self.n)
+        return _divide_by_normalizer(apply(cfg.transform, raw), self._norm)
+
+    def _squared_gram(self, rows, cols):
+        cfg = self.config
+        if cfg.variant in ("waak", "aa_classic"):
+            return self._waak.squared_gram(rows, cols)
+        if cfg.variant != "linear":
+            # transformed and mixture: squares mix entries across a whole
+            # row, so they go through the dense profile.
+            return _xor_dot_block(self.profile(), rows, cols)
+        if cfg.shrinkage.form == DENSE:
+            return _xor_gather(_squared_linear_profile(cfg.shrinkage), rows, cols)
+        features = _parity_features(cfg.shrinkage)
+        return np.ldexp(features.signed_sums(rows, cols, features.squared_values), -self.n)
 
     def profile(self):
         """Dense kernel row g with Q[i, j] = g[(i-1) XOR (j-1)]."""
@@ -644,11 +656,11 @@ class _ConfigState:
         if cfg.variant == "linear":
             g = _linear_profile(cfg.shrinkage)
         elif cfg.variant in ("waak", "aa_classic"):
-            g = _waak_profile(cfg.shrinkage.w, cfg.gamma)
+            g = self._waak.profile()
         elif cfg.variant == "transformed":
             g = _transformed_profile(cfg.shrinkage, cfg.transform)
         else:
-            g = np.zeros(self.limit)
+            g = np.zeros(1 << self.n)
             for c, child in self._children:
                 g = g + c * child.profile()
         cfg._cache["profile"] = g
@@ -679,14 +691,25 @@ def _config_state(config):
     return state
 
 
+def _entry(state, i, j, squared=False):
+    """One entry of Q or Q @ Q: the K=1 block of the core.
+
+    The element_* wrappers build a config per call and pass a state that
+    is not cached on it: a cached state would tie the two in a reference
+    cycle left for the garbage collector.
+    """
+    block = state.squared_gram if squared else state.gram
+    return float(block([i], [j])[0, 0])
+
+
 def matrix_element(i, j, config):
     """Kernel matrix entry Q[i, j] for any estimator configuration."""
-    return _config_state(config).element(i, j)
+    return _entry(_config_state(config), i, j)
 
 
 def squared_matrix_element(i, j, config):
     """Entry (i, j) of Q @ Q for any estimator configuration."""
-    return _config_state(config).squared(i, j)
+    return _entry(_config_state(config), i, j, squared=True)
 
 
 # ---------------------------------------------------------------------------
@@ -719,24 +742,31 @@ def _match_dimensions(config, counts):
         )
 
 
+def _support(counts):
+    """Observed cells (ascending) and their counts as floats."""
+    cells = [cell for cell, _ in counts.cells]
+    return cells, np.array([cnt for _, cnt in counts.cells], dtype=np.float64)
+
+
 def estimate_at(cells, config, counts):
     """Estimated probability of each queried cell, sparse in n.
 
-    Cost is O(#cells * #support) element evaluations; support iteration
-    order is fixed (ascending cell index), so results are deterministic.
+    Each chunk of query cells is one query x support block of Q times
+    the counts; chunks keep the block near _BLOCK_ENTRIES entries, and the
+    fixed (ascending) support order makes results deterministic.
     """
     _match_dimensions(config, counts)
     state = _config_state(config)
     cell_list = list(cells)
     if not cell_list:
         raise ValueError("at least one query cell is required")
-    values = np.empty(len(cell_list))
-    for pos, cell in enumerate(cell_list):
-        _check_cell(cell, state.limit, state.n)
-        acc = 0.0
-        for support_cell, cnt in counts.cells:
-            acc += cnt * state.element(cell, support_cell)
-        values[pos] = acc / counts.total
+    support, cnt = _support(counts)
+    step = max(1, _BLOCK_ENTRIES // len(support))
+    sums = [
+        state.gram(cell_list[start : start + step], support) @ cnt
+        for start in range(0, len(cell_list), step)
+    ]
+    values = np.concatenate(sums) / counts.total
     return DensityEstimate(
         n=state.n,
         cells=tuple(int(c) for c in cell_list),

@@ -10,6 +10,7 @@ comparing genuinely independent routes to the same quantity.
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 
@@ -193,3 +194,153 @@ def se_naive(q_matrix, counts):
     fitted = q_matrix @ p
     terms = [loo_naive(q_matrix, counts, k) for k in range(counts.total)]
     return float(fitted @ fitted - 2.0 * np.mean(terms)), terms
+
+
+# ---------------------------------------------------------------------------
+# log-space references at large n (mpmath)
+#
+# Each kernel is a callable on two sign vectors returning an mpmath
+# number, built coordinate by coordinate from the definitions, so its
+# values neither underflow nor share any code path with the package.
+# .squared(x, y) gives the entry of Q @ Q where a closed form exists.
+# Kernels are evaluated inside the reference reductions, which work at
+# _DPS decimal digits.
+
+_DPS = 40
+
+
+def _disagreements(x, y):
+    return np.flatnonzero(np.asarray(x) != np.asarray(y))
+
+
+class WaakKernelMp:
+    """Coordinate d contributes gamma^w_d on agreement and gamma^-w_d on
+    disagreement, over gamma^w_d + gamma^-w_d; in Q @ Q the factors are
+    gamma^2w_d + gamma^-2w_d and 2, over the squared sum."""
+
+    @mp.workdps(_DPS)
+    def __init__(self, w, gamma):
+        log_gamma = mp.log(mp.mpf(float(gamma)))
+        self.t = [mp.mpf(float(wd)) * log_gamma for wd in w]
+        self.t_total = mp.fsum(self.t)
+        self.log_z = mp.fsum(mp.log(mp.exp(t) + mp.exp(-t)) for t in self.t)
+        self.log_sq = [mp.log(mp.exp(2 * t) + mp.exp(-2 * t)) for t in self.t]
+        self.log_sq_total = mp.fsum(self.log_sq)
+
+    def __call__(self, x, y):
+        lost = mp.fsum(2 * self.t[d] for d in _disagreements(x, y))
+        return mp.exp(self.t_total - lost - self.log_z)
+
+    def squared(self, x, y):
+        lost = mp.fsum(self.log_sq[d] - mp.log(2) for d in _disagreements(x, y))
+        return mp.exp(self.log_sq_total - lost - 2 * self.log_z)
+
+
+class AaKernelMp:
+    """lam^(n-d) (1-lam)^d at Hamming distance d; Q @ Q has per-coordinate
+    factors lam^2 + (1-lam)^2 on agreement and 2 lam (1-lam) on disagreement."""
+
+    def __init__(self, n, lam):
+        self.n = n
+        self.lam = mp.mpf(float(lam))
+
+    def __call__(self, x, y):
+        d = len(_disagreements(x, y))
+        return self.lam ** (self.n - d) * (1 - self.lam) ** d
+
+    def squared(self, x, y):
+        d = len(_disagreements(x, y))
+        lam = self.lam
+        return (lam**2 + (1 - lam) ** 2) ** (self.n - d) * (2 * lam * (1 - lam)) ** d
+
+
+class LinearKernelMp:
+    """2^-n sum_k b_k W[x, k] W[y, k], with W[x, k] the product of x over
+    the coordinates set in the zero-based index k - 1; Q @ Q squares b."""
+
+    def __init__(self, n, entries):
+        self.n = n
+        self.terms = [
+            ([d for d in range(n) if (idx - 1) >> d & 1], mp.mpf(float(val)))
+            for idx, val in entries.items()
+        ]
+
+    def _sum(self, x, y, power):
+        z = np.asarray(x, dtype=np.int64) * np.asarray(y, dtype=np.int64)
+        total = mp.fsum(b**power * int(np.prod(z[coords])) for coords, b in self.terms)
+        return total * mp.mpf(2) ** (-self.n)
+
+    def __call__(self, x, y):
+        return self._sum(x, y, 1)
+
+    def squared(self, x, y):
+        return self._sum(x, y, 2)
+
+
+class LogisticKernelMp:
+    """1 / (1 + gamma^-s) / 2^(n-1) with s = sum_d w_d x_d y_d; the row
+    entries pair up as s and -s, whose logistic values sum to 1."""
+
+    def __init__(self, w, gamma):
+        self.w = np.asarray(w, dtype=np.float64)
+        self.gamma = mp.mpf(float(gamma))
+        self.z = mp.mpf(2) ** (self.w.size - 1)
+
+    def __call__(self, x, y):
+        s = math.fsum((self.w * np.asarray(x) * np.asarray(y)).tolist())
+        return 1 / (1 + self.gamma ** (-mp.mpf(s))) / self.z
+
+
+class MixtureKernelMp:
+    """Weighted sum of component kernels."""
+
+    def __init__(self, components):
+        self.components = [(mp.mpf(float(c)), k) for c, k in components]
+
+    def __call__(self, x, y):
+        return mp.fsum(c * k(x, y) for c, k in self.components)
+
+
+@mp.workdps(_DPS)
+def loo_reference(kernel, points, counts):
+    """Held-out terms, KL and (when kernel.squared exists) SE in mpmath.
+
+    points[k] is the sign vector of the k-th cell of counts.cells. The
+    held-out term at cell a counts every other cell with its count and
+    cell a itself with its count minus one.
+    """
+    cnt = [c for _, c in counts.cells]
+    total = counts.total
+    size = len(points)
+    q = [[None] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a, size):
+            q[a][b] = q[b][a] = kernel(points[a], points[b])
+    terms = [
+        mp.fsum((cnt[b] - (a == b)) * q[a][b] for b in range(size)) / (total - 1)
+        for a in range(size)
+    ]
+    out = {
+        "terms": terms,
+        "kl": mp.fsum(c * mp.log(t) for c, t in zip(cnt, terms)),
+    }
+    if hasattr(kernel, "squared"):
+        quad = mp.fsum(
+            cnt[a] * cnt[b] * kernel.squared(points[a], points[b])
+            for a in range(size)
+            for b in range(size)
+        ) / total**2
+        mean = mp.fsum(c * t for c, t in zip(cnt, terms)) / total
+        out["se"] = quad - 2 * mean
+        out["se_scale"] = quad + 2 * mean
+    return out
+
+
+@mp.workdps(_DPS)
+def estimate_reference(kernel, queries, points, counts):
+    """(1/N) sum_o count_o Q[q, o] at each query sign vector, in mpmath."""
+    cnt = [c for _, c in counts.cells]
+    return [
+        mp.fsum(c * kernel(x, p) for c, p in zip(cnt, points)) / counts.total
+        for x in queries
+    ]

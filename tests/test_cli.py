@@ -1,5 +1,6 @@
 """Command line interface: file formats, reports, and exit codes."""
 
+import contextlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from bindens import (
     backend,
     counts_from_observations,
     estimate_at,
+    index_of_point,
     kl_risk,
 )
 from bindens.cli import load_observations, main, parse_cells_spec
@@ -37,6 +39,17 @@ def _write_json(path, payload):
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+@contextlib.contextmanager
+def _unlimited_int_text():
+    """Lift Python's limit on int <-> decimal text conversion for the test's own use."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _strip_timing(payload):
@@ -341,21 +354,30 @@ class TestCvCommand:
         N = counts.total
         m = len(counts.cells)
         repeated = sum(1 for _, cnt in counts.cells if cnt >= 2)
-        cfg = tmp_path / "cfg.json"
-        _write_json(cfg, {"cv": {"search": {"kind": "aa_lambda", "lambdas": [0.7, 0.8]}}})
+        aa = {"variant": "aa_classic", "lambda": 0.8}
+        linear = {"variant": "linear", "shrinkage": {"form": "sparse", "entries": {"1": 1.0, "2": 0.5}}}
+        searches = [
+            {"kind": "aa_lambda", "lambdas": [0.7, 0.8]},
+            {"kind": "linear_sparse", "indexes": [2, 5], "value_grid": [0.25, 0.75]},
+            {"kind": "mixture", "components": [aa, linear], "denominator": 3},
+        ]
+        for pos, search in enumerate(searches):
+            cfg = tmp_path / f"cfg{pos}.json"
+            _write_json(cfg, {"cv": {"search": search}})
 
-        out_kl = tmp_path / "kl.json"
-        assert main(["cv", "--data", str(data), "--config", str(cfg), "--out", str(out_kl), "--loss", "kl"]) == 0
-        for row in _read_json(out_kl)["evaluations"]:
-            assert row["squared_element_evals"] == 0
-            assert row["element_evals"] == m * (m - 1) // 2 + repeated
-            assert row["element_evals"] <= N * (N - 1) // 2
+            out_kl = tmp_path / f"kl{pos}.json"
+            assert main(["cv", "--data", str(data), "--config", str(cfg), "--out", str(out_kl), "--loss", "kl"]) == 0
+            for row in _read_json(out_kl)["evaluations"]:
+                assert row["squared_element_evals"] == 0
+                assert row["element_evals"] == m * (m - 1) // 2 + repeated
+                assert row["element_evals"] <= N * (N - 1) // 2
 
-        out_se = tmp_path / "se.json"
-        assert main(["cv", "--data", str(data), "--config", str(cfg), "--out", str(out_se), "--loss", "se"]) == 0
-        for row in _read_json(out_se)["evaluations"]:
-            assert row["squared_element_evals"] == m * (m + 1) // 2
-            assert row["squared_element_evals"] <= N * (N + 1) // 2
+            out_se = tmp_path / f"se{pos}.json"
+            assert main(["cv", "--data", str(data), "--config", str(cfg), "--out", str(out_se), "--loss", "se"]) == 0
+            for row in _read_json(out_se)["evaluations"]:
+                assert row["squared_element_evals"] == m * (m + 1) // 2
+                assert row["squared_element_evals"] <= N * (N + 1) // 2
+                assert row["element_evals"] == m * (m - 1) // 2 + repeated
 
     def test_budget_partial_exits_2_with_report(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
@@ -523,6 +545,45 @@ class TestQueryCommand:
         entry2 = _read_json(out2)["query"]["results"][0]
         assert entry2["undefined"] is True
         assert entry2["conditional_expectation"] is None
+
+    def test_round_trip_past_int_text_limit(self, tmp_path):
+        # At n = 15000 a cell index has about 4500 decimal digits, more
+        # than str() and int() accept by default (4300). Reports keep them
+        # as decimal text. lambda near 1 keeps every estimate near 1/N.
+        n = 15_000
+        rng = np.random.default_rng(19)
+        base = rng.choice([-1, 1], size=n)
+        rows = [base.copy() for _ in range(6)]
+        for k in range(1, 5):
+            rows[k][k] *= -1
+        estimator = {"variant": "aa_classic", "lambda": 0.999999}
+        counts = counts_from_observations(rows)
+        base_cell, near_cell = index_of_point(rows[0]), index_of_point(rows[1])
+        base_pattern = "".join("+" if v > 0 else "-" for v in base)
+        with _unlimited_int_text():
+            text = {cell: str(cell) for cell, _ in counts.cells}
+
+        data = tmp_path / "obs.csv"
+        _write_signs(data, rows)
+        cfg = tmp_path / "cfg.json"
+        _write_json(cfg, {"estimator": estimator, "query": {"cells": [base_pattern, text[near_cell]]}})
+        fit = tmp_path / "fit.json"
+        assert main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(fit)]) == 0
+        report = _read_json(fit)
+        assert report["data"]["counts"] == {text[cell]: cnt for cell, cnt in counts.cells}
+        assert report["estimate"]["cells"] == [text[base_cell], text[near_cell]]
+        want = estimate_at([base_cell, near_cell], EstimatorConfig.aa_classic(n, 0.999999), counts)
+        np.testing.assert_allclose(report["estimate"]["values"], want.values, rtol=1e-12)
+        assert 0.3 < want.values[0] < 1.0 / 3.0
+
+        out = tmp_path / "q.json"
+        spec = f"{text[base_cell]},?{base_pattern[1:]}"
+        assert main(["query", "--fit", str(fit), "--cells", spec, "--out", str(out)]) == 0
+        plain, conditional = _read_json(out)["query"]["results"]
+        assert plain["cell"] == text[base_cell]
+        assert plain["value"] == pytest.approx(want.values[0], rel=1e-12)
+        assert conditional["cells"][0 if base[0] > 0 else 1] == text[base_cell]
+        assert conditional["undefined"] is False
 
     def test_bad_pattern_exits_2(self, tmp_path):
         fit = self._fit(tmp_path, [(1, 1), (-1, 1)], UNIFORM_ESTIMATOR)

@@ -41,6 +41,16 @@ def _random_counts(rng, n, size):
     return CountsVector.from_cells(n, mapping)
 
 
+def _counter_configs(n):
+    """aa_classic, sparse linear and a mixture of them with a transformed kernel."""
+    aa = EstimatorConfig.aa_classic(n, 0.85)
+    linear = EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.5, 1 << (n - 1): 0.25}))
+    logistic = EstimatorConfig.transformed(
+        ShrinkageSpec.single_interaction(np.full(n, 0.6)), Transform.logistic(2.0)
+    )
+    return [aa, linear, EstimatorConfig.mixture([(0.5, aa), (0.3, linear), (0.2, logistic)])]
+
+
 class TestLooTerm:
     def test_uniform_config(self):
         counts = CountsVector.from_cells(4, {2: 3, 9: 1, 16: 2})
@@ -139,13 +149,13 @@ class TestKlRisk:
 
     def test_element_evaluation_counts(self):
         counts = CountsVector.from_cells(4, {2: 3, 5: 1, 9: 2, 14: 1})
-        cfg = EstimatorConfig.aa_classic(4, 0.8)
-        rep = kl_risk(cfg, counts)
         m = len(counts.cells)
         repeated = sum(1 for _, cnt in counts.cells if cnt >= 2)
-        assert rep.element_evals == m * (m - 1) // 2 + repeated
-        assert rep.element_evals <= counts.total * (counts.total - 1) // 2
-        assert rep.squared_element_evals == 0
+        for cfg in _counter_configs(4):
+            rep = kl_risk(cfg, counts)
+            assert rep.element_evals == m * (m - 1) // 2 + repeated
+            assert rep.element_evals <= counts.total * (counts.total - 1) // 2
+            assert rep.squared_element_evals == 0
 
 
 class TestSeRisk:
@@ -202,13 +212,15 @@ class TestSeRisk:
 
     def test_evaluation_counters(self):
         counts = CountsVector.from_cells(5, {3: 2, 8: 1, 20: 1})
-        cfg = EstimatorConfig.aa_classic(5, 0.9)
-        rep = se_risk(cfg, counts)
         m = len(counts.cells)
-        assert rep.squared_element_evals == m * (m + 1) // 2
-        assert rep.squared_element_evals <= counts.total * (counts.total + 1) // 2
-        assert rep.element_evals <= counts.total * (counts.total - 1) // 2
-        assert not rep.dominated
+        repeated = sum(1 for _, cnt in counts.cells if cnt >= 2)
+        for cfg in _counter_configs(5):
+            rep = se_risk(cfg, counts)
+            assert rep.squared_element_evals == m * (m + 1) // 2
+            assert rep.squared_element_evals <= counts.total * (counts.total + 1) // 2
+            assert rep.element_evals == m * (m - 1) // 2 + repeated
+            assert rep.element_evals <= counts.total * (counts.total - 1) // 2
+            assert not rep.dominated
 
 
 class TestGridSearch:
@@ -456,3 +468,5 @@ class TestCoordinateDescent:
             coordinate_descent_w([0.5, 0.5], 2.0, "kl", counts, sweeps=1, grid=[1.5])
         with pytest.raises(ConfigError):
             coordinate_descent_w([0.5, 0.5], 2.0, "bad", counts, sweeps=1, grid=[0.5])
+        with pytest.raises(ConfigError):
+            coordinate_descent_w([0.5, 0.5], 2.0, "kl", counts, sweeps=1, grid=[0.5], threads=0)
