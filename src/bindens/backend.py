@@ -4,13 +4,18 @@ The backend is chosen once at import time from the BINDENS_BACKEND
 environment variable ("numba" or "numpy"). When the variable is unset,
 numba is used if it imports cleanly and numpy otherwise. An explicit
 value that cannot be honoured (an unknown name, or "numba" without
-numba installed) raises ValueError at import rather than falling back
-to another backend. Both implementations of every
-kernel stay importable so tests and benchmarks can compare them head to
-head regardless of which one is active.
+numba installed) is never served by the other backend: the import
+prints one "error:" line naming BINDENS_BACKEND and raises
+SystemExit(2), the exit status the command line gives every
+configuration error. The choice has to stop the process at import,
+since `python -m bindens` and the `bindens` script both import the
+package before any command runs. Both implementations of every kernel
+stay importable so tests and benchmarks can compare them head to head
+regardless of which one is active.
 """
 
 import os
+import sys
 
 import numpy as np
 
@@ -79,16 +84,19 @@ else:  # pragma: no cover
     xor_dot_numba = None
 
 
+def _refuse(reason):
+    print(f"error: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _pick_backend():
     requested = os.environ.get("BINDENS_BACKEND", "").strip().lower()
     if requested not in ("", "numba", "numpy"):
-        raise ValueError(
-            f"BINDENS_BACKEND must be 'numba' or 'numpy', got {requested!r}"
-        )
+        _refuse(f"BINDENS_BACKEND must be 'numba' or 'numpy', got {requested!r}")
     if requested == "numpy":
         return "numpy"
     if requested == "numba" and not HAS_NUMBA:
-        raise ValueError(
+        _refuse(
             "BINDENS_BACKEND=numba requested but numba is not installed; "
             "install the 'numba' extra or set BINDENS_BACKEND=numpy"
         )

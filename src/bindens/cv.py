@@ -3,10 +3,12 @@
 Both losses reduce to inner products between kernel elements and the
 observation counts, so neither ever rebuilds an estimate per held-out
 point: leaving out one observation only shifts one count. A risk takes
-one support x support block of Q (and, for SE, of Q @ Q) from the
-batched kernel core over the K distinct observed cells; every reduction
-runs in a fixed ascending-cell order so repeated runs are bitwise
-identical.
+one support x support block of Q from the batched kernel core over the
+K distinct observed cells, and SE adds the quadratic form p' Q^2 p of
+the empirical weights: a support x support block of Q @ Q for linear,
+waak and aa_classic kernels, and a Parseval sum over the dense profile
+for transformed and mixture kernels. Every reduction runs in a fixed
+ascending-cell order so repeated runs are bitwise identical.
 """
 
 import itertools
@@ -44,7 +46,8 @@ class RiskReport:
     which ranks below every finite value, rather than an exception.
 
     The counters give the distinct unordered cell pairs whose kernel
-    entries the risk depends on, for K distinct observed cells:
+    entries the risk depends on, for K distinct observed cells, whichever
+    route computes them (a block of entries or a spectral sum):
     element_evals is K(K-1)/2 plus the number of cells observed at
     least twice (their own entry enters their held-out term), and
     squared_element_evals is K(K+1)/2 for SE and 0 for KL.
@@ -158,7 +161,7 @@ def se_risk(config, counts):
     cells, cnt, terms = _support_terms(state, counts)
     N = counts.total
     p = cnt / N
-    quad = float(p @ state.squared_gram(cells, cells) @ p)
+    quad = state.quadratic(cells, p)
     value = quad - (2.0 / N) * math.fsum((cnt * terms).tolist())
     k = len(cells)
     return RiskReport(

@@ -19,7 +19,10 @@ Kernel entries are filled a block at a time: one batched core returns Q
 their parity features, or a gather from a dense profile, and every
 estimate, leave-one-out risk and scalar element goes through it. Blocks
 cost O(#nonzero(b)) or O(n) per entry without touching a 2^n buffer;
-dense materialization is a separate, capacity-guarded path.
+dense materialization is a separate, capacity-guarded path. Q @ Q of a
+transformed or mixture kernel is the exception: its entries need the
+dense profile, and the core's quadratic form p' Q^2 p takes it as a
+Parseval sum over two n 2^n transforms (n <= 30).
 """
 
 import math
@@ -355,19 +358,12 @@ def _xor_gather(g, rows, cols):
 
 
 def _xor_dot_block(g, rows, cols):
-    """sum_m g[m] g[m ^ x] at every XOR x of a row and a column index.
-
-    One xor_dot per unordered pair: a block of a cell list with itself
-    fills the lower triangle from the upper one.
-    """
+    """sum_m g[m] g[m ^ x] at every XOR x of a row and a column index."""
     r, c = rows.words[:, 0], cols.words[:, 0]
     out = np.empty((r.size, c.size))
     for a in range(r.size):
-        first = a if cols is rows else 0
-        for b in range(first, c.size):
+        for b in range(c.size):
             out[a, b] = xor_dot(g, int(r[a] ^ c[b]))
-            if cols is rows:
-                out[b, a] = out[a, b]
     return out
 
 
@@ -589,11 +585,16 @@ def element_mixture(i, j, components):
 # per-config dispatch
 
 
+# Variants whose Q @ Q is built from the dense profile.
+_PROFILE_SQUARED = ("transformed", "mixture")
+
+
 class _ConfigState:
     """Resolved evaluation strategy for one EstimatorConfig.
 
     gram and squared_gram fill Q and Q @ Q on two lists of cells; every
-    estimate, risk and scalar element goes through them.
+    estimate, risk and scalar element goes through them, and quadratic
+    gives the SE risk its p' Q^2 p.
     """
 
     def __init__(self, config):
@@ -630,13 +631,32 @@ class _ConfigState:
             return np.ldexp(raw, -self.n)
         return _divide_by_normalizer(apply(cfg.transform, raw), self._norm)
 
+    def quadratic(self, cells, weights):
+        """weights' (Q @ Q) weights over a list of distinct cells.
+
+        Q @ Q of a transformed or mixture kernel has no entrywise shortcut.
+        Q p is the XOR convolution of the dense profile g with p, so by
+        Parseval ||Q p||^2 = ||fwht(g) fwht(p)||^2 / 2^n: two n 2^n
+        transforms in place of one xor_dot per cell pair. A norm keeps full
+        relative accuracy, which single Q @ Q entries built by transforms
+        would not on the far entries of a peaked kernel.
+        """
+        if self.config.variant in _PROFILE_SQUARED:
+            g = self.profile()  # refuses n > MAX_DENSE_N before any 2^n buffer
+            p = np.zeros(g.size)
+            p[np.asarray(cells, dtype=np.int64) - 1] = weights
+            spectrum = fwht(g) * fwht(p)
+            return math.ldexp(float(spectrum @ spectrum), -self.n)
+        return float(weights @ self.squared_gram(cells, cells) @ weights)
+
     def _squared_gram(self, rows, cols):
         cfg = self.config
         if cfg.variant in ("waak", "aa_classic"):
             return self._waak.squared_gram(rows, cols)
-        if cfg.variant != "linear":
-            # transformed and mixture: squares mix entries across a whole
-            # row, so they go through the dense profile.
+        if cfg.variant in _PROFILE_SQUARED:
+            # Squares mix entries across a whole row, so single entries take
+            # one xor_dot over the dense profile; quadratic forms over many
+            # cells go through quadratic instead.
             return _xor_dot_block(self.profile(), rows, cols)
         if cfg.shrinkage.form == DENSE:
             return _xor_gather(_squared_linear_profile(cfg.shrinkage), rows, cols)

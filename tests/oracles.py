@@ -344,3 +344,68 @@ def estimate_reference(kernel, queries, points, counts):
         mp.fsum(c * kernel(x, p) for c, p in zip(cnt, points)) / counts.total
         for x in queries
     ]
+
+
+# ---------------------------------------------------------------------------
+# dense kernel rows and the SE quadratic from direct XOR sums
+#
+# A kernel row g gives Q[i, j] = g[(i-1) XOR (j-1)]. Rows are built from
+# parities of the zero-based indexes and (Q @ Q)[i, j] as the direct sum
+# sum_m g[m] g[m ^ x], so no Walsh transform enters the reference.
+
+
+def parity_row(n, entries):
+    """sum_k b_k (-1)^popcount((k-1) & m) at every zero-based index m."""
+    m = np.arange(1 << n, dtype=np.uint64)
+    row = np.zeros(1 << n)
+    for idx, val in entries.items():
+        parity = np.bitwise_count(m & np.uint64(idx - 1)) & 1
+        row += float(val) * (1.0 - 2.0 * parity)
+    return row
+
+
+def transformed_row(n, entries, f):
+    """f(W b) / Z with Z the row sum, for sparse coefficients b."""
+    raw = f(parity_row(n, entries))
+    return raw / math.fsum(raw.tolist())
+
+
+def linear_row(n, entries):
+    return parity_row(n, entries) / 2.0**n
+
+
+def waak_row(w, gamma):
+    """prod_d gamma^(w_d) on agreement, gamma^(-w_d) on disagreement, over Z."""
+    w = np.asarray(w, dtype=np.float64)
+    m = np.arange(1 << w.size, dtype=np.uint64)
+    t = w * math.log(gamma)
+    log_row = np.zeros(1 << w.size)
+    for d, td in enumerate(t):
+        bit = ((m >> np.uint64(d)) & np.uint64(1)).astype(np.float64)
+        log_row += td * (1.0 - 2.0 * bit)
+    log_z = math.fsum(math.log(math.exp(td) + math.exp(-td)) for td in t)
+    return np.exp(log_row - log_z)
+
+
+def squared_quadratic_direct(g, cells, weights):
+    """sum_{a,b} weights_a weights_b (Q @ Q)[a, b] from direct XOR sums."""
+    m = np.arange(g.size, dtype=np.int64)
+    zero = [int(c) - 1 for c in cells]
+    total = []
+    for a, ca in enumerate(zero):
+        for b in range(a, len(zero)):
+            entry = math.fsum((g * g[m ^ (ca ^ zero[b])]).tolist())
+            total.append((1 if a == b else 2) * weights[a] * weights[b] * entry)
+    return math.fsum(total)
+
+
+def held_out_from_row(g, counts):
+    """Held-out term at each support cell: every other cell with its count,
+    the cell itself with its count minus one, over N - 1."""
+    zero = [idx - 1 for idx, _ in counts.cells]
+    cnt = [c for _, c in counts.cells]
+    return [
+        math.fsum((cnt[b] - (a == b)) * float(g[ca ^ cb]) for b, cb in enumerate(zero))
+        / (counts.total - 1)
+        for a, ca in enumerate(zero)
+    ]

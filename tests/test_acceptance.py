@@ -6,6 +6,7 @@ tolerances and problem sizes fixed here are the release bar; do not loosen
 them to make a regression pass.
 """
 
+import itertools
 import json
 import math
 import random
@@ -471,8 +472,10 @@ def test_10_scales_to_ten_thousand_dimensions():
         norm_ms = _median_ms(lambda: normalizer(expo, spec_big))
         assert norm_ms < 10.0, f"normalizer took {norm_ms:.3f} ms"
 
-        # sparse linear element: fixed support size, growing dimension
-        medians = {}
+        # sparse linear element: fixed support size, growing dimension.
+        # The sizes are timed round-robin, so a drift in machine speed hits
+        # all of them alike, and each keeps the fastest of its round medians.
+        calls = {}
         for n in (100, 1_000, 10_000):
             entries = {1: 1.0}
             while len(entries) < 8:
@@ -480,8 +483,12 @@ def test_10_scales_to_ten_thousand_dimensions():
             spec = ShrinkageSpec.sparse(n, entries)
             cells = [(pyrng.getrandbits(n) + 1, pyrng.getrandbits(n) + 1) for _ in range(64)]
             element_linear(cells[0][0], cells[0][1], spec)  # warmup
-            seq = iter(cells * 40)
-            medians[n] = _median_ms(lambda: element_linear(*next(seq), spec), inner=100)
+            seq = itertools.cycle(cells)
+            calls[n] = lambda seq=seq, spec=spec: element_linear(*next(seq), spec)
+        medians = {n: math.inf for n in calls}
+        for _ in range(25):
+            for n, call in calls.items():
+                medians[n] = min(medians[n], _median_ms(call, repeats=3, inner=100))
         spread = max(medians.values()) / min(medians.values())
         assert spread < 2.0, f"sparse element time varied {spread:.2f}x across n: {medians}"
         ok = True

@@ -689,7 +689,8 @@ class TestSubprocessEntryPoints:
 
         proc, out = run("numba")
         if not backend.HAS_NUMBA:
-            assert proc.returncode != 0
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
             assert "BINDENS_BACKEND" in proc.stderr
             assert "numba" in proc.stderr
             assert not out.exists()
@@ -698,3 +699,31 @@ class TestSubprocessEntryPoints:
         numba_report = _strip_timing(_read_json(out))
         assert numba_report.pop("backend") == "numba"
         assert json.dumps(numba_report, sort_keys=True) == json.dumps(numpy_report, sort_keys=True)
+
+    def test_refused_backend_exits_2(self, workspace):
+        # Both entry points import the package before a command runs; a
+        # backend request that cannot be honoured is a configuration error.
+        tmp, data = workspace
+        cfg = tmp / "cfg.json"
+        _write_json(cfg, {"estimator": UNIFORM_ESTIMATOR})
+        out = tmp / "r.json"
+        args = ["estimate", "--data", str(data), "--config", str(cfg), "--out", str(out)]
+        entry_points = [
+            [sys.executable, "-m", "bindens"],
+            # what the installed `bindens` script runs
+            [sys.executable, "-c", "import sys; from bindens.cli import main; sys.exit(main())"],
+        ]
+        refused = ["vectorized"] + ([] if backend.HAS_NUMBA else ["numba"])
+        for value in refused:
+            for entry in entry_points:
+                proc = subprocess.run(
+                    entry + args,
+                    capture_output=True,
+                    text=True,
+                    env=dict(os.environ, BINDENS_BACKEND=value),
+                )
+                assert proc.returncode == 2, proc.stderr
+                lines = proc.stderr.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+                assert "BINDENS_BACKEND" in lines[0]
+                assert not out.exists()

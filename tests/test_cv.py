@@ -20,6 +20,7 @@ from bindens import (
     se_risk,
 )
 from bindens.errors import BudgetExceededError, ConfigError, InsufficientDataError
+from bindens.estimators import _config_state
 
 import oracles
 
@@ -221,6 +222,77 @@ class TestSeRisk:
             assert rep.element_evals == m * (m - 1) // 2 + repeated
             assert rep.element_evals <= counts.total * (counts.total - 1) // 2
             assert not rep.dominated
+
+
+def _clustered_counts(rng, n, k=24, prototypes=3, flip=0.12):
+    """k distinct cells near a few prototype points, seen 1 to 3 times each."""
+    protos = rng.choice([-1, 1], size=(prototypes, n))
+    rows = {}
+    while len(rows) < k:
+        proto = protos[len(rows) % prototypes]
+        row = np.where(rng.random(n) < flip, -proto, proto)
+        rows.setdefault(row.tobytes(), row)
+    reps = rng.integers(1, 4, size=k)
+    return counts_from_observations(np.repeat(np.array(list(rows.values())), reps, axis=0))
+
+
+def _spectral_case(name, n, rng):
+    """(config, reference kernel row) for the SE quadratic oracle."""
+    first = {(1 << d) + 1: float(v) for d, v in enumerate(rng.uniform(0.2, 0.8, n))}
+    if name == "peaked_exponential":
+        cfg = EstimatorConfig.transformed(
+            ShrinkageSpec.single_interaction(np.ones(n)), Transform.exponential(20.0)
+        )
+        entries = {(1 << d) + 1: 1.0 for d in range(n)}
+        return cfg, oracles.transformed_row(n, entries, lambda x: np.power(20.0, x))
+    if name == "tanh":
+        # b_1 = 1 keeps the row sum positive; the first-order weights sum
+        # past it, so entries take both signs.
+        entries = {1: 1.0, **first, 4: 0.4}
+        cfg = EstimatorConfig.transformed(ShrinkageSpec.sparse(n, entries), Transform.tanh(0.8))
+        return cfg, oracles.transformed_row(n, entries, lambda x: np.tanh(0.8 * x))
+    # logistic sparse + linear sparse + waak, as in the dense mixture benchmark
+    logistic_entries = {**first, (1 << 2) + (1 << 5) + 1: 0.3, (1 << 1) + (1 << 7) + 1: 0.3}
+    linear_entries = {1: 1.0, **{int(i): 0.12 for i in rng.choice(np.arange(2, 1 << n), 6, replace=False)}}
+    w = rng.uniform(0.3, 1.0, n)
+    parts = [
+        (
+            0.5,
+            EstimatorConfig.transformed(ShrinkageSpec.sparse(n, logistic_entries), Transform.logistic(3.0)),
+            oracles.transformed_row(n, logistic_entries, lambda x: 1.0 / (1.0 + np.power(3.0, -x))),
+        ),
+        (0.25, EstimatorConfig.linear(ShrinkageSpec.sparse(n, linear_entries)), oracles.linear_row(n, linear_entries)),
+        (0.25, EstimatorConfig.waak(w, 2.5), oracles.waak_row(w, 2.5)),
+    ]
+    cfg = EstimatorConfig.mixture([(c, part) for c, part, _ in parts])
+    return cfg, sum(c * row for c, _, row in parts)
+
+
+class TestSpectralQuadratic:
+    """SE of transformed and mixture kernels takes p' Q^2 p as a Parseval
+    sum; the reference adds up (Q @ Q) entries as direct XOR sums."""
+
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("name", ["peaked_exponential", "tanh", "mixture"])
+    def test_matches_direct_xor_sums(self, n, name):
+        rng = np.random.default_rng(n)
+        counts = _clustered_counts(rng, n)
+        cfg, row = _spectral_case(name, n, rng)
+        if name == "tanh":
+            assert row.min() < 0.0 < row.max()
+        cells = [idx for idx, _ in counts.cells]
+        cnt = np.array([c for _, c in counts.cells], dtype=np.float64)
+        p = cnt / counts.total
+
+        want_quad = oracles.squared_quadratic_direct(row, cells, p.tolist())
+        assert _config_state(cfg).quadratic(cells, p) == pytest.approx(want_quad, rel=1e-12)
+
+        terms = oracles.held_out_from_row(row, counts)
+        want = want_quad - 2.0 / counts.total * math.fsum(c * t for c, t in zip(cnt, terms))
+        rep = se_risk(cfg, counts)
+        assert rep.value == pytest.approx(want, rel=1e-12)
+        k = len(cells)
+        assert rep.squared_element_evals == k * (k + 1) // 2
 
 
 class TestGridSearch:
