@@ -12,6 +12,7 @@ import decimal
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -68,8 +69,69 @@ def _decode_token(token, encoding, where):
     raise DataError(f"{where}: expected 0/1 tokens, got {token!r}")
 
 
+def _decode_tokens(text, encoding, delimiter, where):
+    """Signs of a stripped line, token by token; None when it holds no token."""
+    if delimiter == "ws":
+        tokens = text.split()
+    else:
+        tokens = [t.strip() for t in text.split(delimiter)]
+    tokens = [t for t in tokens if t]
+    if not tokens:
+        return None
+    return np.array([_decode_token(t, encoding, where) for t in tokens], dtype=np.int8)
+
+
+# Shorter lines go token by token: the byte pass costs about 35 us a line
+# whatever its length, the token loop about 0.3 us a token, and they
+# cross near 100 tokens (250 characters).
+_VECTORIZE_MIN_CHARS = 256
+
+
+def _decode_canonical(text, encoding, delimiter):
+    """Signs of a stripped line in canonical form, [+-]?1(D[+-]?1)* for signs
+    and [01](D[01])* for bits with D the delimiter, as int8; None otherwise."""
+    try:
+        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    if encoding == "signs":
+        delim = raw == ord(delimiter)
+        one = raw == ord("1")
+        sign = (raw == ord("+")) | (raw == ord("-"))
+        if delim[0] or not one[-1] or not (one | sign | delim).all():
+            return None
+        # A '1' must be followed by D, a sign by '1', and D never by D.
+        if ((one[:-1] > delim[1:]) | (sign[:-1] > one[1:]) | (delim[:-1] & delim[1:])).any():
+            return None
+        values = np.flatnonzero(one)
+        # The byte before each '1' is its sign or D; before position 0,
+        # index -1 wraps to the line's last byte, always a '1'.
+        negative = raw[values - 1] == ord("-")
+    else:
+        if len(raw) % 2 == 0 or not (raw[1::2] == ord(delimiter)).all():
+            return None
+        negative = raw[0::2] == ord("1")
+        if not (negative | (raw[0::2] == ord("0"))).all():
+            return None
+    return 1 - 2 * negative.view(np.int8)
+
+
 def load_observations(path, encoding="signs", delimiter=",", header=False):
-    """Read one observation per line; returns a CountsVector."""
+    """Read one observation per line; returns a CountsVector.
+
+    Each line is stripped of surrounding whitespace; blank lines are skipped.
+    A line of at least 256 characters in canonical form (one-character
+    delimiter, no blanks or empty tokens, e.g. ``1,-1,+1`` or ``0,1,1``) is
+    decoded in one vectorized pass over its bytes. Any other line is split
+    into tokens, each stripped and decoded in turn; results and error
+    messages are the same either way. The first bad token in file order
+    raises a DataError naming ``path:line``; rows of unequal length are
+    reported after the whole file is read. The rows are then counted by
+    counts_from_observations.
+    """
+    # Only a one-character ASCII delimiter outside +-01 (so not "ws") lets
+    # a line be checked byte by byte.
+    vectorized = len(delimiter) == 1 and delimiter.isascii() and delimiter not in "+-01"
     rows = []
     try:
         handle = open(path, "r", encoding="utf-8")
@@ -82,21 +144,19 @@ def load_observations(path, encoding="signs", delimiter=",", header=False):
             text = line.strip()
             if not text:
                 continue
-            if delimiter == "ws":
-                tokens = text.split()
-            else:
-                tokens = [t.strip() for t in text.split(delimiter)]
-            tokens = [t for t in tokens if t]
-            if not tokens:
-                continue
-            where = f"{path}:{lineno}"
-            rows.append([_decode_token(t, encoding, where) for t in tokens])
+            signs = None
+            if vectorized and len(text) >= _VECTORIZE_MIN_CHARS:
+                signs = _decode_canonical(text, encoding, delimiter)
+            if signs is None:
+                signs = _decode_tokens(text, encoding, delimiter, f"{path}:{lineno}")
+            if signs is not None:
+                rows.append(signs)
     if not rows:
         raise DataError(f"{path}: no observations found")
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise DataError(f"{path}: rows have inconsistent lengths {sorted(widths)}")
-    return counts_from_observations(rows)
+    return counts_from_observations(np.stack(rows))
 
 
 def load_config(path):
@@ -125,12 +185,20 @@ def _decimal(value):
     return str(decimal.Decimal(value))
 
 
+def _int_text_limit():
+    """Most decimal digits int() and str() convert; 0 means no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+
+
 def _parse_decimal(text):
     """int(text) for an optionally signed decimal string of any length."""
     text = text.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text
     if not digits.isdecimal():
         raise ValueError(f"invalid decimal integer {text!r}")
+    limit = _int_text_limit()
+    if limit == 0 or len(digits) <= limit:
+        return int(text)
     return int(decimal.Decimal(text))
 
 
@@ -141,7 +209,7 @@ def _cell_json(cell):
 
 def _json_int(value):
     """value as a JSON number while str() can print it, as decimal text beyond."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    limit = _int_text_limit()
     return value if limit == 0 or value < 10**limit else _decimal(value)
 
 
@@ -302,27 +370,31 @@ def estimator_to_dict(config):
 # query cell parsing
 
 
+# Only +, - and ?; a regex scans a 10^4-character pattern far faster than
+# set(text) or text.strip("+-?").
+_PATTERN = re.compile(r"[+?-]+")
+
+
 def _parse_pattern(item, n):
     """Sign pattern like '+-+', optionally with one '?' marking the
     coordinate whose conditional expectation is requested."""
     if len(item) != n:
         raise ConfigError(f"pattern {item!r} has {len(item)} coordinates, data has n={n}")
-    holes = [pos for pos, ch in enumerate(item) if ch == "?"]
-    if len(holes) > 1:
-        raise ConfigError(f"pattern {item!r} has {len(holes)} '?' marks; at most one is supported")
+    holes = item.count("?")
+    if holes > 1:
+        raise ConfigError(f"pattern {item!r} has {holes} '?' marks; at most one is supported")
+    signs = np.where(np.frombuffer(item.encode("ascii"), dtype=np.uint8) == ord("-"), -1, 1)
     if not holes:
-        signs = [1 if ch == "+" else -1 for ch in item]
         return {"kind": "cell", "cell": index_of_point(signs), "label": item}
-    pos = holes[0]
-    plus = [1 if ch == "+" else -1 for ch in item.replace("?", "+")]
-    minus = list(plus)
-    minus[pos] = -1
+    pos = item.index("?")
+    cell_plus = index_of_point(signs)
+    signs[pos] = -1
     return {
         "kind": "conditional",
         "pattern": item,
         "coordinate": pos + 1,
-        "cell_plus": index_of_point(plus),
-        "cell_minus": index_of_point(minus),
+        "cell_plus": cell_plus,
+        "cell_minus": index_of_point(signs),
     }
 
 
@@ -338,11 +410,11 @@ def parse_cells_spec(items, n):
         text = item.strip()
         if not text:
             continue
-        if text.lstrip("+-").isdigit() and not set(text) <= {"+", "-"}:
-            parsed.append({"kind": "cell", "cell": _parse_decimal(text), "label": None})
-            continue
-        if set(text) <= {"+", "-", "?"}:
+        if _PATTERN.fullmatch(text):
             parsed.append(_parse_pattern(text, n))
+            continue
+        if text.lstrip("+-").isdigit():
+            parsed.append({"kind": "cell", "cell": _parse_decimal(text), "label": None})
             continue
         raise ConfigError(f"query cell {text!r} is neither an index nor a +/-/? pattern")
     if not parsed:

@@ -48,7 +48,7 @@ from .transforms import (
     apply,
     normalizer,
 )
-from .walsh import MAX_DENSE_N, _check_index, as_point, fwht, index_of_point
+from .walsh import MAX_DENSE_N, _check_index, as_point, fwht
 
 __all__ = [
     "MAX_FULL_N",
@@ -141,11 +141,40 @@ class CountsVector:
 
 
 def counts_from_observations(points):
-    """Aggregate raw {-1,+1} observation rows into a CountsVector."""
+    """Aggregate raw {-1,+1} observation rows into a CountsVector.
+
+    A 2-D numeric array is validated as a whole; any other sequence of rows
+    is validated row by row, as is an array with a bad entry, to raise a
+    DataError naming the first bad observation. Each row is then packed to
+    bits and the distinct rows counted by one np.unique.
+    """
+    if (
+        isinstance(points, np.ndarray)
+        and points.ndim == 2
+        and points.size
+        and points.dtype.kind in "iuf"
+        and np.all(np.abs(points) == 1)
+    ):
+        arr = points
+    else:
+        arr = _checked_rows(points)
+    # Row r's bits, little-endian, are the cell index minus one. Reversed,
+    # its bytes read big-endian, and rows compared as whole byte strings
+    # (one void item each) sort in ascending cell order.
+    packed = np.ascontiguousarray(np.packbits(arr < 0, axis=1, bitorder="little")[:, ::-1])
+    keys, counts = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_counts=True)
+    return CountsVector.from_cells(
+        arr.shape[1],
+        {1 + int.from_bytes(key.tobytes(), "big"): int(cnt) for key, cnt in zip(keys, counts)},
+    )
+
+
+def _checked_rows(points):
+    """Validate observation rows one by one; raises naming the first bad row."""
     rows = list(points)
     if not rows:
         raise DataError("no observations provided")
-    counter = {}
+    checked = []
     n = None
     for r, row in enumerate(rows):
         try:
@@ -156,9 +185,8 @@ def counts_from_observations(points):
             n = arr.size
         elif arr.size != n:
             raise DataError(f"observation {r} has {arr.size} coordinates, expected {n}")
-        idx = index_of_point(arr)
-        counter[idx] = counter.get(idx, 0) + 1
-    return CountsVector.from_cells(n, counter)
+        checked.append(arr)
+    return np.stack(checked)
 
 
 def shrinkage_optimal(q, N):

@@ -409,3 +409,39 @@ def held_out_from_row(g, counts):
         / (counts.total - 1)
         for a, ca in enumerate(zero)
     ]
+
+
+# ---------------------------------------------------------------------------
+# observation files
+
+
+def decode_observations(path, encoding="signs", delimiter=",", header=False):
+    """Token-by-token reading of an observation file: (n, total, {cell: count}).
+
+    Each nonblank line is stripped and split on the delimiter (any
+    whitespace for "ws"); each token is stripped and empty tokens dropped.
+    signs: "1"/"+1" is +1 and "-1" is -1; bits: "0" is +1 and "1" is -1.
+    A -1 at coordinate k (1-based) sets bit k-1 of the zero-based cell
+    index. Raises ValueError on any other token or on rows of unequal length.
+    """
+    value = {"1": 1, "+1": 1, "-1": -1} if encoding == "signs" else {"0": 1, "1": -1}
+    cells, widths = {}, set()
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if header and lineno == 1:
+                continue
+            parts = line.split() if delimiter == "ws" else line.split(delimiter)
+            tokens = [t.strip() for t in parts if t.strip()]
+            if not tokens:
+                continue
+            cell = 1
+            for k, token in enumerate(tokens):
+                if token not in value:
+                    raise ValueError(f"line {lineno}: bad token {token!r}")
+                if value[token] < 0:
+                    cell += 2**k
+            widths.add(len(tokens))
+            cells[cell] = cells.get(cell, 0) + 1
+    if len(widths) != 1:
+        raise ValueError(f"row widths {sorted(widths)}")
+    return widths.pop(), sum(cells.values()), cells

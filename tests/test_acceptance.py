@@ -389,31 +389,27 @@ def test_09_loo_risks_match_naive_rebuild():
     try:
         rng = np.random.default_rng(909)
         cases = []
+        # each config with its dense kernel built by tests/oracles.py alone
         for n, total in ((4, 12), (6, 20), (8, 17)):
             w = rng.uniform(0.1, 1.0, size=n)
-            cases.append((EstimatorConfig.waak(w, 2.4), n, total))
+            cases.append((EstimatorConfig.waak(w, 2.4), oracles.waak_matrix_dense(w, 2.4), n, total))
+            spec = ShrinkageSpec.single_interaction(rng.uniform(0.2, 1.0, size=n))
             cases.append(
                 (
-                    EstimatorConfig.transformed(
-                        ShrinkageSpec.single_interaction(rng.uniform(0.2, 1.0, size=n)),
-                        Transform.logistic(2.0),
+                    EstimatorConfig.transformed(spec, Transform.logistic(2.0)),
+                    oracles.transformed_matrix_dense(
+                        spec.to_dense(), oracles.transform_callable("logistic", gamma=2.0)
                     ),
                     n,
                     total,
                 )
             )
+            spec = ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.8, (1 << (n - 1)) + 1: 0.4})
             cases.append(
-                (
-                    EstimatorConfig.linear(
-                        ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.8, (1 << (n - 1)) + 1: 0.4})
-                    ),
-                    n,
-                    total,
-                )
+                (EstimatorConfig.linear(spec), oracles.linear_matrix_dense(spec.to_dense()), n, total)
             )
-        for config, n, total in cases:
+        for config, q, n, total in cases:
             counts = _random_counts(rng, n, total)
-            q = _dense_kernel(config, n)
 
             kl = kl_risk(config, counts)
             kl_val, kl_terms = oracles.kl_naive(q, counts)

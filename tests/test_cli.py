@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import oracles
 import pytest
 
 from bindens import (
@@ -19,7 +20,9 @@ from bindens import (
     index_of_point,
     kl_risk,
 )
-from bindens.cli import load_observations, main, parse_cells_spec
+from bindens import cli
+from bindens.cli import _parse_decimal, load_observations, main, parse_cells_spec
+from bindens.errors import DataError
 
 UNIFORM_ESTIMATOR = {"variant": "linear", "shrinkage": {"form": "sparse", "entries": {"1": 1.0}}}
 FREQUENCY_2 = {"variant": "linear", "shrinkage": {"form": "dense", "values": [1.0, 1.0, 1.0, 1.0]}}
@@ -42,10 +45,10 @@ def _read_json(path):
 
 
 @contextlib.contextmanager
-def _unlimited_int_text():
-    """Lift Python's limit on int <-> decimal text conversion for the test's own use."""
+def _unlimited_int_text(digits=0):
+    """Set Python's limit on int <-> decimal text conversion (0: none) for the test's own use."""
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(digits)
     try:
         yield
     finally:
@@ -56,6 +59,11 @@ def _strip_timing(payload):
     out = dict(payload)
     out.pop("timing", None)
     return out
+
+
+def _token_lines(sep, lead="", tail="", eol="\n"):
+    """File text from rows of tokens: each line lead + tokens joined by sep + tail."""
+    return lambda rows: eol.join(lead + sep.join(tokens) + tail for tokens in rows) + eol
 
 
 @pytest.fixture
@@ -104,12 +112,105 @@ class TestLoadObservations:
             load_observations(p)
 
     def test_ragged_rows_rejected(self, tmp_path):
-        from bindens.errors import DataError
-
         p = tmp_path / "d.csv"
         p.write_text("1,-1\n1,-1,1\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             load_observations(p)
+        assert str(info.value) == f"{p}: rows have inconsistent lengths [2, 3]"
+
+    @pytest.fixture(params=["by length", "every line"])
+    def route(self, request, monkeypatch):
+        """Lines of 256+ characters take the byte pass; "every line" sends
+        even one-character lines there, so both decoders see each case."""
+        if request.param == "every line":
+            monkeypatch.setattr(cli, "_VECTORIZE_MIN_CHARS", 1)
+
+    SIGNS, PLUS, BITS = ("1", "-1"), ("+1", "-1"), ("0", "1")
+    # name -> (encoding, delimiter, header, tokens for +1 and -1, file text from token rows)
+    LAYOUTS = {
+        "canonical signs": ("signs", ",", False, SIGNS, _token_lines(",")),
+        "canonical bits": ("bits", ",", False, BITS, _token_lines(",")),
+        "plus tokens": ("signs", ",", False, PLUS, _token_lines(",")),
+        "padded tokens": ("signs", ",", False, SIGNS, _token_lines(" , ", lead=" ")),
+        "trailing delimiter": ("signs", ",", False, SIGNS, _token_lines(",", tail=",")),
+        "empty tokens": ("signs", ",", False, PLUS, _token_lines(",,")),
+        "leading delimiter": ("signs", ",", False, SIGNS, _token_lines(",", lead=",")),
+        "leading delimiter bits": ("bits", ",", False, BITS, _token_lines(",", lead=",")),
+        "crlf": ("signs", ",", False, SIGNS, _token_lines(",", eol="\r\n")),
+        "semicolon": ("signs", ";", False, PLUS, _token_lines(";")),
+        "tab bits": ("bits", "\t", False, BITS, _token_lines("\t", tail="\t")),
+        "ws header blanks": ("signs", "ws", True, SIGNS, lambda rows: "x y\n" + _token_lines("  ", tail=" ", eol="\n\n")(rows)),
+        "mixed lines": (
+            "signs", ",", True, SIGNS,
+            lambda rows: "1\n" + "\n".join(" , ".join(t) if i % 3 else ",".join(t) for i, t in enumerate(rows)),
+        ),
+    }
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 1000])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_matches_token_reference(self, tmp_path, route, layout, n):
+        encoding, delimiter, header, (plus, minus), build = self.LAYOUTS[layout]
+        rng = np.random.default_rng([n, len(layout)])
+        rows = [[plus if v > 0 else minus for v in rng.choice([-1, 1], size=n)] for _ in range(12)]
+        rows += rows[:5]  # repeated cells
+        p = tmp_path / "d.txt"
+        with open(p, "w", encoding="utf-8", newline="") as handle:
+            handle.write(build(rows))
+        counts = load_observations(p, encoding=encoding, delimiter=delimiter, header=header)
+        want_n, want_total, want_cells = oracles.decode_observations(p, encoding, delimiter, header)
+        assert (counts.n, counts.total) == (want_n, want_total) == (n, 17)
+        assert counts.cells == tuple(sorted(want_cells.items()))
+
+    @pytest.mark.parametrize(
+        "encoding, delimiter, text",
+        [
+            ("signs", "-", "1-1\n1--1\n"),
+            ("signs", "+", "1+1\n-1+1\n"),
+            ("bits", "0", "1010\n101\n000\n"),
+            ("bits", "1", "0101\n010\n111\n"),
+            ("signs", ",", "1,\u00a0-1\n\u2003-1,1\n"),
+        ],
+    )
+    def test_odd_delimiters_and_non_ascii_match_reference(self, tmp_path, route, encoding, delimiter, text):
+        p = tmp_path / "d.txt"
+        p.write_text(text, encoding="utf-8")
+        counts = load_observations(p, encoding=encoding, delimiter=delimiter)
+        n, total, cells = oracles.decode_observations(p, encoding, delimiter)
+        assert (counts.n, counts.total, counts.cells) == (n, total, tuple(sorted(cells.items())))
+
+    @pytest.mark.parametrize(
+        "encoding, line, token",
+        [
+            ("signs", "1,2", "2"),
+            ("signs", "--1", "--1"),
+            ("signs", "+-1", "+-1"),
+            ("signs", "1-1", "1-1"),
+            ("signs", "11", "11"),
+            ("signs", "1,+", "+"),
+            ("signs", ",2", "2"),
+            ("signs", "x,-1", "x"),
+            ("bits", "01", "01"),
+            ("bits", "0,-1", "-1"),
+            ("bits", "2,1", "2"),
+            ("bits", "0;1", "0;1"),
+            ("signs", "1,\u00e9", "\u00e9"),
+        ],
+    )
+    @pytest.mark.parametrize("prefix", ["", "1," * 300])
+    def test_bad_line_message(self, tmp_path, route, encoding, line, token, prefix):
+        p = tmp_path / "d.csv"
+        p.write_text(f"1,1\n{prefix}{line}\n1,1\n", encoding="utf-8")
+        expected = "-1/+1" if encoding == "signs" else "0/1"
+        with pytest.raises(DataError) as info:
+            load_observations(p, encoding=encoding)
+        assert str(info.value) == f"{p}:2: expected {expected} tokens, got {token!r}"
+
+    def test_bad_token_reported_before_ragged_rows(self, tmp_path, route):
+        p = tmp_path / "d.csv"
+        p.write_text("1,-1\n1,-1,1\n1,2\n")
+        with pytest.raises(DataError) as info:
+            load_observations(p)
+        assert str(info.value) == f"{p}:3: expected -1/+1 tokens, got '2'"
 
 
 class TestParseCellsSpec:
@@ -136,6 +237,45 @@ class TestParseCellsSpec:
 
         with pytest.raises(ConfigError):
             parse_cells_spec(["+-"], 3)
+
+    @pytest.mark.parametrize("n", [1, 8, 65, 10_000])
+    def test_patterns_match_index_of_point(self, n):
+        rng = np.random.default_rng(n)
+        signs = rng.choice([-1, 1], size=n)
+        text = "".join("+" if v > 0 else "-" for v in signs)
+        items = [text]
+        for pos in sorted({0, n // 2, n - 1}):
+            items.append(text[:pos] + "?" + text[pos + 1:])
+        parsed = parse_cells_spec(items, n)
+        assert parsed[0] == {"kind": "cell", "cell": index_of_point(signs), "label": text}
+        for item, got in zip(items[1:], parsed[1:]):
+            pos = item.index("?")
+            plus, minus = signs.copy(), signs.copy()
+            plus[pos], minus[pos] = 1, -1
+            assert got == {
+                "kind": "conditional",
+                "pattern": item,
+                "coordinate": pos + 1,
+                "cell_plus": index_of_point(plus),
+                "cell_minus": index_of_point(minus),
+            }
+
+
+class TestParseDecimal:
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_around_int_text_limit(self, digits, sign):
+        text = sign + "7" + "3" * (digits - 1)
+        with _unlimited_int_text():
+            want = int(text)
+            assert _parse_decimal(text) == want
+        with _unlimited_int_text(4300):
+            assert _parse_decimal(f" {text}\n") == want
+
+    @pytest.mark.parametrize("text", ["", "-", "1_000", "12a", "--3", "1.5"])
+    def test_rejects_non_decimal(self, text):
+        with pytest.raises(ValueError):
+            _parse_decimal(text)
 
 
 class TestEstimateCommand:

@@ -19,6 +19,7 @@ from bindens import (
     element_waak,
     estimate_at,
     estimate_full,
+    index_of_point,
     matrix_element,
     shrinkage_optimal,
     squared_element_general,
@@ -103,13 +104,36 @@ class TestCountsVector:
         assert c.n == 2
         assert c.cells == ((3, 2), (4, 1))
 
+    @pytest.mark.parametrize("n", [1, 8, 9, 65, 1000])
+    def test_counts_from_observations_int8_array(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(30, n))
+        rows[10:20] = rows[:10]
+        want = {}
+        for row in rows:
+            want[index_of_point(row)] = want.get(index_of_point(row), 0) + 1
+        for points in (rows, rows.astype(float), rows.tolist()):
+            c = counts_from_observations(points)
+            assert (c.n, c.total) == (n, 30)
+            assert c.cells == tuple(sorted(want.items()))
+
     def test_counts_from_observations_errors_carry_row(self):
-        with pytest.raises(DataError, match="observation 1"):
-            counts_from_observations([(1, 1), (1, 2)])
-        with pytest.raises(DataError, match="observation 1"):
-            counts_from_observations([(1, 1), (1, 1, 1)])
-        with pytest.raises(DataError):
-            counts_from_observations([])
+        cases = [
+            ([(1, 1), (1, 2)], "observation 1: point entries must be exactly -1 or +1"),
+            ([(1, 1), (1, 1, 1)], "observation 1 has 3 coordinates, expected 2"),
+            ([(1, 1), ("1", "-1")], "observation 1: point entries must be numeric -1/+1 values"),
+            ([(1, 1), (True, True)], "observation 1: point entries must be numeric -1/+1 values"),
+            ([(1, 1), ()], "observation 1: point must be a nonempty 1-d vector"),
+            (np.array([[1, -1], [-1, 1], [0, 1]], dtype=np.int8), "observation 2: point entries must be exactly -1 or +1"),
+            (np.ones((2, 2, 2)), "observation 0: point must be a nonempty 1-d vector"),
+            (np.ones((3, 0)), "observation 0: point must be a nonempty 1-d vector"),
+            (np.ones((0, 4)), "no observations provided"),
+            ([], "no observations provided"),
+        ]
+        for points, message in cases:
+            with pytest.raises(DataError) as info:
+                counts_from_observations(points)
+            assert str(info.value) == message
 
 
 class TestShrinkageSpecForms:
