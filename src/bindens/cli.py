@@ -83,36 +83,30 @@ def _decode_tokens(text, encoding, delimiter, where):
 
 # Shorter lines go token by token: the byte pass costs about 35 us a line
 # whatever its length, the token loop about 0.3 us a token, and they
-# cross near 100 tokens (250 characters).
+# cross near 100 tokens (250 characters) of a signs line.
 _VECTORIZE_MIN_CHARS = 256
 
 
-def _decode_canonical(text, encoding, delimiter):
-    """Signs of a stripped line in canonical form, [+-]?1(D[+-]?1)* for signs
-    and [01](D[01])* for bits with D the delimiter, as int8; None otherwise."""
+def _decode_canonical(text, delimiter):
+    """Signs of a stripped signs line whose tokens are all 1, +1 or -1 with
+    the one-character delimiter between them, as int8; None otherwise.
+    Empty tokens are skipped, as the token loop skips them."""
     try:
         raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
         return None
-    if encoding == "signs":
-        delim = raw == ord(delimiter)
-        one = raw == ord("1")
-        sign = (raw == ord("+")) | (raw == ord("-"))
-        if delim[0] or not one[-1] or not (one | sign | delim).all():
-            return None
-        # A '1' must be followed by D, a sign by '1', and D never by D.
-        if ((one[:-1] > delim[1:]) | (sign[:-1] > one[1:]) | (delim[:-1] & delim[1:])).any():
-            return None
-        values = np.flatnonzero(one)
-        # The byte before each '1' is its sign or D; before position 0,
-        # index -1 wraps to the line's last byte, always a '1'.
-        negative = raw[values - 1] == ord("-")
-    else:
-        if len(raw) % 2 == 0 or not (raw[1::2] == ord(delimiter)).all():
-            return None
-        negative = raw[0::2] == ord("1")
-        if not (negative | (raw[0::2] == ord("0"))).all():
-            return None
+    delim = raw == ord(delimiter)
+    one = raw == ord("1")
+    sign = (raw == ord("+")) | (raw == ord("-"))
+    if not one[-1] or not (one | sign | delim).all():
+        return None
+    # A '1' must be followed by D and a sign by '1'.
+    if ((one[:-1] > delim[1:]) | (sign[:-1] > one[1:])).any():
+        return None
+    values = np.flatnonzero(one)
+    # The byte before each '1' is its sign or D; before position 0,
+    # index -1 wraps to the line's last byte, always a '1'.
+    negative = raw[values - 1] == ord("-")
     return 1 - 2 * negative.view(np.int8)
 
 
@@ -120,18 +114,23 @@ def load_observations(path, encoding="signs", delimiter=",", header=False):
     """Read one observation per line; returns a CountsVector.
 
     Each line is stripped of surrounding whitespace; blank lines are skipped.
-    A line of at least 256 characters in canonical form (one-character
-    delimiter, no blanks or empty tokens, e.g. ``1,-1,+1`` or ``0,1,1``) is
-    decoded in one vectorized pass over its bytes. Any other line is split
-    into tokens, each stripped and decoded in turn; results and error
-    messages are the same either way. The first bad token in file order
-    raises a DataError naming ``path:line``; rows of unequal length are
-    reported after the whole file is read. The rows are then counted by
+    A long signs line whose tokens are all ``1``, ``+1`` or ``-1`` (empty
+    tokens allowed) between one-character delimiters is decoded in one
+    vectorized pass over its bytes. Any other line is split into tokens,
+    each stripped and decoded in turn; results and error messages are the
+    same either way. The first bad token in file order raises a DataError
+    naming ``path:line``; rows of unequal length are reported after the
+    whole file is read. The rows are then counted by
     counts_from_observations.
     """
     # Only a one-character ASCII delimiter outside +-01 (so not "ws") lets
     # a line be checked byte by byte.
-    vectorized = len(delimiter) == 1 and delimiter.isascii() and delimiter not in "+-01"
+    vectorized = (
+        encoding == "signs"
+        and len(delimiter) == 1
+        and delimiter.isascii()
+        and delimiter not in "+-01"
+    )
     rows = []
     try:
         handle = open(path, "r", encoding="utf-8")
@@ -146,7 +145,7 @@ def load_observations(path, encoding="signs", delimiter=",", header=False):
                 continue
             signs = None
             if vectorized and len(text) >= _VECTORIZE_MIN_CHARS:
-                signs = _decode_canonical(text, encoding, delimiter)
+                signs = _decode_canonical(text, delimiter)
             if signs is None:
                 signs = _decode_tokens(text, encoding, delimiter, f"{path}:{lineno}")
             if signs is not None:
@@ -156,7 +155,9 @@ def load_observations(path, encoding="signs", delimiter=",", header=False):
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         raise DataError(f"{path}: rows have inconsistent lengths {sorted(widths)}")
-    return counts_from_observations(np.stack(rows))
+    points = np.stack(rows)
+    rows.clear()  # hold the data once, not twice, while it is counted
+    return counts_from_observations(points)
 
 
 def load_config(path):

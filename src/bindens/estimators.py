@@ -143,30 +143,45 @@ class CountsVector:
 def counts_from_observations(points):
     """Aggregate raw {-1,+1} observation rows into a CountsVector.
 
-    A 2-D numeric array is validated as a whole; any other sequence of rows
-    is validated row by row, as is an array with a bad entry, to raise a
-    DataError naming the first bad observation. Each row is then packed to
-    bits and the distinct rows counted by one np.unique.
+    A 2-D numeric array is validated and packed to bits a block of rows at
+    a time, so no temporary as large as the array is made; any other
+    sequence of rows is validated row by row, as is an array with a bad
+    entry, to raise a DataError naming the first bad observation. The
+    distinct packed rows are counted by one np.unique.
     """
-    if (
-        isinstance(points, np.ndarray)
-        and points.ndim == 2
-        and points.size
-        and points.dtype.kind in "iuf"
-        and np.all(np.abs(points) == 1)
-    ):
-        arr = points
-    else:
+    arr, packed = points, None
+    if isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.size and arr.dtype.kind in "iuf":
+        packed = _packed_rows(arr)
+    if packed is None:
         arr = _checked_rows(points)
-    # Row r's bits, little-endian, are the cell index minus one. Reversed,
-    # its bytes read big-endian, and rows compared as whole byte strings
-    # (one void item each) sort in ascending cell order.
-    packed = np.ascontiguousarray(np.packbits(arr < 0, axis=1, bitorder="little")[:, ::-1])
+        packed = _packed_rows(arr)
+    # Rows compared as whole byte strings (one void item each) sort in
+    # ascending cell order, as their bytes read big-endian.
     keys, counts = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_counts=True)
     return CountsVector.from_cells(
         arr.shape[1],
         {1 + int.from_bytes(key.tobytes(), "big"): int(cnt) for key, cnt in zip(keys, counts)},
     )
+
+
+# Rows validated and packed per block: about this many entries at a time.
+_PACK_BLOCK_ENTRIES = 1 << 20
+
+
+def _packed_rows(arr):
+    """Each row of a 2-D array of +-1 as bytes whose big-endian reading is
+    its cell index minus one; None when an entry is not +-1."""
+    n_rows, n = arr.shape
+    packed = np.empty((n_rows, (n + 7) // 8), dtype=np.uint8)
+    step = max(1, _PACK_BLOCK_ENTRIES // n)
+    for start in range(0, n_rows, step):
+        block = arr[start : start + step]
+        if not np.all(np.abs(block) == 1):
+            return None
+        # Little-endian bits put coordinate 1 in the lowest bit of byte 0;
+        # reversing the bytes makes the row read big-endian.
+        packed[start : start + step] = np.packbits(block < 0, axis=1, bitorder="little")[:, ::-1]
+    return packed
 
 
 def _checked_rows(points):

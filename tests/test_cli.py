@@ -120,8 +120,8 @@ class TestLoadObservations:
 
     @pytest.fixture(params=["by length", "every line"])
     def route(self, request, monkeypatch):
-        """Lines of 256+ characters take the byte pass; "every line" sends
-        even one-character lines there, so both decoders see each case."""
+        """Long signs lines take the byte pass; "every line" sends even
+        one-character signs lines there, so both decoders see each case."""
         if request.param == "every line":
             monkeypatch.setattr(cli, "_VECTORIZE_MIN_CHARS", 1)
 
