@@ -27,6 +27,7 @@ from bindens import (
     squared_element_waak,
     squared_matrix_element,
 )
+from bindens import estimators
 from bindens.errors import (
     CapacityError,
     ConfigError,
@@ -104,8 +105,15 @@ class TestCountsVector:
         assert c.n == 2
         assert c.cells == ((3, 2), (4, 1))
 
+    @pytest.fixture(params=[None, 100, 1])
+    def pack_block(self, request, monkeypatch):
+        """Arrays are packed a block of rows at a time; small blocks split
+        even these arrays into several, down to one row per block."""
+        if request.param is not None:
+            monkeypatch.setattr(estimators, "_PACK_BLOCK_ENTRIES", request.param)
+
     @pytest.mark.parametrize("n", [1, 8, 9, 65, 1000])
-    def test_counts_from_observations_int8_array(self, n):
+    def test_counts_from_observations_int8_array(self, pack_block, n):
         rng = np.random.default_rng(n)
         rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(30, n))
         rows[10:20] = rows[:10]
@@ -117,7 +125,7 @@ class TestCountsVector:
             assert (c.n, c.total) == (n, 30)
             assert c.cells == tuple(sorted(want.items()))
 
-    def test_counts_from_observations_errors_carry_row(self):
+    def test_counts_from_observations_errors_carry_row(self, pack_block):
         cases = [
             ([(1, 1), (1, 2)], "observation 1: point entries must be exactly -1 or +1"),
             ([(1, 1), (1, 1, 1)], "observation 1 has 3 coordinates, expected 2"),
