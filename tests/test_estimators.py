@@ -125,7 +125,7 @@ class TestCountsVector:
             assert (c.n, c.total) == (n, 30)
             assert c.cells == tuple(sorted(want.items()))
 
-    def test_counts_from_observations_errors_carry_row(self, pack_block):
+    def test_counts_from_observations_errors_carry_row(self, monkeypatch):
         cases = [
             ([(1, 1), (1, 2)], "observation 1: point entries must be exactly -1 or +1"),
             ([(1, 1), (1, 1, 1)], "observation 1 has 3 coordinates, expected 2"),
@@ -138,10 +138,14 @@ class TestCountsVector:
             (np.ones((0, 4)), "no observations provided"),
             ([], "no observations provided"),
         ]
-        for points, message in cases:
-            with pytest.raises(DataError) as info:
-                counts_from_observations(points)
-            assert str(info.value) == message
+        # Packed a block of rows at a time: the default block, then smaller
+        # ones, down to one row, so a bad row lands in a later block.
+        for block in (estimators._PACK_BLOCK_ENTRIES, 100, 1):
+            monkeypatch.setattr(estimators, "_PACK_BLOCK_ENTRIES", block)
+            for points, message in cases:
+                with pytest.raises(DataError) as info:
+                    counts_from_observations(points)
+                assert str(info.value) == message
 
 
 class TestShrinkageSpecForms:
