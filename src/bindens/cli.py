@@ -123,8 +123,8 @@ def load_observations(path, encoding="signs", delimiter=",", header=False):
     whole file is read. The rows are then counted by
     counts_from_observations.
     """
-    # Only a one-character ASCII delimiter outside +-01 (so not "ws") lets
-    # a line be checked byte by byte.
+    # Only signs lines with a one-character ASCII delimiter outside +-01
+    # (so not "ws") can be checked byte by byte.
     vectorized = (
         encoding == "signs"
         and len(delimiter) == 1
