@@ -6,7 +6,18 @@ cross-validation, with element-level evaluation that never allocates a
 2^n buffer unless explicitly asked to.
 """
 
-from .backend import ACTIVE_BACKEND, HAS_NUMBA
+import os as _os
+import sys as _sys
+
+# numpy is the only backend. Any other request is refused, never served
+# by numpy in its place, and it stops the process at import since both
+# `python -m bindens` and the `bindens` script import the package before
+# any command runs; 2 is the exit status of every configuration error.
+_requested = _os.environ.get("BINDENS_BACKEND", "").strip().lower()
+if _requested not in ("", "numpy"):
+    print(f"error: BINDENS_BACKEND accepts only 'numpy', got {_requested!r}", file=_sys.stderr)
+    raise SystemExit(2)
+
 from .cv import (
     LOSSES,
     RiskReport,
@@ -67,8 +78,6 @@ from .walsh import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_BACKEND",
-    "HAS_NUMBA",
     "KINDS",
     "LOSSES",
     "MAX_DENSE_N",

@@ -19,7 +19,6 @@ import time
 
 import numpy as np
 
-from . import backend
 from .cv import SearchSpace, _is_better, coordinate_descent_w, evaluate_space
 from .errors import (
     BindensError,
@@ -46,7 +45,7 @@ from .shrinkage import ShrinkageSpec
 from .transforms import Transform, normalizer
 from .walsh import index_of_point, point_of_index
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 __all__ = ["main"]
 
@@ -219,16 +218,33 @@ def _json_int(value):
 
 
 def _require(mapping, key, what):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{what} must be a JSON object")
     if key not in mapping:
         raise ConfigError(f"{what} is missing required key {key!r}")
     return mapping[key]
 
 
+def _number(raw, what, kind=float):
+    """kind(raw) for kind float or int; a JSON value it refuses is a ConfigError."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number, got {raw!r}") from exc
+
+
+def _numbers(raw, what, kind=float):
+    """A JSON list of numbers, each converted by kind."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {raw!r}")
+    return [_number(v, f"{what} entry", kind) for v in raw]
+
+
 def _weight_vector(raw, n, what):
     if isinstance(raw, (int, float)):
-        return np.full(n, float(raw))
+        return np.full(n, _number(raw, what))
     if isinstance(raw, list):
-        arr = np.asarray(raw, dtype=np.float64)
+        arr = np.asarray(_numbers(raw, what), dtype=np.float64)
         if arr.size != n:
             raise ConfigError(f"{what} has {arr.size} entries, expected {n}")
         return arr
@@ -236,12 +252,10 @@ def _weight_vector(raw, n, what):
 
 
 def shrinkage_from_dict(d, n):
-    if not isinstance(d, dict):
-        raise ConfigError("shrinkage must be a JSON object")
     form = _require(d, "form", "shrinkage")
     try:
         if form == "dense":
-            values = _require(d, "values", "dense shrinkage")
+            values = _numbers(_require(d, "values", "dense shrinkage"), "dense shrinkage values")
             spec = ShrinkageSpec.dense(values)
             if spec.n != n:
                 raise ConfigError(f"dense shrinkage is for n={spec.n}, data has n={n}")
@@ -254,7 +268,7 @@ def shrinkage_from_dict(d, n):
             for key, val in entries.items():
                 try:
                     converted[_parse_decimal(str(key))] = float(val)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"bad sparse shrinkage entry {key!r}: {val!r}") from exc
             return ShrinkageSpec.sparse(n, converted)
         if form == "single_interaction":
@@ -286,14 +300,12 @@ _TRANSFORM_FIELDS = {
 
 
 def transform_from_dict(d):
-    if not isinstance(d, dict):
-        raise ConfigError("transform must be a JSON object")
     kind = _require(d, "kind", "transform")
-    if kind not in _TRANSFORM_FIELDS:
+    if not isinstance(kind, str) or kind not in _TRANSFORM_FIELDS:
         raise ConfigError(f"unknown transform kind {kind!r}; expected one of {sorted(_TRANSFORM_FIELDS)}")
     kwargs = {}
     for name in _TRANSFORM_FIELDS[kind]:
-        kwargs[name] = float(_require(d, name, f"{kind} transform"))
+        kwargs[name] = _number(_require(d, name, f"{kind} transform"), f"{kind} transform {name}")
     try:
         return Transform(kind=kind, **kwargs)
     except ValueError as exc:
@@ -308,8 +320,6 @@ def transform_to_dict(transform):
 
 
 def estimator_from_dict(d, n):
-    if not isinstance(d, dict):
-        raise ConfigError("estimator must be a JSON object")
     variant = _require(d, "variant", "estimator")
     if variant == "linear":
         return EstimatorConfig.linear(shrinkage_from_dict(_require(d, "shrinkage", "linear estimator"), n))
@@ -320,20 +330,18 @@ def estimator_from_dict(d, n):
         )
     if variant == "waak":
         w = _weight_vector(_require(d, "w", "waak estimator"), n, "waak w")
-        return EstimatorConfig.waak(w, float(_require(d, "gamma", "waak estimator")))
+        return EstimatorConfig.waak(w, _number(_require(d, "gamma", "waak estimator"), "waak gamma"))
     if variant == "aa_classic":
-        return EstimatorConfig.aa_classic(n, float(_require(d, "lambda", "aa_classic estimator")))
+        return EstimatorConfig.aa_classic(n, _number(_require(d, "lambda", "aa_classic estimator"), "aa_classic lambda"))
     if variant == "mixture":
         raw = _require(d, "components", "mixture estimator")
         if not isinstance(raw, list):
             raise ConfigError("mixture components must be a list")
         comps = []
         for item in raw:
-            if not isinstance(item, dict):
-                raise ConfigError("each mixture component must be a JSON object")
             comps.append(
                 (
-                    float(_require(item, "weight", "mixture component")),
+                    _number(_require(item, "weight", "mixture component"), "mixture component weight"),
                     estimator_from_dict(_require(item, "estimator", "mixture component"), n),
                 )
             )
@@ -498,7 +506,6 @@ def _common_header(command, n, seed):
         "command": command,
         "n": n,
         "seed": seed,
-        "backend": backend.ACTIVE_BACKEND,
     }
 
 
@@ -506,11 +513,13 @@ def cmd_estimate(args):
     started = time.perf_counter()
     counts = load_observations(args.data, args.encoding, args.delimiter, args.header)
     config_doc = load_config(args.config)
-    seed = int(config_doc.get("seed", 0))
+    seed = _number(config_doc.get("seed", 0), "seed", int)
     estimator_doc = _require(config_doc, "estimator", "config")
     config = estimator_from_dict(estimator_doc, counts.n)
 
     query_doc = config_doc.get("query", {})
+    if not isinstance(query_doc, dict):
+        raise ConfigError("query block must be a JSON object")
     raw_cells = query_doc.get("cells", "all")
     if raw_cells == "all" or raw_cells == ["all"]:
         if counts.n > MAX_FULL_N:
@@ -556,23 +565,19 @@ def cmd_estimate(args):
 
 
 def _search_from_dict(d, n):
-    if not isinstance(d, dict):
-        raise ConfigError("cv.search must be a JSON object")
     kind = _require(d, "kind", "cv.search")
     budget = d.get("budget")
     if kind == "aa_lambda":
-        return SearchSpace.aa_lambda_grid(n, [float(v) for v in _require(d, "lambdas", "aa_lambda search")], budget=budget)
+        return SearchSpace.aa_lambda_grid(n, _numbers(_require(d, "lambdas", "aa_lambda search"), "aa_lambda lambdas"), budget=budget)
     if kind == "waak":
-        gammas = [float(v) for v in _require(d, "gammas", "waak search")]
+        gammas = _numbers(_require(d, "gammas", "waak search"), "waak search gammas")
         w_doc = _require(d, "w", "waak search")
-        if not isinstance(w_doc, dict):
-            raise ConfigError("waak search needs a w object with a mode")
         mode = _require(w_doc, "mode", "waak search w")
         if mode == "fixed":
             w = _weight_vector(_require(w_doc, "values", "fixed-w search"), n, "search w")
             return SearchSpace.waak_fixed_w(w, gammas, budget=budget)
         if mode == "shared_grid":
-            grid = [float(v) for v in _require(w_doc, "grid", "shared-grid search")]
+            grid = _numbers(_require(w_doc, "grid", "shared-grid search"), "shared-grid search grid")
             return SearchSpace.waak_shared_grid(n, gammas, grid, budget=budget)
         if mode == "product":
             axes = _require(w_doc, "axes", "product search")
@@ -580,15 +585,19 @@ def _search_from_dict(d, n):
                 raise ConfigError("product search axes must be a list of lists")
             if len(axes) != n:
                 raise ConfigError(f"product search needs {n} axes, got {len(axes)}")
-            return SearchSpace.waak_product(gammas, [[float(v) for v in axis] for axis in axes], budget=budget)
+            return SearchSpace.waak_product(gammas, [_numbers(axis, "product search axis") for axis in axes], budget=budget)
         raise ConfigError(f"unknown waak search mode {mode!r}")
     if kind == "linear_sparse":
-        indexes = [int(v) for v in _require(d, "indexes", "linear_sparse search")]
-        grid = [float(v) for v in _require(d, "value_grid", "linear_sparse search")]
+        indexes = _numbers(_require(d, "indexes", "linear_sparse search"), "linear_sparse search indexes", int)
+        grid = _numbers(_require(d, "value_grid", "linear_sparse search"), "linear_sparse search value_grid")
         return SearchSpace.linear_sparse_grid(n, indexes, grid, budget=budget)
     if kind == "mixture":
-        comps = [estimator_from_dict(item, n) for item in _require(d, "components", "mixture search")]
-        return SearchSpace.mixture_weight_grid(comps, int(_require(d, "denominator", "mixture search")), budget=budget)
+        raw = _require(d, "components", "mixture search")
+        if not isinstance(raw, list):
+            raise ConfigError("mixture search components must be a list")
+        comps = [estimator_from_dict(item, n) for item in raw]
+        denominator = _number(_require(d, "denominator", "mixture search"), "mixture search denominator", int)
+        return SearchSpace.mixture_weight_grid(comps, denominator, budget=budget)
     raise ConfigError(f"unknown search kind {kind!r}")
 
 
@@ -596,13 +605,11 @@ def cmd_cv(args):
     started = time.perf_counter()
     counts = load_observations(args.data, args.encoding, args.delimiter, args.header)
     config_doc = load_config(args.config)
-    seed = int(config_doc.get("seed", 0))
+    seed = _number(config_doc.get("seed", 0), "seed", int)
     cv_doc = _require(config_doc, "cv", "config")
-    if not isinstance(cv_doc, dict):
-        raise ConfigError("cv block must be a JSON object")
+    search_doc = _require(cv_doc, "search", "cv block")
     loss = args.loss or cv_doc.get("loss", "kl")
     threads = int(args.threads)
-    search_doc = _require(cv_doc, "search", "cv block")
     kind = _require(search_doc, "kind", "cv.search")
 
     report = _common_header("cv", counts.n, seed)
@@ -612,9 +619,11 @@ def cmd_cv(args):
     partial = False
 
     if kind == "waak_descent":
-        gammas = [float(v) for v in _require(search_doc, "gammas", "waak_descent search")]
-        grid = [float(v) for v in _require(search_doc, "grid", "waak_descent search")]
-        sweeps = int(search_doc.get("sweeps", 2))
+        gammas = _numbers(_require(search_doc, "gammas", "waak_descent search"), "waak_descent gammas")
+        grid = _numbers(_require(search_doc, "grid", "waak_descent search"), "waak_descent grid")
+        sweeps = _number(search_doc.get("sweeps", 2), "waak_descent sweeps", int)
+        if not gammas or not grid:
+            raise ConfigError("waak_descent search needs at least one gamma and one grid value")
         initial = _weight_vector(search_doc.get("initial", grid[0]), counts.n, "descent initial w")
         rows = []
         best = None
@@ -714,7 +723,7 @@ def cmd_query(args):
                 entry["undefined"] = True
             results.append(entry)
 
-    report = _common_header("query", n, int(fit.get("seed", 0)))
+    report = _common_header("query", n, _number(fit.get("seed", 0), "fit report seed", int))
     report["fit"] = str(args.fit)
     report["estimator"] = fit["estimator"]
     report["query"] = {"cells": args.cells, "results": results}
@@ -737,7 +746,7 @@ def cmd_query(args):
 
 
 def _time_call(fn, repeats=5):
-    fn()  # warm any JIT/caches before measuring
+    fn()  # warm caches before measuring
     t0 = time.perf_counter()
     fn()
     single = time.perf_counter() - t0

@@ -22,7 +22,8 @@ cost O(#nonzero(b)) or O(n) per entry without touching a 2^n buffer;
 dense materialization is a separate, capacity-guarded path. Q @ Q of a
 transformed or mixture kernel is the exception: its entries need the
 dense profile, and the core's quadratic form p' Q^2 p takes it as a
-Parseval sum over two n 2^n transforms (n <= 30).
+Parseval sum over two n 2^n transforms (n <= 30); a single entry of it
+is xor_dot, one gather and dot over the profile.
 """
 
 import math
@@ -31,7 +32,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .backend import xor_dot
 from .errors import (
     CapacityError,
     ConfigError,
@@ -398,6 +398,12 @@ def _weighted_distance(rows, cols, weights):
 def _xor_gather(g, rows, cols):
     """g at the XOR of every row and column index: Q from a dense profile."""
     return g[rows.words[:, :1] ^ cols.words[:, 0]]
+
+
+def xor_dot(v, x):
+    """sum_m v[m] * v[m ^ x] over the full index range of v: one Q @ Q entry."""
+    idx = np.arange(v.shape[0], dtype=np.int64) ^ np.int64(x)
+    return float(np.dot(v, v[idx]))
 
 
 def _xor_dot_block(g, rows, cols):

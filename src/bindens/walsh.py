@@ -7,7 +7,8 @@ a parity lookup, the elementwise column-product map is a XOR of
 zero-based indexes, and the sign pattern of coordinate k sits in column
 2^(k-1) + 1. All index operations therefore run on plain (arbitrary
 precision) integers at any dimension; only the transform itself
-allocates 2^n-sized buffers.
+allocates 2^n-sized buffers. The transform is a numpy butterfly: n
+passes, each one vectorized add and subtract over the whole vector.
 """
 
 import math
@@ -16,7 +17,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .backend import fwht_inplace
 from .errors import CapacityError
 
 __all__ = [
@@ -117,7 +117,14 @@ def fwht(v):
     if size > (1 << MAX_DENSE_N):
         raise CapacityError(f"fwht supports at most 2^{MAX_DENSE_N} elements, got {size}")
     out = arr.copy()
-    fwht_inplace(out)
+    h = 1
+    while h < size:
+        pairs = out.reshape(-1, 2 * h)
+        top = pairs[:, :h].copy()
+        bot = pairs[:, h:]
+        pairs[:, :h] = top + bot
+        pairs[:, h:] = top - bot
+        h *= 2
     return out
 
 

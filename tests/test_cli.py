@@ -14,7 +14,6 @@ import pytest
 from bindens import (
     EstimatorConfig,
     ShrinkageSpec,
-    backend,
     counts_from_observations,
     estimate_at,
     index_of_point,
@@ -287,7 +286,8 @@ class TestEstimateCommand:
         code = main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(out)])
         assert code == 0
         report = _read_json(out)
-        assert report["report_version"] == 1
+        assert report["report_version"] == 2
+        assert "backend" not in report
         assert report["command"] == "estimate"
         assert report["n"] == 2
         assert report["estimate"]["full"] is True
@@ -610,6 +610,33 @@ class TestCvCommand:
         assert main(["cv", "--data", str(data), "--config", str(cfg), "--out", str(tmp / "r.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("estimate", {"estimator": {"variant": "waak", "w": 1, "gamma": [2]}}),
+        ("estimate", {"seed": [1], "estimator": UNIFORM_ESTIMATOR}),
+        ("estimate", {"estimator": {**UNIFORM_ESTIMATOR, "variant": "transformed",
+                                    "transform": {"kind": "logistic", "gamma": {}}}}),
+        ("cv", {"cv": {"search": {"kind": "aa_lambda", "lambdas": 0.7}}}),
+    ],
+)
+def test_config_value_of_wrong_json_type_exits_2(workspace, command, config):
+    tmp, data = workspace
+    cfg = tmp / "cfg.json"
+    out = tmp / "r.json"
+    _write_json(cfg, config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bindens", command, "--data", str(data), "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
 class TestQueryCommand:
     def _fit(self, tmp_path, rows, estimator, seed=0):
         data = tmp_path / "obs.csv"
@@ -635,6 +662,23 @@ class TestQueryCommand:
         want = estimate_at(cells, cfg, counts)
         np.testing.assert_allclose([r["value"] for r in results], want.values, rtol=1e-13)
         assert results[1]["point"] == "+-++-"
+
+    def test_reads_version_1_fit(self, tmp_path):
+        # A version 1 fit differs from the current one by its version and
+        # a "backend" field.
+        rows = np.random.default_rng(18).choice([-1, 1], size=(14, 4))
+        fit = self._fit(tmp_path, rows, {"variant": "waak", "gamma": 2.0, "w": 0.6})
+        old_fit = tmp_path / "fit_v1.json"
+        _write_json(old_fit, {**_read_json(fit), "report_version": 1, "backend": "numpy"})
+
+        def query(path):
+            out = tmp_path / "q.json"
+            assert main(["query", "--fit", str(path), "--cells", "3,+-+-,?-+-", "--out", str(out)]) == 0
+            report = _strip_timing(_read_json(out))
+            report.pop("fit")
+            return report
+
+        assert query(old_fit) == query(fit)
 
     def test_conditional_expectation(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -793,52 +837,30 @@ class TestSubprocessEntryPoints:
         assert _read_json(out)["command"] == "estimate"
 
     def test_backends_produce_identical_reports(self, workspace):
-        # numba is an optional extra: where it imports, both backends must
-        # give the same report; where it does not, an explicit request for
-        # it must be refused rather than silently served by numpy.
+        # numpy is the only backend: naming it and leaving the variable
+        # unset must give the same report, and no report names a backend.
         tmp, data = workspace
         cfg = tmp / "cfg.json"
         _write_json(cfg, {"estimator": {"variant": "waak", "gamma": 2.0, "w": [0.4, 0.9]}})
 
         def run(name):
-            env = dict(os.environ, BINDENS_BACKEND=name)
+            env = dict(os.environ)
+            env.pop("BINDENS_BACKEND", None)
+            if name is not None:
+                env["BINDENS_BACKEND"] = name
             out = tmp / f"{name}.json"
             proc = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "bindens",
-                    "estimate",
-                    "--data",
-                    str(data),
-                    "--config",
-                    str(cfg),
-                    "--out",
-                    str(out),
-                ],
+                [sys.executable, "-m", "bindens", "estimate", "--data", str(data), "--config", str(cfg), "--out", str(out)],
                 capture_output=True,
                 text=True,
                 env=env,
             )
-            return proc, out
+            assert proc.returncode == 0, proc.stderr
+            report = _strip_timing(_read_json(out))
+            assert "backend" not in report
+            return json.dumps(report, sort_keys=True)
 
-        proc, out = run("numpy")
-        assert proc.returncode == 0, proc.stderr
-        numpy_report = _strip_timing(_read_json(out))
-        assert numpy_report.pop("backend") == "numpy"
-
-        proc, out = run("numba")
-        if not backend.HAS_NUMBA:
-            assert proc.returncode == 2
-            assert "Traceback" not in proc.stderr
-            assert "BINDENS_BACKEND" in proc.stderr
-            assert "numba" in proc.stderr
-            assert not out.exists()
-            return
-        assert proc.returncode == 0, proc.stderr
-        numba_report = _strip_timing(_read_json(out))
-        assert numba_report.pop("backend") == "numba"
-        assert json.dumps(numba_report, sort_keys=True) == json.dumps(numpy_report, sort_keys=True)
+        assert run("numpy") == run(None)
 
     def test_refused_backend_exits_2(self, workspace):
         # Both entry points import the package before a command runs; a
@@ -853,8 +875,7 @@ class TestSubprocessEntryPoints:
             # what the installed `bindens` script runs
             [sys.executable, "-c", "import sys; from bindens.cli import main; sys.exit(main())"],
         ]
-        refused = ["vectorized"] + ([] if backend.HAS_NUMBA else ["numba"])
-        for value in refused:
+        for value in ("numba", "vectorized"):
             for entry in entry_points:
                 proc = subprocess.run(
                     entry + args,
@@ -865,5 +886,5 @@ class TestSubprocessEntryPoints:
                 assert proc.returncode == 2, proc.stderr
                 lines = proc.stderr.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: ")
-                assert "BINDENS_BACKEND" in lines[0]
+                assert "BINDENS_BACKEND" in lines[0] and value in lines[0]
                 assert not out.exists()

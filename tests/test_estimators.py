@@ -502,6 +502,13 @@ class TestElementWaak:
 
 
 class TestSquaredElements:
+    def test_xor_dot_matches_direct_sum(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(32)
+        for x in range(32):
+            want = sum(v[m] * v[m ^ x] for m in range(32))
+            assert estimators.xor_dot(v, x) == pytest.approx(want, rel=1e-12)
+
     def test_linear_matches_dense_squaring(self):
         rng = np.random.default_rng(42)
         for n in (3, 5, 7):

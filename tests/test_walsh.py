@@ -193,7 +193,10 @@ class TestFwht:
     """In-order fast transform against dense multiplication."""
 
     def test_pair_example(self):
-        np.testing.assert_array_equal(fwht([1.0, 1.0]), [2.0, 0.0])
+        # The butterfly runs in place on fwht's own copy, never on v.
+        v = np.array([1.0, 1.0])
+        np.testing.assert_array_equal(fwht(v), [2.0, 0.0])
+        np.testing.assert_array_equal(v, [1.0, 1.0])
 
     def test_four_point_example(self):
         np.testing.assert_array_equal(fwht([1.0, 2.0, 3.0, 4.0]), [10.0, -2.0, -4.0, 0.0])
