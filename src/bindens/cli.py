@@ -448,13 +448,53 @@ def _json_safe(x):
     return x
 
 
+# Stands in for an ndarray leaf while json encodes the rest of a report. It
+# holds a NUL, which no path from the command line can hold.
+_ARRAY_MARK = "\x00ndarray"
+
+
+def _float_array_text(values, indent):
+    """A 1-D float64 array as json.dumps(values.tolist(), indent=2) writes it
+    at a line indented by indent spaces."""
+    if values.size == 0:
+        return "[]"
+    inner = " " * (indent + 2)
+    # A list's repr joins float.__repr__ with ", ", as json does with its
+    # separator; json spells repr's nan, inf and -inf NaN, Infinity and -Infinity.
+    items = repr(values.tolist())[1:-1].replace(", ", ",\n" + inner)
+    items = items.replace("nan", "NaN").replace("inf", "Infinity")
+    return "[\n" + inner + items + "\n" + " " * indent + "]"
+
+
 def write_report(path, payload):
-    text = json.dumps(payload, indent=2) + "\n"
+    """Write json.dumps(payload, indent=2) and a newline to path atomically.
+
+    A 1-D float64 ndarray in payload is written as json writes the list of
+    its values, but without json: with an indent json runs its pure-Python
+    encoder, which costs several times estimate_full on a 2^16-value vector.
+    """
+    arrays = []
+
+    def defer(obj):
+        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+            arrays.append(obj)
+            return _ARRAY_MARK
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    text = json.dumps(payload, indent=2, default=defer)
+    pieces = text.split(json.dumps(_ARRAY_MARK)) if arrays else [text]
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError("report holds a string equal to the array placeholder")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(prefix=".bindens-", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(pieces[0])
+            for head, values, tail in zip(pieces, arrays, pieces[1:]):
+                line = head[head.rfind("\n") + 1 :]
+                handle.write(_float_array_text(values, len(line) - len(line.lstrip(" "))))
+                handle.write(tail)
+            handle.write("\n")
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -551,7 +591,7 @@ def cmd_estimate(args):
     }
     if cells_out is not None:
         block["cells"] = [_cell_json(c) for c in cells_out]
-    block["values"] = [float(v) for v in estimate.values]
+    block["values"] = estimate.values
     report["estimate"] = block
     report["timing"] = {"elapsed_ms": (time.perf_counter() - started) * 1000.0}
     write_report(args.out, report)
@@ -669,6 +709,20 @@ def _rank_key(report):
     return -value if report.loss == "kl" else value
 
 
+def _fit_counts(fit, path):
+    """n and the CountsVector a fit report records; a value of the wrong
+    JSON type is a DataError naming the report."""
+    try:
+        n = _number(fit["n"], "n", int)
+        raw = _require(fit["data"], "counts", "data block")
+        if not isinstance(raw, dict):
+            raise ConfigError("data.counts must be a JSON object")
+        cells = {_parse_decimal(idx): _number(cnt, "cell count", int) for idx, cnt in raw.items()}
+    except ConfigError as exc:
+        raise DataError(f"fit report {path}: {exc}") from exc
+    return n, CountsVector.from_cells(n, cells)
+
+
 def cmd_query(args):
     started = time.perf_counter()
     try:
@@ -678,13 +732,12 @@ def cmd_query(args):
         raise DataError(f"cannot read fit report {args.fit}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.fit} is not valid JSON: {exc}") from exc
+    if not isinstance(fit, dict):
+        raise DataError(f"fit report {args.fit} must be a JSON object")
     for key in ("report_version", "n", "data", "estimator"):
         if key not in fit:
             raise DataError(f"fit report {args.fit} is missing key {key!r}")
-    n = int(fit["n"])
-    counts = CountsVector.from_cells(
-        n, {_parse_decimal(idx): int(cnt) for idx, cnt in fit["data"]["counts"].items()}
-    )
+    n, counts = _fit_counts(fit, args.fit)
     config = estimator_from_dict(fit["estimator"], n)
     parsed = parse_cells_spec([s for s in args.cells.split(",")], n)
 

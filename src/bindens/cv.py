@@ -13,6 +13,7 @@ ascending-cell order so repeated runs are bitwise identical.
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,13 +289,25 @@ class SearchSpace:
             raise ConfigError(
                 f"denominator {m} cannot give positive weights to {len(comps)} components"
             )
-        configs = []
-        for split in itertools.product(range(1, m + 1), repeat=len(comps)):
-            if sum(split) != m:
-                continue
-            weights = [a / m for a in split]
-            configs.append(EstimatorConfig.mixture(tuple(zip(weights, comps))))
+        if math.comb(m - 1, len(comps) - 1) > sys.maxsize:
+            raise ConfigError(
+                f"denominator {m} gives {len(comps)} components more than {sys.maxsize} weight vectors"
+            )
+        configs = [
+            EstimatorConfig.mixture(tuple((a / m, comp) for a, comp in zip(split, comps)))
+            for split in _compositions(m, len(comps))
+        ]
         return cls(configs=tuple(configs), budget=_check_budget(budget))
+
+
+def _compositions(total, parts):
+    """Tuples of parts positive integers summing to total, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def _check_positive(value, name):

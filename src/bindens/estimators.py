@@ -849,8 +849,10 @@ def estimate_full(config, counts):
     """Full 2^n estimate vector (n <= 20).
 
     Linear configurations run through the double transform
-    (1/2^n) fwht(b * fwht(p)); everything else gathers the dense kernel
-    row at XOR-shifted positions per support cell.
+    (1/2^n) fwht(b * fwht(p)). Every other variant gathers the dense kernel
+    row g at XOR-shifted positions, one support cell at a time, into two
+    buffers reused across cells: each cell adds (count / N) * g[idx ^ (cell-1)]
+    rounded and summed in support order, with no temporaries per cell.
     """
     _match_dimensions(config, counts)
     n = config.n
@@ -864,9 +866,14 @@ def estimate_full(config, counts):
     else:
         g = state.profile()
         idx = np.arange(size, dtype=np.int64)
+        shifted = np.empty(size, dtype=np.int64)
+        term = np.empty(size)
         values = np.zeros(size)
         for cell, cnt in counts.cells:
-            values += (cnt / counts.total) * g[idx ^ (cell - 1)]
+            np.bitwise_xor(idx, cell - 1, out=shifted)
+            np.take(g, shifted, out=term)
+            term *= cnt / counts.total
+            values += term
     return DensityEstimate(
         n=n,
         cells=None,

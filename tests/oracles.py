@@ -399,6 +399,17 @@ def squared_quadratic_direct(g, cells, weights):
     return math.fsum(total)
 
 
+def gather_estimate(g, counts):
+    """Full estimate vector from the dense kernel row, one support cell at
+    a time: sum over cells of (count / N) * g[m XOR (cell - 1)], in support
+    order, with fresh arrays for every term."""
+    m = np.arange(g.size, dtype=np.int64)
+    values = np.zeros(g.size)
+    for cell, cnt in counts.cells:
+        values = values + (cnt / counts.total) * g[m ^ (cell - 1)]
+    return values
+
+
 def held_out_from_row(g, counts):
     """Held-out term at each support cell: every other cell with its count,
     the cell itself with its count minus one, over N - 1."""

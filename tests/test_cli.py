@@ -277,6 +277,41 @@ class TestParseDecimal:
             _parse_decimal(text)
 
 
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1.5e-05, 0.1]
+
+
+class TestWriteReport:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"estimate": {"full": True, "values": np.array(SPECIAL_FLOATS)}, "timing": {"elapsed_ms": 1.5}},
+            {"values": np.array(SPECIAL_FLOATS[::-1]), "empty": np.array([]), "one": np.array([2.0])},
+            np.array(SPECIAL_FLOATS),
+            [np.array([0.1, -math.inf]), {"nested": [np.array([math.nan])]}, "nan inf, ok"],
+            {"values": np.random.default_rng(1).standard_normal(300) * 1e-5, "path": "a\"b\u00e9"},
+        ],
+    )
+    def test_matches_json_dumps_byte_for_byte(self, tmp_path, payload):
+        out = tmp_path / "r.json"
+        cli.write_report(out, payload)
+        want = json.dumps(payload, indent=2, default=lambda a: a.tolist()) + "\n"
+        assert out.read_bytes() == want.encode("utf-8")
+
+    def test_refuses_other_arrays(self, tmp_path):
+        out = tmp_path / "r.json"
+        for values in (np.arange(3), np.zeros((2, 2)), np.zeros(2, dtype=np.float32)):
+            with pytest.raises(TypeError):
+                cli.write_report(out, {"values": values})
+        assert not out.exists()
+
+    def test_placeholder_text_in_payload(self, tmp_path):
+        out = tmp_path / "r.json"
+        cli.write_report(out, {"text": "\x00ndarray"})
+        assert _read_json(out) == {"text": "\x00ndarray"}
+        with pytest.raises(ValueError):
+            cli.write_report(out, {"text": "\x00ndarray", "values": np.zeros(2)})
+
+
 class TestEstimateCommand:
     def test_uniform_all_cells(self, workspace, capsys):
         tmp, data = workspace
@@ -350,6 +385,20 @@ class TestEstimateCommand:
         _write_json(cfg, {"estimator": UNIFORM_ESTIMATOR})
         assert main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
         assert _read_json(out)["command"] == "estimate"
+
+    def test_full_vector_at_n16_is_json_dumps_output(self, tmp_path):
+        rng = np.random.default_rng(9)
+        n = 16
+        data = tmp_path / "obs.csv"
+        _write_signs(data, rng.choice([-1, 1], size=(40, n)))
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "report.json"
+        _write_json(cfg, {"estimator": {"variant": "waak", "gamma": 3.0, "w": 0.7}, "query": {"cells": "all"}})
+        assert main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert len(report["estimate"]["values"]) == 1 << n
+        assert json.dumps(report, indent=2) + "\n" == text
 
     def test_moderate_dimension_explicit_cells(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -603,6 +652,16 @@ class TestCvCommand:
             selected.append(_read_json(out)["best"]["estimator"]["gamma"])
         assert float(np.median(selected)) == 1.0
 
+    def test_mixture_denominator_past_sys_maxsize_exits_2(self, workspace, capsys):
+        tmp, data = workspace
+        cfg = tmp / "cfg.json"
+        out = tmp / "r.json"
+        search = {"kind": "mixture", "components": [UNIFORM_ESTIMATOR, FREQUENCY_2], "denominator": 10**19}
+        _write_json(cfg, {"cv": {"loss": "kl", "search": search}})
+        assert main(["cv", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+        assert "denominator" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_cv_block_exits_2(self, workspace):
         tmp, data = workspace
         cfg = tmp / "cfg.json"
@@ -779,6 +838,31 @@ class TestQueryCommand:
             ["query", "--fit", str(tmp_path / "nope.json"), "--cells", "1", "--out", str(tmp_path / "q.json")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda fit: {**fit, "n": [fit["n"]]},
+            lambda fit: {**fit, "data": {**fit["data"], "counts": {"1": [1], "3": 1}}},
+            lambda fit: {**fit, "data": []},
+            lambda fit: " ".join(fit),  # a string holding every required key
+        ],
+        ids=["n_list", "count_list", "data_list", "not_an_object"],
+    )
+    def test_fit_value_of_wrong_json_type_exits_2(self, tmp_path, edit):
+        fit = self._fit(tmp_path, [(1, 1), (-1, 1), (1, 1)], UNIFORM_ESTIMATOR)
+        _write_json(fit, edit(_read_json(fit)))
+        out = tmp_path / "q.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bindens", "query", "--fit", str(fit), "--cells", "1", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
 
     def test_truncated_fit_report_exits_2(self, tmp_path):
         bad = tmp_path / "fit.json"

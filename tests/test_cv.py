@@ -1,5 +1,6 @@
 """Leave-one-out surrogates and configuration search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -449,6 +450,27 @@ class TestSearchSpaceFactories:
             assert all(wgt > 0 for wgt in weights)
         with pytest.raises(ConfigError):
             SearchSpace.mixture_weight_grid(parts, 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_mixture_weight_grid_order(self, k):
+        # Candidate order sets the tie rule: the grid keeps the order of
+        # filtering every tuple in range(1, m + 1)^k down to those summing to m.
+        parts = [EstimatorConfig.aa_classic(3, 0.5 + 0.1 * i) for i in range(k)]
+        for m in range(k, 13):
+            want = [s for s in itertools.product(range(1, m + 1), repeat=k) if sum(s) == m]
+            space = SearchSpace.mixture_weight_grid(parts, m)
+            assert [[wgt for wgt, _ in cfg.components] for cfg in space.configs] == [
+                [a / m for a in split] for split in want
+            ]
+            for cfg in space.configs:
+                assert [comp for _, comp in cfg.components] == parts
+
+    def test_mixture_weight_grid_past_sys_maxsize(self):
+        parts = [EstimatorConfig.aa_classic(3, 0.8), EstimatorConfig.aa_classic(3, 0.6)]
+        with pytest.raises(ConfigError):
+            SearchSpace.mixture_weight_grid(parts, 10**19)
+        single = SearchSpace.mixture_weight_grid(parts[:1], 10**19)
+        assert [[wgt for wgt, _ in cfg.components] for cfg in single.configs] == [[1.0]]
 
     def test_aa_grid_carries_lambda(self):
         space = SearchSpace.aa_lambda_grid(4, [0.6, 0.9])

@@ -853,6 +853,26 @@ class TestEstimateFull:
             np.testing.assert_allclose(full.values, at.values, rtol=1e-12, atol=1e-16)
             assert full.cells is None
 
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_gather_is_bit_identical_to_reference(self, n):
+        rng = np.random.default_rng(61 + n)
+        counts = _random_counts(rng, n, size=60)
+        configs = [
+            EstimatorConfig.waak(rng.uniform(0, 1, size=n), 2.7),
+            EstimatorConfig.transformed(
+                ShrinkageSpec.sparse(n, {1: 1.0, 3: 0.5, 6: 0.25}), Transform.relu()
+            ),
+            EstimatorConfig.mixture(
+                [
+                    (0.25, EstimatorConfig.aa_classic(n, 0.8)),
+                    (0.75, EstimatorConfig.linear(ShrinkageSpec.dense(_unit_lead_dense(rng, n)))),
+                ]
+            ),
+        ]
+        for cfg in configs:
+            g = estimators._config_state(cfg).profile()
+            assert np.array_equal(estimate_full(cfg, counts).values, oracles.gather_estimate(g, counts))
+
     def test_linear_spectral_route_matches_oracle(self):
         rng = np.random.default_rng(59)
         n = 5
