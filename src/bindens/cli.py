@@ -226,7 +226,13 @@ def _require(mapping, key, what):
 
 
 def _number(raw, what, kind=float):
-    """kind(raw) for kind float or int; a JSON value it refuses is a ConfigError."""
+    """kind(raw) for kind float or int; a JSON value it refuses is a ConfigError.
+
+    An int read refuses a bool and a number with a fractional part rather
+    than truncate it; an integral float such as 3.0 is accepted.
+    """
+    if kind is int and (isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer())):
+        raise ConfigError(f"{what} must be an integer, got {raw!r}")
     try:
         return kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -24,10 +24,16 @@ transformed or mixture kernel is the exception: its entries need the
 dense profile, and the core's quadratic form p' Q^2 p takes it as a
 Parseval sum over two n 2^n transforms (n <= 30); a single entry of it
 is xor_dot, one gather and dot over the profile.
+
+Everything a configuration derives (parity features, the normalizer Z,
+the dense row, the waak log state) is a function of that configuration
+alone, so it lives on one _ConfigState per EstimatorConfig, computed
+when first asked for. A mixture keeps no dense row of its own: it sums
+its components' rows, which they keep, whenever the row is asked for.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -40,14 +46,7 @@ from .errors import (
     NumericError,
 )
 from .shrinkage import DENSE, SINGLE_INTERACTION, ShrinkageSpec
-from .transforms import (
-    CLOSED_FORM_EXPONENTIAL,
-    LINEAR_TRIVIAL,
-    NormalizerResult,
-    Transform,
-    apply,
-    normalizer,
-)
+from .transforms import Transform, apply, normalizer
 from .walsh import MAX_DENSE_N, _check_index, as_point, fwht
 
 __all__ = [
@@ -272,12 +271,20 @@ def _validate_components(components):
     return tuple(comps)
 
 
+def _validate_transformed(shrinkage, transform):
+    if not isinstance(shrinkage, ShrinkageSpec):
+        raise ConfigError("transformed estimator needs a ShrinkageSpec")
+    if not isinstance(transform, Transform):
+        raise ConfigError("transformed estimator needs a Transform")
+
+
 @dataclass(frozen=True, eq=False)
 class EstimatorConfig:
     """One fully specified estimator; build through the classmethods.
 
-    Instances are immutable and carry a private cache so repeated element
-    evaluation against the same configuration reuses precomputed state.
+    Instances are immutable. What a configuration derives for evaluation
+    (features, normalizer, dense row) is built on first use and kept by
+    the instance, so it lives exactly as long as the configuration.
     """
 
     variant: str
@@ -286,7 +293,6 @@ class EstimatorConfig:
     gamma: float = None
     lam: float = None
     components: tuple = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def linear(cls, shrinkage):
@@ -295,10 +301,7 @@ class EstimatorConfig:
 
     @classmethod
     def transformed(cls, shrinkage, transform):
-        if not isinstance(shrinkage, ShrinkageSpec):
-            raise ConfigError("transformed estimator needs a ShrinkageSpec")
-        if not isinstance(transform, Transform):
-            raise ConfigError("transformed estimator needs a Transform")
+        _validate_transformed(shrinkage, transform)
         return cls(variant="transformed", shrinkage=shrinkage, transform=transform)
 
     @classmethod
@@ -332,6 +335,10 @@ class EstimatorConfig:
         if self.shrinkage is not None:
             return self.shrinkage.n
         return self.components[0][1].n
+
+    @cached_property
+    def _state(self):
+        return _ConfigState(self)
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +476,8 @@ class _WaakState:
     """
 
     def __init__(self, w, gamma):
-        arr = np.asarray(w, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("kernel weights must form a nonempty 1-d vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("kernel weights must lie in [0, 1]")
-        gamma = float(gamma)
-        if not math.isfinite(gamma) or gamma < 1.0:
-            raise ValueError(f"kernel base must satisfy gamma >= 1, got {gamma}")
-        self.n = int(arr.size)
-        t = arr * math.log(gamma)
+        t = w * math.log(gamma)
         self.t = t
-        # log(gamma^w + gamma^-w) per coordinate; their sum is log Z
-        self.log_z = float(np.logaddexp(t, -t).sum())
         lost = np.log1p(np.exp(-2.0 * t))
         lost_sq = np.log1p(np.exp(-4.0 * t))
         self.log_diagonal = -float(lost.sum())
@@ -502,31 +498,6 @@ class _WaakState:
             distance = np.concatenate([distance, distance + td])
         return np.exp(self.log_diagonal - 2.0 * distance)
 
-    def normalizer_result(self):
-        value = math.exp(self.log_z) if self.log_z < 700.0 else math.inf
-        return NormalizerResult(value=value, method=CLOSED_FORM_EXPONENTIAL, log_value=self.log_z)
-
-
-@lru_cache(maxsize=256)
-def _parity_features(shrinkage):
-    return _ParityFeatures(shrinkage)
-
-
-@lru_cache(maxsize=256)
-def _normalizer_cached(transform, shrinkage):
-    return normalizer(transform, shrinkage)
-
-
-@lru_cache(maxsize=256)
-def _waak_state_cached(w_bytes, size, gamma):
-    w = np.frombuffer(w_bytes, dtype=np.float64, count=size)
-    return _WaakState(w, gamma)
-
-
-def _waak_state(w, gamma):
-    arr = np.ascontiguousarray(np.asarray(w, dtype=np.float64))
-    return _waak_state_cached(arr.tobytes(), int(arr.size), float(gamma))
-
 
 def _check_normalizer(norm):
     if not norm.value > 0:
@@ -543,29 +514,33 @@ def _divide_by_normalizer(values, norm):
         return np.sign(values) * np.exp(np.log(np.abs(values)) - norm.log_value)
 
 
-@lru_cache(maxsize=64)
-def _linear_profile(shrinkage):
-    """fwht(b) / 2^n; Q[i, j] is this vector at the XOR of the indexes."""
-    return fwht(shrinkage.to_dense()) * math.ldexp(1.0, -shrinkage.n)
-
-
-@lru_cache(maxsize=64)
-def _squared_linear_profile(shrinkage):
-    dense = shrinkage.to_dense()
-    return fwht(dense * dense) * math.ldexp(1.0, -shrinkage.n)
-
-
-@lru_cache(maxsize=64)
-def _transformed_profile(shrinkage, transform):
-    """f(fwht(b)) / Z as a dense row; capacity-guarded by to_dense."""
-    raw = fwht(shrinkage.to_dense())
-    norm = _normalizer_cached(transform, shrinkage)
-    _check_normalizer(norm)
-    return _divide_by_normalizer(apply(transform, raw), norm)
-
-
 # ---------------------------------------------------------------------------
 # element-level evaluation: single entries of the batched core
+
+
+@lru_cache(maxsize=64)
+def _element_state(variant, *args):
+    """State of the config an element function builds from its arguments.
+
+    The one cache kept across calls: each element_* call builds a new
+    config, and a caller timing repeated entries of one configuration
+    must not rebuild its normalizer, features or dense row every time.
+    Callers validate their arguments first, so an invalid one raises
+    what the config's constructor raises, not a TypeError from hashing.
+    """
+    if variant == "waak":
+        w_bytes, gamma = args
+        return EstimatorConfig.waak(np.frombuffer(w_bytes), gamma)._state
+    return getattr(EstimatorConfig, variant)(*args)._state
+
+
+def _waak_element_state(w, gamma):
+    """_element_state of a waak config; invalid arguments raise ValueError."""
+    try:
+        config = EstimatorConfig.waak(w, gamma)
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from exc
+    return _element_state("waak", config.shrinkage.w.tobytes(), config.gamma)
 
 
 def element_linear(i, j, shrinkage):
@@ -574,13 +549,15 @@ def element_linear(i, j, shrinkage):
     With b = e_1 this is the uniform estimator (constant 1/2^n); with
     b = 1 it is the identity, i.e. the raw frequency estimator.
     """
-    return _entry(_ConfigState(EstimatorConfig.linear(shrinkage)), i, j)
+    _validate_linear_shrinkage(shrinkage)
+    return _entry(_element_state("linear", shrinkage), i, j)
 
 
 def squared_element_linear(i, j, shrinkage):
     """Entry (i, j) of the squared linear kernel: shares b's support,
     with each coefficient squared."""
-    return _entry(_ConfigState(EstimatorConfig.linear(shrinkage)), i, j, squared=True)
+    _validate_linear_shrinkage(shrinkage)
+    return _entry(_element_state("linear", shrinkage), i, j, squared=True)
 
 
 def element_transformed(i, j, shrinkage, transform):
@@ -590,7 +567,8 @@ def element_transformed(i, j, shrinkage, transform):
     resolved once per (transform, shrinkage) pair through the cheapest
     available dispatch route.
     """
-    return _entry(_ConfigState(EstimatorConfig.transformed(shrinkage, transform)), i, j)
+    _validate_transformed(shrinkage, transform)
+    return _entry(_element_state("transformed", shrinkage, transform), i, j)
 
 
 def element_waak(i, j, w, gamma):
@@ -601,8 +579,7 @@ def element_waak(i, j, w, gamma):
     w = 1 and gamma = sqrt(lam/(1-lam)) this reproduces the classic
     categorical kernel lam^(n-d) (1-lam)^d at Hamming distance d.
     """
-    state = _waak_state(w, gamma)
-    return float(state.gram(*_cell_pair([i], [j], state.n))[0, 0])
+    return _entry(_waak_element_state(w, gamma), i, j)
 
 
 def squared_element_waak(i, j, w, gamma):
@@ -611,8 +588,7 @@ def squared_element_waak(i, j, w, gamma):
     Coordinate factors become gamma^2w_d + gamma^-2w_d on agreement and
     2 on disagreement, over the squared normalizer.
     """
-    state = _waak_state(w, gamma)
-    return float(state.squared_gram(*_cell_pair([i], [j], state.n))[0, 0])
+    return _entry(_waak_element_state(w, gamma), i, j, squared=True)
 
 
 def squared_element_general(i, j, shrinkage, transform):
@@ -622,41 +598,69 @@ def squared_element_general(i, j, shrinkage, transform):
     is sum_m g[m] g[m ^ x] with x the XOR of the zero-based indexes:
     O(2^n) per element after an O(n 2^n) setup, dense-capacity guarded.
     """
-    return _entry(_ConfigState(EstimatorConfig.transformed(shrinkage, transform)), i, j, squared=True)
+    _validate_transformed(shrinkage, transform)
+    return _entry(_element_state("transformed", shrinkage, transform), i, j, squared=True)
 
 
 def element_mixture(i, j, components):
     """Convex combination of component kernel entries."""
-    return _entry(_ConfigState(EstimatorConfig.mixture(components)), i, j)
+    return _entry(EstimatorConfig.mixture(components)._state, i, j)
 
 
 # ---------------------------------------------------------------------------
 # per-config dispatch
 
 
+_WAAK = ("waak", "aa_classic")
+
 # Variants whose Q @ Q is built from the dense profile.
 _PROFILE_SQUARED = ("transformed", "mixture")
 
 
 class _ConfigState:
-    """Resolved evaluation strategy for one EstimatorConfig.
+    """What one EstimatorConfig derives, each part computed when first used.
 
     gram and squared_gram fill Q and Q @ Q on two lists of cells; every
     estimate, risk and scalar element goes through them, and quadratic
-    gives the SE risk its p' Q^2 p.
+    gives the SE risk its p' Q^2 p. The state copies the config's fields
+    rather than refer to it, so a config and its state form no cycle.
     """
 
     def __init__(self, config):
-        self.config = config
+        self.variant = config.variant
         self.n = config.n
-        variant = config.variant
-        if variant in ("waak", "aa_classic"):
-            self._waak = _waak_state(config.shrinkage.w, config.gamma)
-        elif variant == "mixture":
-            self._children = [(c, _config_state(cfg)) for c, cfg in config.components]
-        elif variant == "transformed":
-            self._norm = _normalizer_cached(config.transform, config.shrinkage)
-            _check_normalizer(self._norm)
+        self.shrinkage = config.shrinkage
+        self.transform = config.transform
+        self.gamma = config.gamma
+        if self.variant == "mixture":
+            self.children = [(c, cfg._state) for c, cfg in config.components]
+        elif self.variant == "transformed":
+            _check_normalizer(self.norm)
+
+    @cached_property
+    def features(self):
+        return _ParityFeatures(self.shrinkage)
+
+    @cached_property
+    def waak(self):
+        return _WaakState(self.shrinkage.w, self.gamma)
+
+    @cached_property
+    def norm(self):
+        """Z of a single kernel: the identity's closed form for linear and
+        the exponential's for waak and aa_classic kernels."""
+        if self.variant == "linear":
+            transform = Transform.identity()
+        elif self.variant in _WAAK:
+            transform = Transform.exponential(self.gamma)
+        else:
+            transform = self.transform
+        return normalizer(transform, self.shrinkage)
+
+    def normalizers(self):
+        if self.variant == "mixture":
+            return tuple(norm for _, child in self.children for norm in child.normalizers())
+        return (self.norm,)
 
     def gram(self, rows, cols):
         """Q[r, c] for every cell r in rows and c in cols, as an array."""
@@ -667,18 +671,16 @@ class _ConfigState:
         return self._squared_gram(*_cell_pair(rows, cols, self.n))
 
     def _gram(self, rows, cols):
-        cfg = self.config
-        if cfg.variant in ("waak", "aa_classic"):
-            return self._waak.gram(rows, cols)
-        if cfg.variant == "mixture":
-            return sum(c * child._gram(rows, cols) for c, child in self._children)
-        if cfg.shrinkage.form == DENSE:
+        if self.variant in _WAAK:
+            return self.waak.gram(rows, cols)
+        if self.variant == "mixture":
+            return sum(c * child._gram(rows, cols) for c, child in self.children)
+        if self.shrinkage.form == DENSE:
             return _xor_gather(self.profile(), rows, cols)
-        features = _parity_features(cfg.shrinkage)
-        raw = features.signed_sums(rows, cols, features.values)
-        if cfg.variant == "linear":
+        raw = self.features.signed_sums(rows, cols, self.features.values)
+        if self.variant == "linear":
             return np.ldexp(raw, -self.n)
-        return _divide_by_normalizer(apply(cfg.transform, raw), self._norm)
+        return _divide_by_normalizer(apply(self.transform, raw), self.norm)
 
     def quadratic(self, cells, weights):
         """weights' (Q @ Q) weights over a list of distinct cells.
@@ -690,7 +692,7 @@ class _ConfigState:
         relative accuracy, which single Q @ Q entries built by transforms
         would not on the far entries of a peaked kernel.
         """
-        if self.config.variant in _PROFILE_SQUARED:
+        if self.variant in _PROFILE_SQUARED:
             g = self.profile()  # refuses n > MAX_DENSE_N before any 2^n buffer
             p = np.zeros(g.size)
             p[np.asarray(cells, dtype=np.int64) - 1] = weights
@@ -699,74 +701,56 @@ class _ConfigState:
         return float(weights @ self.squared_gram(cells, cells) @ weights)
 
     def _squared_gram(self, rows, cols):
-        cfg = self.config
-        if cfg.variant in ("waak", "aa_classic"):
-            return self._waak.squared_gram(rows, cols)
-        if cfg.variant in _PROFILE_SQUARED:
+        if self.variant in _WAAK:
+            return self.waak.squared_gram(rows, cols)
+        if self.variant in _PROFILE_SQUARED:
             # Squares mix entries across a whole row, so single entries take
             # one xor_dot over the dense profile; quadratic forms over many
             # cells go through quadratic instead.
             return _xor_dot_block(self.profile(), rows, cols)
-        if cfg.shrinkage.form == DENSE:
-            return _xor_gather(_squared_linear_profile(cfg.shrinkage), rows, cols)
-        features = _parity_features(cfg.shrinkage)
-        return np.ldexp(features.signed_sums(rows, cols, features.squared_values), -self.n)
+        if self.shrinkage.form == DENSE:
+            return _xor_gather(self._squared_row, rows, cols)
+        return np.ldexp(self.features.signed_sums(rows, cols, self.features.squared_values), -self.n)
 
     def profile(self):
-        """Dense kernel row g with Q[i, j] = g[(i-1) XOR (j-1)]."""
-        cached = self.config._cache.get("profile")
-        if cached is not None:
-            return cached
-        cfg = self.config
+        """Dense kernel row g with Q[i, j] = g[(i-1) XOR (j-1)].
+
+        A single kernel keeps its row. A mixture sums its components' rows
+        on every call and keeps none, so a search over mixture weights
+        holds one row per component rather than one per candidate.
+        """
         if self.n > MAX_DENSE_N:
             raise CapacityError(
                 f"dense kernel row needs a 2^{self.n} buffer (limit n={MAX_DENSE_N})"
             )
-        if cfg.variant == "linear":
-            g = _linear_profile(cfg.shrinkage)
-        elif cfg.variant in ("waak", "aa_classic"):
-            g = self._waak.profile()
-        elif cfg.variant == "transformed":
-            g = _transformed_profile(cfg.shrinkage, cfg.transform)
-        else:
-            g = np.zeros(1 << self.n)
-            for c, child in self._children:
-                g = g + c * child.profile()
-        cfg._cache["profile"] = g
-        return g
+        if self.variant == "mixture":
+            return sum(c * child.profile() for c, child in self.children)
+        return self._row
 
-    def normalizers(self):
-        cfg = self.config
-        if cfg.variant == "linear":
-            value = float(2**self.n) if self.n <= 1023 else math.inf
-            return (NormalizerResult(value=value, method=LINEAR_TRIVIAL, log_value=self.n * _LOG2),)
-        if cfg.variant in ("waak", "aa_classic"):
-            return (self._waak.normalizer_result(),)
-        if cfg.variant == "transformed":
-            return (_normalizer_cached(cfg.transform, cfg.shrinkage),)
-        out = []
-        for _, child in self._children:
-            out.extend(child.normalizers())
-        return tuple(out)
+    @cached_property
+    def _row(self):
+        if self.variant in _WAAK:
+            return self.waak.profile()
+        raw = fwht(self.shrinkage.to_dense())
+        if self.variant == "linear":
+            return raw * math.ldexp(1.0, -self.n)
+        return _divide_by_normalizer(apply(self.transform, raw), self.norm)
+
+    @cached_property
+    def _squared_row(self):
+        """fwht(b * b) / 2^n: the Q @ Q row of a dense linear kernel."""
+        dense = self.shrinkage.to_dense()
+        return fwht(dense * dense) * math.ldexp(1.0, -self.n)
 
 
 def _config_state(config):
     if not isinstance(config, EstimatorConfig):
         raise ConfigError("expected an EstimatorConfig")
-    state = config._cache.get("state")
-    if state is None:
-        state = _ConfigState(config)
-        config._cache["state"] = state
-    return state
+    return config._state
 
 
 def _entry(state, i, j, squared=False):
-    """One entry of Q or Q @ Q: the K=1 block of the core.
-
-    The element_* wrappers build a config per call and pass a state that
-    is not cached on it: a cached state would tie the two in a reference
-    cycle left for the garbage collector.
-    """
+    """One entry of Q or Q @ Q: the K=1 block of the core."""
     block = state.squared_gram if squared else state.gram
     return float(block([i], [j])[0, 0])
 

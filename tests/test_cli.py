@@ -696,6 +696,41 @@ def test_config_value_of_wrong_json_type_exits_2(workspace, command, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("estimate", {"seed": 2.9, "estimator": UNIFORM_ESTIMATOR}),
+        ("estimate", {"seed": True, "estimator": UNIFORM_ESTIMATOR}),
+        ("cv", {"cv": {"search": {"kind": "waak_descent", "gammas": [2.0], "grid": [0.5, 1.0], "sweeps": 1.5}}}),
+        ("cv", {"cv": {"search": {"kind": "mixture", "components": [UNIFORM_ESTIMATOR, FREQUENCY_2],
+                                  "denominator": 4.5}}}),
+        ("cv", {"cv": {"search": {"kind": "linear_sparse", "indexes": [3.5], "value_grid": [0.5]}}}),
+        ("query", {"n": 2.7}),
+        ("query", {"data": {"counts": {"1": 1.5}}}),
+    ],
+)
+def test_non_integral_integer_value_exits_2(workspace, command, doc):
+    """Integer reads refuse bools and fractional numbers rather than truncate
+    them; for query, doc overrides keys of a valid fit report."""
+    tmp, data = workspace
+    cfg = tmp / "cfg.json"
+    out = tmp / "r.json"
+    if command == "query":
+        fit = tmp / "fit.json"
+        _write_json(cfg, {"estimator": UNIFORM_ESTIMATOR})
+        assert main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(fit)]) == 0
+        _write_json(fit, {**_read_json(fit), **doc})
+        args = ["query", "--fit", str(fit), "--cells", "1", "--out", str(out)]
+    else:
+        _write_json(cfg, doc)
+        args = [command, "--data", str(data), "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "bindens", *args], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
 class TestQueryCommand:
     def _fit(self, tmp_path, rows, estimator, seed=0):
         data = tmp_path / "obs.csv"

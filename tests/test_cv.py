@@ -1,7 +1,9 @@
 """Leave-one-out surrogates and configuration search."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,6 +416,29 @@ class TestEvaluateSpace:
         assert truncated
         assert len(reports) == 1
         assert best_pos == 0
+
+    def test_mixture_search_holds_no_row_per_candidate(self):
+        """Components keep their dense rows; mixture candidates keep none."""
+        n = 14
+        rng = np.random.default_rng(90)
+        counts = counts_from_observations(rng.choice([-1, 1], size=(120, n)))
+        comps = [
+            EstimatorConfig.transformed(ShrinkageSpec.single_interaction(np.full(n, 0.5)), Transform.logistic(2.0)),
+            EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.5, 5: 0.25})),
+            EstimatorConfig.waak(np.full(n, 0.8), 2.0),
+        ]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            space = SearchSpace.mixture_weight_grid(comps, 8)
+            reports, _, _ = evaluate_space(space, "se", counts)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(space.configs) == len(reports) == 21
+        assert held < (len(comps) + 2) * (8 << n), f"{held} bytes held after the search"
 
 
 class TestSearchSpaceFactories:

@@ -21,6 +21,7 @@ from bindens import (
     estimate_full,
     index_of_point,
     matrix_element,
+    normalizer,
     shrinkage_optimal,
     squared_element_general,
     squared_element_linear,
@@ -827,6 +828,30 @@ class TestEstimateAt:
         est = estimate_at([1, int(rng.integers(1, 1 << 60))], cfg, counts)
         assert est.values.shape == (2,)
         assert np.all(est.values >= 0)
+
+    @pytest.mark.parametrize("n", [8, 1000, 10_000])
+    def test_single_kernel_normalizers_are_transforms_normalizer(self, n):
+        """Linear kernels report the identity's Z and waak kernels the
+        exponential's, as transforms.normalizer computes them."""
+        rng = np.random.default_rng(58)
+        w = rng.uniform(0.5, 1.0, size=n)
+        sparse = ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.5, 3: 0.25})
+        aa = EstimatorConfig.aa_classic(n, 0.8)
+        cases = [
+            (EstimatorConfig.waak(w, 3.0), Transform.exponential(3.0), ShrinkageSpec.single_interaction(w)),
+            (aa, Transform.exponential(aa.gamma), aa.shrinkage),
+            (EstimatorConfig.linear(sparse), Transform.identity(), sparse),
+        ]
+        if n == 8:
+            dense = ShrinkageSpec.dense(np.concatenate([[1.0], rng.uniform(0.0, 1.0, size=255)]))
+            cases.append((EstimatorConfig.linear(dense), Transform.identity(), dense))
+        cell = int(rng.integers(1, 1 << 60)) if n > 60 else 7
+        counts = CountsVector.from_cells(n, {1: 2, cell: 1})
+        for config, transform, spec in cases:
+            got = estimate_at([cell], config, counts).normalizers
+            assert got == (normalizer(transform, spec),)
+            if n == 10_000:
+                assert math.isinf(got[0].value)
 
 
 class TestEstimateFull:
