@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .cv import SearchSpace, _is_better, coordinate_descent_w, evaluate_space
+from .cv import SearchSpace, _rank_key, coordinate_descent_w, evaluate_space
 from .errors import (
     BindensError,
     CapacityError,
@@ -228,11 +228,12 @@ def _require(mapping, key, what):
 def _number(raw, what, kind=float):
     """kind(raw) for kind float or int; a JSON value it refuses is a ConfigError.
 
-    An int read refuses a bool and a number with a fractional part rather
-    than truncate it; an integral float such as 3.0 is accepted.
+    Both kinds refuse a bool, which float() and int() would read as 1 or 0.
+    An int read also refuses a number with a fractional part rather than
+    truncate it; an integral float such as 3.0 is accepted.
     """
-    if kind is int and (isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer())):
-        raise ConfigError(f"{what} must be an integer, got {raw!r}")
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and not raw.is_integer()):
+        raise ConfigError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {raw!r}")
     try:
         return kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -273,9 +274,10 @@ def shrinkage_from_dict(d, n):
             converted = {}
             for key, val in entries.items():
                 try:
-                    converted[_parse_decimal(str(key))] = float(val)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(f"bad sparse shrinkage entry {key!r}: {val!r}") from exc
+                    idx = _parse_decimal(str(key))
+                except ValueError as exc:
+                    raise ConfigError(f"bad sparse shrinkage index {key!r}") from exc
+                converted[idx] = _number(val, f"sparse shrinkage entry {key!r}")
             return ShrinkageSpec.sparse(n, converted)
         if form == "single_interaction":
             return ShrinkageSpec.single_interaction(
@@ -288,10 +290,10 @@ def shrinkage_from_dict(d, n):
 
 def shrinkage_to_dict(spec):
     if spec.form == "dense":
-        return {"form": "dense", "values": [float(v) for v in spec.values]}
+        return {"form": "dense", "values": spec.values}
     if spec.form == "sparse":
         return {"form": "sparse", "entries": {_decimal(idx): val for idx, val in spec.entries}}
-    return {"form": "single_interaction", "w": [float(v) for v in spec.w]}
+    return {"form": "single_interaction", "w": spec.w}
 
 
 _TRANSFORM_FIELDS = {
@@ -356,6 +358,8 @@ def estimator_from_dict(d, n):
 
 
 def estimator_to_dict(config):
+    """The JSON form of a config. Weight and dense shrinkage vectors stay
+    float64 arrays, which write_report writes without json's encoder."""
     if config.variant == "linear":
         return {"variant": "linear", "shrinkage": shrinkage_to_dict(config.shrinkage)}
     if config.variant == "transformed":
@@ -368,7 +372,7 @@ def estimator_to_dict(config):
         return {
             "variant": "waak",
             "gamma": config.gamma,
-            "w": [float(v) for v in config.shrinkage.w],
+            "w": config.shrinkage.w,
         }
     if config.variant == "aa_classic":
         return {"variant": "aa_classic", "lambda": config.lam, "n": config.n}
@@ -671,30 +675,21 @@ def cmd_cv(args):
         if not gammas or not grid:
             raise ConfigError("waak_descent search needs at least one gamma and one grid value")
         initial = _weight_vector(search_doc.get("initial", grid[0]), counts.n, "descent initial w")
-        rows = []
-        best = None
+        evaluated = []
         for gamma in gammas:
-            cfg, rep = coordinate_descent_w(initial, gamma, loss, counts, sweeps, grid, threads=threads)
-            rows.append((cfg, rep, {"gamma": gamma, "sweeps": sweeps}))
-            if best is None or _is_better(rep, best[1]):
-                best = (cfg, rep)
-        evaluated = rows
-        best_cfg, best_rep = best
+            _, rep = coordinate_descent_w(initial, gamma, loss, counts, sweeps, grid, threads=threads)
+            evaluated.append((rep, {"gamma": gamma, "sweeps": sweeps}))
     else:
         space = _search_from_dict(search_doc, counts.n)
-        reports, best_pos, truncated = evaluate_space(space, loss, counts, threads=threads)
-        evaluated = [(space.configs[pos], reports[pos], {"candidate_index": pos}) for pos in range(len(reports))]
-        best_cfg, best_rep = space.configs[best_pos], reports[best_pos]
-        partial = truncated
+        reports, _, partial = evaluate_space(space, loss, counts, threads=threads)
+        evaluated = [(rep, {"candidate_index": pos}) for pos, rep in enumerate(reports)]
 
-    ranked = sorted(
-        range(len(evaluated)),
-        key=lambda pos: _rank_key(evaluated[pos][1]),
-    )
+    # A stable sort by the search's own key: rank 1 is its best candidate.
+    ranked = sorted(evaluated, key=lambda row: _rank_key(row[0]))
     report["evaluations"] = [
-        _risk_row(evaluated[pos][1], extra={**evaluated[pos][2], "rank": rank + 1})
-        for rank, pos in enumerate(ranked)
+        _risk_row(rep, extra={**extra, "rank": rank}) for rank, (rep, extra) in enumerate(ranked, start=1)
     ]
+    best_rep = ranked[0][0]
     report["best"] = _risk_row(best_rep)
     report["partial"] = partial
     report["timing"] = {"elapsed_ms": (time.perf_counter() - started) * 1000.0}
@@ -706,13 +701,6 @@ def cmd_cv(args):
         print("error: search budget exhausted before the grid was fully evaluated", file=sys.stderr)
         return 2
     return 0
-
-
-def _rank_key(report):
-    value = report.value
-    if math.isnan(value):
-        value = math.inf if report.loss == "se" else -math.inf
-    return -value if report.loss == "kl" else value
 
 
 def _fit_counts(fit, path):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError
-from .estimators import CountsVector, EstimatorConfig, _config_state, _support
+from .estimators import EstimatorConfig, _match_dimensions, _support
 from .shrinkage import ShrinkageSpec
 
 __all__ = [
@@ -64,14 +64,7 @@ class RiskReport:
 
 
 def _check_inputs(config, counts):
-    if not isinstance(config, EstimatorConfig):
-        raise ConfigError("expected an EstimatorConfig")
-    if not isinstance(counts, CountsVector):
-        raise ConfigError("expected a CountsVector")
-    if config.n != counts.n:
-        raise ConfigError(
-            f"estimator dimension {config.n} does not match data dimension {counts.n}"
-        )
+    _match_dimensions(config, counts)
     if counts.total < 2:
         raise InsufficientDataError("leave-one-out needs at least two observations")
 
@@ -96,10 +89,10 @@ def _element_evals(counts):
     return k * (k - 1) // 2 + sum(1 for _, cnt in counts.cells if cnt >= 2)
 
 
-def _support_terms(state, counts):
+def _support_terms(config, counts):
     """Support cells, their counts, and the held-out term at each."""
     cells, cnt = _support(counts)
-    terms = _held_out(state.gram(cells, cells), cnt, np.arange(len(cells)), counts.total)
+    terms = _held_out(config._gram(cells, cells), cnt, np.arange(len(cells)), counts.total)
     return cells, cnt, terms
 
 
@@ -121,7 +114,7 @@ def loo_term(k, config, counts):
         raise ValueError(f"observation index {k} out of range [0, {len(obs) - 1}]")
     cell = obs[int(k)]
     cells, cnt = _support(counts)
-    gram = _config_state(config).gram([cell], cells)
+    gram = config._gram([cell], cells)
     return float(_held_out(gram, cnt, [cells.index(cell)], counts.total)[0])
 
 
@@ -133,7 +126,7 @@ def kl_risk(config, counts):
     without raising.
     """
     _check_inputs(config, counts)
-    _, cnt, terms = _support_terms(_config_state(config), counts)
+    _, cnt, terms = _support_terms(config, counts)
     dominated = not bool(np.all(terms > 0.0))
     if dominated:
         value = -math.inf
@@ -158,11 +151,10 @@ def se_risk(config, counts):
     constant, so rankings are preserved.
     """
     _check_inputs(config, counts)
-    state = _config_state(config)
-    cells, cnt, terms = _support_terms(state, counts)
+    cells, cnt, terms = _support_terms(config, counts)
     N = counts.total
     p = cnt / N
-    quad = state.quadratic(cells, p)
+    quad = config._quadratic(cells, p)
     value = quad - (2.0 / N) * math.fsum((cnt * terms).tolist())
     k = len(cells)
     return RiskReport(
@@ -184,14 +176,13 @@ def _risk(loss, config, counts):
     raise ConfigError(f"unknown loss {loss!r}; expected one of {LOSSES}")
 
 
-def _is_better(challenger, incumbent):
-    """Strict improvement; ties keep the incumbent (first wins)."""
-    a, b = challenger.value, incumbent.value
-    if math.isnan(a):
-        return False
-    if math.isnan(b):
-        return True
-    return a > b if challenger.loss == "kl" else a < b
+def _rank_key(report):
+    """Lower is better: KL is maximized, SE minimized, NaN ranks last.
+
+    The one ordering of candidates: searches take the first minimum of
+    it, so ties keep the earliest candidate, and reports rank by it."""
+    value = report.value
+    return (math.isnan(value), -value if report.loss == "kl" else value)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +324,7 @@ def evaluate_space(space, loss, counts, threads=1):
         raise ConfigError("search space is empty")
     limit = len(configs) if space.budget is None else min(space.budget, len(configs))
     reports = [_risk(loss, cfg, counts) for cfg in configs[:limit]]
-    best_pos = 0
-    for pos in range(1, len(reports)):
-        if _is_better(reports[pos], reports[best_pos]):
-            best_pos = pos
+    best_pos = min(range(len(reports)), key=lambda pos: _rank_key(reports[pos]))
     return reports, best_pos, limit < len(configs)
 
 
@@ -361,8 +349,9 @@ def grid_search(space, loss, counts, threads=1):
 def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid, threads=1):
     """Cyclic per-coordinate grid descent on the weighted kernel weights.
 
-    Each coordinate in turn is scanned over the grid and moved only on
-    strict improvement (first-best wins), so the surrogate is monotone
+    Each coordinate in turn is scanned over the grid, its trials scored
+    by evaluate_space, and moved only when the best trial strictly beats
+    the current weights (first-best wins), so the surrogate is monotone
     along the trajectory. Stops early when a full sweep changes nothing.
     Returns (config, report) for the final weights. threads is validated
     as in evaluate_space and does not fan out.
@@ -377,28 +366,22 @@ def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid, threads=1
     for v in grid_values:
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"weight grid value {v} lies outside [0, 1]")
-    w = np.asarray(initial_w, dtype=np.float64).copy()
-    current_cfg = EstimatorConfig.waak(w, gamma)
+    current_cfg = EstimatorConfig.waak(initial_w, gamma)
     current = _risk(loss, current_cfg, counts)
     for _ in range(int(sweeps)):
         moved = False
-        for d in range(w.size):
-            candidates = [v for v in grid_values if v != w[d]]
-            if not candidates:
+        for d in range(current_cfg.n):
+            trials = []
+            for v in grid_values:
+                w = current_cfg.shrinkage.w.copy()
+                if w[d] != v:
+                    w[d] = v
+                    trials.append(EstimatorConfig.waak(w, gamma))
+            if not trials:
                 continue
-            cand_cfgs = []
-            for v in candidates:
-                w_new = w.copy()
-                w_new[d] = v
-                cand_cfgs.append(EstimatorConfig.waak(w_new, gamma))
-            reports = [_risk(loss, cfg, counts) for cfg in cand_cfgs]
-            best_cfg, best_rep = None, None
-            for cfg, rep in zip(cand_cfgs, reports):
-                if _is_better(rep, current) and (best_rep is None or _is_better(rep, best_rep)):
-                    best_cfg, best_rep = cfg, rep
-            if best_rep is not None:
-                w = best_cfg.shrinkage.w.copy()
-                current_cfg, current = best_cfg, best_rep
+            reports, best_pos, _ = evaluate_space(SearchSpace(configs=tuple(trials)), loss, counts)
+            if _rank_key(reports[best_pos]) < _rank_key(current):
+                current_cfg, current = trials[best_pos], reports[best_pos]
                 moved = True
         if not moved:
             break

@@ -27,9 +27,11 @@ is xor_dot, one gather and dot over the profile.
 
 Everything a configuration derives (parity features, the normalizer Z,
 the dense row, the waak log state) is a function of that configuration
-alone, so it lives on one _ConfigState per EstimatorConfig, computed
-when first asked for. A mixture keeps no dense row of its own: it sums
-its components' rows, which they keep, whenever the row is asked for.
+alone, so it is a private attribute of the EstimatorConfig itself,
+computed when first asked for, and the core's entry points are private
+methods of the config. A mixture reads its own components and keeps no
+dense row: it sums its components' rows, which they keep, whenever the
+row is asked for.
 """
 
 import math
@@ -278,13 +280,24 @@ def _validate_transformed(shrinkage, transform):
         raise ConfigError("transformed estimator needs a Transform")
 
 
+# Variants evaluated by the log-space product-form kernel.
+_WAAK = ("waak", "aa_classic")
+
+# Variants whose Q @ Q is built from the dense profile.
+_PROFILE_SQUARED = ("transformed", "mixture")
+
+
 @dataclass(frozen=True, eq=False)
 class EstimatorConfig:
     """One fully specified estimator; build through the classmethods.
 
     Instances are immutable. What a configuration derives for evaluation
-    (features, normalizer, dense row) is built on first use and kept by
-    the instance, so it lives exactly as long as the configuration.
+    (parity features, waak log state, normalizer, dense row) is a private
+    attribute built on first use and kept by the instance, so it lives
+    exactly as long as the configuration. The private _gram and
+    _squared_gram fill Q and Q @ Q on two lists of cells; every estimate,
+    risk and scalar element goes through them, and _quadratic gives the
+    SE risk its p' Q^2 p.
     """
 
     variant: str
@@ -336,9 +349,117 @@ class EstimatorConfig:
             return self.shrinkage.n
         return self.components[0][1].n
 
+    # Derived state and the batched core's entry points (internal).
+
     @cached_property
-    def _state(self):
-        return _ConfigState(self)
+    def _features(self):
+        return _ParityFeatures(self.shrinkage)
+
+    @cached_property
+    def _waak(self):
+        return _WaakState(self.shrinkage.w, self.gamma)
+
+    @cached_property
+    def _norm(self):
+        """Z of a single kernel: the identity's closed form for linear and
+        the exponential's for waak and aa_classic kernels. A Z that is not
+        positive leaves the kernel undefined and raises here, at the first
+        evaluation that needs it."""
+        if self.variant == "linear":
+            transform = Transform.identity()
+        elif self.variant in _WAAK:
+            transform = Transform.exponential(self.gamma)
+        else:
+            transform = self.transform
+        norm = normalizer(transform, self.shrinkage)
+        if not norm.value > 0:
+            raise DegenerateNormalizerError(f"normalization constant {norm.value} is not positive")
+        return norm
+
+    def _normalizers(self):
+        if self.variant == "mixture":
+            return tuple(norm for _, cfg in self.components for norm in cfg._normalizers())
+        return (self._norm,)
+
+    def _gram(self, rows, cols):
+        """Q[r, c] for every cell r in rows and c in cols, as an array."""
+        return self._gram_block(*_cell_pair(rows, cols, self.n))
+
+    def _squared_gram(self, rows, cols):
+        """(Q @ Q)[r, c] for every cell r in rows and c in cols, as an array."""
+        return self._squared_gram_block(*_cell_pair(rows, cols, self.n))
+
+    def _gram_block(self, rows, cols):
+        if self.variant in _WAAK:
+            return self._waak.gram(rows, cols)
+        if self.variant == "mixture":
+            return sum(c * cfg._gram_block(rows, cols) for c, cfg in self.components)
+        if self.shrinkage.form == DENSE:
+            return _xor_gather(self._profile(), rows, cols)
+        raw = self._features.signed_sums(rows, cols, self._features.values)
+        if self.variant == "linear":
+            return np.ldexp(raw, -self.n)
+        return _divide_by_normalizer(apply(self.transform, raw), self._norm)
+
+    def _quadratic(self, cells, weights):
+        """weights' (Q @ Q) weights over a list of distinct cells.
+
+        Q @ Q of a transformed or mixture kernel has no entrywise shortcut.
+        Q p is the XOR convolution of the dense profile g with p, so by
+        Parseval ||Q p||^2 = ||fwht(g) fwht(p)||^2 / 2^n: two n 2^n
+        transforms in place of one xor_dot per cell pair. A norm keeps full
+        relative accuracy, which single Q @ Q entries built by transforms
+        would not on the far entries of a peaked kernel.
+        """
+        if self.variant in _PROFILE_SQUARED:
+            g = self._profile()  # refuses n > MAX_DENSE_N before any 2^n buffer
+            p = np.zeros(g.size)
+            p[np.asarray(cells, dtype=np.int64) - 1] = weights
+            spectrum = fwht(g) * fwht(p)
+            return math.ldexp(float(spectrum @ spectrum), -self.n)
+        return float(weights @ self._squared_gram(cells, cells) @ weights)
+
+    def _squared_gram_block(self, rows, cols):
+        if self.variant in _WAAK:
+            return self._waak.squared_gram(rows, cols)
+        if self.variant in _PROFILE_SQUARED:
+            # Squares mix entries across a whole row, so single entries take
+            # one xor_dot over the dense profile; quadratic forms over many
+            # cells go through _quadratic instead.
+            return _xor_dot_block(self._profile(), rows, cols)
+        if self.shrinkage.form == DENSE:
+            return _xor_gather(self._squared_row, rows, cols)
+        return np.ldexp(self._features.signed_sums(rows, cols, self._features.squared_values), -self.n)
+
+    def _profile(self):
+        """Dense kernel row g with Q[i, j] = g[(i-1) XOR (j-1)].
+
+        A single kernel keeps its row. A mixture sums its components' rows
+        on every call and keeps none, so a search over mixture weights
+        holds one row per component rather than one per candidate.
+        """
+        if self.n > MAX_DENSE_N:
+            raise CapacityError(
+                f"dense kernel row needs a 2^{self.n} buffer (limit n={MAX_DENSE_N})"
+            )
+        if self.variant == "mixture":
+            return sum(c * cfg._profile() for c, cfg in self.components)
+        return self._row
+
+    @cached_property
+    def _row(self):
+        if self.variant in _WAAK:
+            return self._waak.profile()
+        raw = fwht(self.shrinkage.to_dense())
+        if self.variant == "linear":
+            return raw * math.ldexp(1.0, -self.n)
+        return _divide_by_normalizer(apply(self.transform, raw), self._norm)
+
+    @cached_property
+    def _squared_row(self):
+        """fwht(b * b) / 2^n: the Q @ Q row of a dense linear kernel."""
+        dense = self.shrinkage.to_dense()
+        return fwht(dense * dense) * math.ldexp(1.0, -self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +620,6 @@ class _WaakState:
         return np.exp(self.log_diagonal - 2.0 * distance)
 
 
-def _check_normalizer(norm):
-    if not norm.value > 0:
-        raise DegenerateNormalizerError(
-            f"normalization constant {norm.value} is not positive"
-        )
-
-
 def _divide_by_normalizer(values, norm):
     """values / Z; through log space, keeping signs, when Z overflowed float64."""
     if math.isfinite(norm.value):
@@ -519,28 +633,29 @@ def _divide_by_normalizer(values, norm):
 
 
 @lru_cache(maxsize=64)
-def _element_state(variant, *args):
-    """State of the config an element function builds from its arguments.
+def _element_config(variant, *args):
+    """The config an element function builds from its arguments.
 
-    The one cache kept across calls: each element_* call builds a new
-    config, and a caller timing repeated entries of one configuration
-    must not rebuild its normalizer, features or dense row every time.
-    Callers validate their arguments first, so an invalid one raises
-    what the config's constructor raises, not a TypeError from hashing.
+    The one cache kept across calls: each element_* call names its
+    configuration by arguments, and a caller timing repeated entries of
+    one configuration must not rebuild its normalizer, features or dense
+    row every time; the cached config keeps them. Callers validate their
+    arguments first, so an invalid one raises what the config's
+    constructor raises, not a TypeError from hashing.
     """
     if variant == "waak":
         w_bytes, gamma = args
-        return EstimatorConfig.waak(np.frombuffer(w_bytes), gamma)._state
-    return getattr(EstimatorConfig, variant)(*args)._state
+        return EstimatorConfig.waak(np.frombuffer(w_bytes), gamma)
+    return getattr(EstimatorConfig, variant)(*args)
 
 
-def _waak_element_state(w, gamma):
-    """_element_state of a waak config; invalid arguments raise ValueError."""
+def _waak_element_config(w, gamma):
+    """_element_config of a waak config; invalid arguments raise ValueError."""
     try:
         config = EstimatorConfig.waak(w, gamma)
     except ConfigError as exc:
         raise ValueError(str(exc)) from exc
-    return _element_state("waak", config.shrinkage.w.tobytes(), config.gamma)
+    return _element_config("waak", config.shrinkage.w.tobytes(), config.gamma)
 
 
 def element_linear(i, j, shrinkage):
@@ -550,14 +665,14 @@ def element_linear(i, j, shrinkage):
     b = 1 it is the identity, i.e. the raw frequency estimator.
     """
     _validate_linear_shrinkage(shrinkage)
-    return _entry(_element_state("linear", shrinkage), i, j)
+    return _entry(_element_config("linear", shrinkage), i, j)
 
 
 def squared_element_linear(i, j, shrinkage):
     """Entry (i, j) of the squared linear kernel: shares b's support,
     with each coefficient squared."""
     _validate_linear_shrinkage(shrinkage)
-    return _entry(_element_state("linear", shrinkage), i, j, squared=True)
+    return _entry(_element_config("linear", shrinkage), i, j, squared=True)
 
 
 def element_transformed(i, j, shrinkage, transform):
@@ -568,7 +683,7 @@ def element_transformed(i, j, shrinkage, transform):
     available dispatch route.
     """
     _validate_transformed(shrinkage, transform)
-    return _entry(_element_state("transformed", shrinkage, transform), i, j)
+    return _entry(_element_config("transformed", shrinkage, transform), i, j)
 
 
 def element_waak(i, j, w, gamma):
@@ -579,7 +694,7 @@ def element_waak(i, j, w, gamma):
     w = 1 and gamma = sqrt(lam/(1-lam)) this reproduces the classic
     categorical kernel lam^(n-d) (1-lam)^d at Hamming distance d.
     """
-    return _entry(_waak_element_state(w, gamma), i, j)
+    return _entry(_waak_element_config(w, gamma), i, j)
 
 
 def squared_element_waak(i, j, w, gamma):
@@ -588,7 +703,7 @@ def squared_element_waak(i, j, w, gamma):
     Coordinate factors become gamma^2w_d + gamma^-2w_d on agreement and
     2 on disagreement, over the squared normalizer.
     """
-    return _entry(_waak_element_state(w, gamma), i, j, squared=True)
+    return _entry(_waak_element_config(w, gamma), i, j, squared=True)
 
 
 def squared_element_general(i, j, shrinkage, transform):
@@ -599,170 +714,34 @@ def squared_element_general(i, j, shrinkage, transform):
     O(2^n) per element after an O(n 2^n) setup, dense-capacity guarded.
     """
     _validate_transformed(shrinkage, transform)
-    return _entry(_element_state("transformed", shrinkage, transform), i, j, squared=True)
+    return _entry(_element_config("transformed", shrinkage, transform), i, j, squared=True)
 
 
 def element_mixture(i, j, components):
     """Convex combination of component kernel entries."""
-    return _entry(EstimatorConfig.mixture(components)._state, i, j)
+    return _entry(EstimatorConfig.mixture(components), i, j)
 
 
-# ---------------------------------------------------------------------------
-# per-config dispatch
-
-
-_WAAK = ("waak", "aa_classic")
-
-# Variants whose Q @ Q is built from the dense profile.
-_PROFILE_SQUARED = ("transformed", "mixture")
-
-
-class _ConfigState:
-    """What one EstimatorConfig derives, each part computed when first used.
-
-    gram and squared_gram fill Q and Q @ Q on two lists of cells; every
-    estimate, risk and scalar element goes through them, and quadratic
-    gives the SE risk its p' Q^2 p. The state copies the config's fields
-    rather than refer to it, so a config and its state form no cycle.
-    """
-
-    def __init__(self, config):
-        self.variant = config.variant
-        self.n = config.n
-        self.shrinkage = config.shrinkage
-        self.transform = config.transform
-        self.gamma = config.gamma
-        if self.variant == "mixture":
-            self.children = [(c, cfg._state) for c, cfg in config.components]
-        elif self.variant == "transformed":
-            _check_normalizer(self.norm)
-
-    @cached_property
-    def features(self):
-        return _ParityFeatures(self.shrinkage)
-
-    @cached_property
-    def waak(self):
-        return _WaakState(self.shrinkage.w, self.gamma)
-
-    @cached_property
-    def norm(self):
-        """Z of a single kernel: the identity's closed form for linear and
-        the exponential's for waak and aa_classic kernels."""
-        if self.variant == "linear":
-            transform = Transform.identity()
-        elif self.variant in _WAAK:
-            transform = Transform.exponential(self.gamma)
-        else:
-            transform = self.transform
-        return normalizer(transform, self.shrinkage)
-
-    def normalizers(self):
-        if self.variant == "mixture":
-            return tuple(norm for _, child in self.children for norm in child.normalizers())
-        return (self.norm,)
-
-    def gram(self, rows, cols):
-        """Q[r, c] for every cell r in rows and c in cols, as an array."""
-        return self._gram(*_cell_pair(rows, cols, self.n))
-
-    def squared_gram(self, rows, cols):
-        """(Q @ Q)[r, c] for every cell r in rows and c in cols, as an array."""
-        return self._squared_gram(*_cell_pair(rows, cols, self.n))
-
-    def _gram(self, rows, cols):
-        if self.variant in _WAAK:
-            return self.waak.gram(rows, cols)
-        if self.variant == "mixture":
-            return sum(c * child._gram(rows, cols) for c, child in self.children)
-        if self.shrinkage.form == DENSE:
-            return _xor_gather(self.profile(), rows, cols)
-        raw = self.features.signed_sums(rows, cols, self.features.values)
-        if self.variant == "linear":
-            return np.ldexp(raw, -self.n)
-        return _divide_by_normalizer(apply(self.transform, raw), self.norm)
-
-    def quadratic(self, cells, weights):
-        """weights' (Q @ Q) weights over a list of distinct cells.
-
-        Q @ Q of a transformed or mixture kernel has no entrywise shortcut.
-        Q p is the XOR convolution of the dense profile g with p, so by
-        Parseval ||Q p||^2 = ||fwht(g) fwht(p)||^2 / 2^n: two n 2^n
-        transforms in place of one xor_dot per cell pair. A norm keeps full
-        relative accuracy, which single Q @ Q entries built by transforms
-        would not on the far entries of a peaked kernel.
-        """
-        if self.variant in _PROFILE_SQUARED:
-            g = self.profile()  # refuses n > MAX_DENSE_N before any 2^n buffer
-            p = np.zeros(g.size)
-            p[np.asarray(cells, dtype=np.int64) - 1] = weights
-            spectrum = fwht(g) * fwht(p)
-            return math.ldexp(float(spectrum @ spectrum), -self.n)
-        return float(weights @ self.squared_gram(cells, cells) @ weights)
-
-    def _squared_gram(self, rows, cols):
-        if self.variant in _WAAK:
-            return self.waak.squared_gram(rows, cols)
-        if self.variant in _PROFILE_SQUARED:
-            # Squares mix entries across a whole row, so single entries take
-            # one xor_dot over the dense profile; quadratic forms over many
-            # cells go through quadratic instead.
-            return _xor_dot_block(self.profile(), rows, cols)
-        if self.shrinkage.form == DENSE:
-            return _xor_gather(self._squared_row, rows, cols)
-        return np.ldexp(self.features.signed_sums(rows, cols, self.features.squared_values), -self.n)
-
-    def profile(self):
-        """Dense kernel row g with Q[i, j] = g[(i-1) XOR (j-1)].
-
-        A single kernel keeps its row. A mixture sums its components' rows
-        on every call and keeps none, so a search over mixture weights
-        holds one row per component rather than one per candidate.
-        """
-        if self.n > MAX_DENSE_N:
-            raise CapacityError(
-                f"dense kernel row needs a 2^{self.n} buffer (limit n={MAX_DENSE_N})"
-            )
-        if self.variant == "mixture":
-            return sum(c * child.profile() for c, child in self.children)
-        return self._row
-
-    @cached_property
-    def _row(self):
-        if self.variant in _WAAK:
-            return self.waak.profile()
-        raw = fwht(self.shrinkage.to_dense())
-        if self.variant == "linear":
-            return raw * math.ldexp(1.0, -self.n)
-        return _divide_by_normalizer(apply(self.transform, raw), self.norm)
-
-    @cached_property
-    def _squared_row(self):
-        """fwht(b * b) / 2^n: the Q @ Q row of a dense linear kernel."""
-        dense = self.shrinkage.to_dense()
-        return fwht(dense * dense) * math.ldexp(1.0, -self.n)
-
-
-def _config_state(config):
+def _check_config(config):
     if not isinstance(config, EstimatorConfig):
         raise ConfigError("expected an EstimatorConfig")
-    return config._state
 
 
-def _entry(state, i, j, squared=False):
+def _entry(config, i, j, squared=False):
     """One entry of Q or Q @ Q: the K=1 block of the core."""
-    block = state.squared_gram if squared else state.gram
+    _check_config(config)
+    block = config._squared_gram if squared else config._gram
     return float(block([i], [j])[0, 0])
 
 
 def matrix_element(i, j, config):
     """Kernel matrix entry Q[i, j] for any estimator configuration."""
-    return _entry(_config_state(config), i, j)
+    return _entry(config, i, j)
 
 
 def squared_matrix_element(i, j, config):
     """Entry (i, j) of Q @ Q for any estimator configuration."""
-    return _entry(_config_state(config), i, j, squared=True)
+    return _entry(config, i, j, squared=True)
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +766,9 @@ class DensityEstimate:
 
 
 def _match_dimensions(config, counts):
+    """Refuse a non-config (ConfigError), then non-counts (DataError), then
+    a config and counts of different dimensions (ConfigError)."""
+    _check_config(config)
     if not isinstance(counts, CountsVector):
         raise DataError("expected a CountsVector")
     if config.n != counts.n:
@@ -809,22 +791,21 @@ def estimate_at(cells, config, counts):
     fixed (ascending) support order makes results deterministic.
     """
     _match_dimensions(config, counts)
-    state = _config_state(config)
     cell_list = list(cells)
     if not cell_list:
         raise ValueError("at least one query cell is required")
     support, cnt = _support(counts)
     step = max(1, _BLOCK_ENTRIES // len(support))
     sums = [
-        state.gram(cell_list[start : start + step], support) @ cnt
+        config._gram(cell_list[start : start + step], support) @ cnt
         for start in range(0, len(cell_list), step)
     ]
     values = np.concatenate(sums) / counts.total
     return DensityEstimate(
-        n=state.n,
+        n=config.n,
         cells=tuple(int(c) for c in cell_list),
         values=values,
-        normalizers=state.normalizers(),
+        normalizers=config._normalizers(),
         negativity=bool(np.any(values < 0.0)),
     )
 
@@ -842,13 +823,12 @@ def estimate_full(config, counts):
     n = config.n
     if n > MAX_FULL_N:
         raise CapacityError(f"full estimate limited to n <= {MAX_FULL_N}, got n={n}")
-    state = _config_state(config)
     size = 1 << n
     if config.variant == "linear":
         spectrum = fwht(counts.to_dense()) * config.shrinkage.to_dense()
         values = fwht(spectrum) * math.ldexp(1.0, -n)
     else:
-        g = state.profile()
+        g = config._profile()
         idx = np.arange(size, dtype=np.int64)
         shifted = np.empty(size, dtype=np.int64)
         term = np.empty(size)
@@ -862,7 +842,7 @@ def estimate_full(config, counts):
         n=n,
         cells=None,
         values=values,
-        normalizers=state.normalizers(),
+        normalizers=config._normalizers(),
         negativity=bool(np.any(values < 0.0)),
     )
 

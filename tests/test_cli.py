@@ -19,7 +19,7 @@ from bindens import (
     index_of_point,
     kl_risk,
 )
-from bindens import cli
+from bindens import cli, cv
 from bindens.cli import _parse_decimal, load_observations, main, parse_cells_spec
 from bindens.errors import DataError
 
@@ -652,6 +652,41 @@ class TestCvCommand:
             selected.append(_read_json(out)["best"]["estimator"]["gamma"])
         assert float(np.median(selected)) == 1.0
 
+    @pytest.mark.parametrize("loss", ["kl", "se"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [math.nan, math.inf],
+            [math.nan, -math.inf],
+            [math.inf, math.nan, -math.inf],
+            [math.nan, math.nan],
+            [math.nan, 0.5, math.inf, -math.inf, 0.5],
+        ],
+    )
+    def test_best_candidate_is_rank_one(self, workspace, monkeypatch, loss, values):
+        """On fabricated risks with NaN and infinities, the reported best is
+        the rank 1 row: the first candidate with the best non-NaN value."""
+        fabricated = iter(values)
+
+        def risk(config, counts):
+            return cv.RiskReport(loss, next(fabricated), (), config, 0, 0, False)
+
+        monkeypatch.setattr(cv, f"{loss}_risk", risk)
+        tmp, data = workspace
+        cfg = tmp / "cfg.json"
+        out = tmp / "cv.json"
+        lambdas = [0.55, 0.6, 0.7, 0.8, 0.9][: len(values)]
+        _write_json(cfg, {"cv": {"loss": loss, "search": {"kind": "aa_lambda", "lambdas": lambdas}}})
+        assert main(["cv", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+        report = _read_json(out)
+        finite = [v for v in values if not math.isnan(v)]
+        want = values.index((max if loss == "kl" else min)(finite)) if finite else 0
+        rank_one = report["evaluations"][0]
+        assert rank_one["rank"] == 1
+        assert rank_one["candidate_index"] == want
+        assert report["best"]["estimator"] == rank_one["estimator"]
+        assert report["best"]["estimator"]["lambda"] == lambdas[want]
+
     def test_mixture_denominator_past_sys_maxsize_exits_2(self, workspace, capsys):
         tmp, data = workspace
         cfg = tmp / "cfg.json"
@@ -677,6 +712,15 @@ class TestCvCommand:
         ("estimate", {"estimator": {**UNIFORM_ESTIMATOR, "variant": "transformed",
                                     "transform": {"kind": "logistic", "gamma": {}}}}),
         ("cv", {"cv": {"search": {"kind": "aa_lambda", "lambdas": 0.7}}}),
+        # JSON true and false are not the numbers 1 and 0
+        ("estimate", {"estimator": {"variant": "waak", "gamma": True, "w": 0.5}}),
+        ("estimate", {"estimator": {"variant": "waak", "gamma": 2.0, "w": False}}),
+        ("estimate", {"estimator": {"variant": "waak", "gamma": 2.0, "w": [0.5, True]}}),
+        ("estimate", {"estimator": {"variant": "linear", "shrinkage": {"form": "sparse", "entries": {"1": True}}}}),
+        ("estimate", {"estimator": {**UNIFORM_ESTIMATOR, "variant": "transformed",
+                                    "transform": {"kind": "logistic", "gamma": True}}}),
+        ("estimate", {"estimator": {"variant": "mixture",
+                                    "components": [{"weight": True, "estimator": UNIFORM_ESTIMATOR}]}}),
     ],
 )
 def test_config_value_of_wrong_json_type_exits_2(workspace, command, config):

@@ -22,8 +22,7 @@ from bindens import (
     loo_term,
     se_risk,
 )
-from bindens.errors import BudgetExceededError, ConfigError, InsufficientDataError
-from bindens.estimators import _config_state
+from bindens.errors import BudgetExceededError, ConfigError, DataError, InsufficientDataError
 
 import oracles
 
@@ -96,6 +95,14 @@ class TestLooTerm:
             loo_term(0, cfg, single)
         with pytest.raises(ConfigError):
             loo_term(0, EstimatorConfig.aa_classic(4, 0.8), counts)
+        # a non-config is a ConfigError, checked before the counts; data
+        # that is not a CountsVector is a DataError
+        for risk in (kl_risk, se_risk, lambda c, d: loo_term(0, c, d)):
+            for data in (counts, {5: 2}):
+                with pytest.raises(ConfigError):
+                    risk("cfg", data)
+            with pytest.raises(DataError):
+                risk(cfg, {5: 2})
 
 
 class TestKlRisk:
@@ -288,7 +295,7 @@ class TestSpectralQuadratic:
         p = cnt / counts.total
 
         want_quad = oracles.squared_quadratic_direct(row, cells, p.tolist())
-        assert _config_state(cfg).quadratic(cells, p) == pytest.approx(want_quad, rel=1e-12)
+        assert cfg._quadratic(cells, p) == pytest.approx(want_quad, rel=1e-12)
 
         terms = oracles.held_out_from_row(row, counts)
         want = want_quad - 2.0 / counts.total * math.fsum(c * t for c, t in zip(cnt, terms))

@@ -818,6 +818,16 @@ class TestEstimateAt:
             estimate_at([1], EstimatorConfig.aa_classic(4, 0.9), counts)
         with pytest.raises(DataError):
             estimate_at([1], cfg, {2: 3})
+        # a non-config is refused before the counts are looked at
+        for data in (counts, {2: 3}):
+            with pytest.raises(ConfigError):
+                estimate_at([1], "cfg", data)
+            with pytest.raises(ConfigError):
+                estimate_full("cfg", data)
+        with pytest.raises(DataError):
+            estimate_full(cfg, {2: 3})
+        with pytest.raises(ConfigError):
+            matrix_element(1, 2, "cfg")
 
     def test_huge_dimension_smoke(self):
         n = 10_000
@@ -895,7 +905,7 @@ class TestEstimateFull:
             ),
         ]
         for cfg in configs:
-            g = estimators._config_state(cfg).profile()
+            g = cfg._profile()
             assert np.array_equal(estimate_full(cfg, counts).values, oracles.gather_estimate(g, counts))
 
     def test_linear_spectral_route_matches_oracle(self):
