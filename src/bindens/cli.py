@@ -469,10 +469,16 @@ def _float_array_text(values, indent):
     if values.size == 0:
         return "[]"
     inner = " " * (indent + 2)
-    # A list's repr joins float.__repr__ with ", ", as json does with its
-    # separator; json spells repr's nan, inf and -inf NaN, Infinity and -Infinity.
-    items = repr(values.tolist())[1:-1].replace(", ", ",\n" + inner)
-    items = items.replace("nan", "NaN").replace("inf", "Infinity")
+    bits = values.view(np.uint64)
+    if np.all(bits == bits[0]):
+        # One value repeated, as a shared-grid weight vector is, takes one
+        # repr. Bitwise equality keeps -0.0 beside 0.0 apart.
+        items = (",\n" + inner).join([json.dumps(float(values[0]))] * values.size)
+    else:
+        # A list's repr joins float.__repr__ with ", ", as json does with its
+        # separator; json spells repr's nan, inf and -inf NaN, Infinity and -Infinity.
+        items = repr(values.tolist())[1:-1].replace(", ", ",\n" + inner)
+        items = items.replace("nan", "NaN").replace("inf", "Infinity")
     return "[\n" + inner + items + "\n" + " " * indent + "]"
 
 
@@ -772,7 +778,7 @@ def cmd_query(args):
 
     report = _common_header("query", n, _number(fit.get("seed", 0), "fit report seed", int))
     report["fit"] = str(args.fit)
-    report["estimator"] = fit["estimator"]
+    report["estimator"] = estimator_to_dict(config)
     report["query"] = {"cells": args.cells, "results": results}
     report["negativity"] = bool(estimate.negativity)
     report["timing"] = {"elapsed_ms": (time.perf_counter() - started) * 1000.0}

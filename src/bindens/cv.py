@@ -90,10 +90,11 @@ def _element_evals(counts):
 
 
 def _support_terms(config, counts):
-    """Support cells, their counts, and the held-out term at each."""
-    cells, cnt = _support(counts)
-    terms = _held_out(config._gram(cells, cells), cnt, np.arange(len(cells)), counts.total)
-    return cells, cnt, terms
+    """Support counts and the held-out term at each support cell."""
+    _, cnt = _support(counts)
+    support = counts._packed
+    terms = _held_out(config._gram(support, support), cnt, np.arange(cnt.size), counts.total)
+    return cnt, terms
 
 
 def _observation_terms(terms, counts):
@@ -114,7 +115,7 @@ def loo_term(k, config, counts):
         raise ValueError(f"observation index {k} out of range [0, {len(obs) - 1}]")
     cell = obs[int(k)]
     cells, cnt = _support(counts)
-    gram = config._gram([cell], cells)
+    gram = config._gram([cell], counts._packed)
     return float(_held_out(gram, cnt, [cells.index(cell)], counts.total)[0])
 
 
@@ -126,7 +127,7 @@ def kl_risk(config, counts):
     without raising.
     """
     _check_inputs(config, counts)
-    _, cnt, terms = _support_terms(config, counts)
+    cnt, terms = _support_terms(config, counts)
     dominated = not bool(np.all(terms > 0.0))
     if dominated:
         value = -math.inf
@@ -151,12 +152,12 @@ def se_risk(config, counts):
     constant, so rankings are preserved.
     """
     _check_inputs(config, counts)
-    cells, cnt, terms = _support_terms(config, counts)
+    cnt, terms = _support_terms(config, counts)
     N = counts.total
     p = cnt / N
-    quad = config._quadratic(cells, p)
+    quad = config._quadratic(counts._packed, p)
     value = quad - (2.0 / N) * math.fsum((cnt * terms).tolist())
-    k = len(cells)
+    k = cnt.size
     return RiskReport(
         loss="se",
         value=value,

@@ -25,13 +25,24 @@ dense profile, and the core's quadratic form p' Q^2 p takes it as a
 Parseval sum over two n 2^n transforms (n <= 30); a single entry of it
 is xor_dot, one gather and dot over the profile.
 
+Product-form kernels (waak, aa_classic) see two cells only through a
+weighted distance D_w, the sum of w_d over the coordinates where they
+differ. The core takes it by one of two routes, chosen from w alone.
+When every weight equals one value c, D_w = c H with H the exact
+integer Hamming matrix, a popcount over the packed cells; otherwise D_w
+is a float product over the cells' bits.
+
 Everything a configuration derives (parity features, the normalizer Z,
 the dense row, the waak log state) is a function of that configuration
 alone, so it is a private attribute of the EstimatorConfig itself,
 computed when first asked for, and the core's entry points are private
 methods of the config. A mixture reads its own components and keeps no
 dense row: it sums its components' rows, which they keep, whenever the
-row is asked for.
+row is asked for. In the same way, what the observed cells derive (their
+packed bits and their Hamming matrix H) is a private attribute of the
+CountsVector. Every uniform-weight candidate of a search (aa_lambda,
+waak shared_grid) scales the one H and pays only O(K^2) elementwise work
+on K observed cells, and every estimate reuses the packed support.
 """
 
 import math
@@ -87,7 +98,15 @@ _LOG2 = math.log(2.0)
 
 @dataclass(frozen=True, eq=False)
 class CountsVector:
-    """Empirical cell counts stored sparsely in ascending index order."""
+    """Empirical cell counts stored sparsely in ascending index order.
+
+    The observed cells (the support) are what every candidate kernel is
+    evaluated on, so their kernel-core state is a private attribute of the
+    counts, built on first use: _packed holds the support cells packed to
+    bits, and its hamming attribute the exact support x support Hamming
+    matrix, which every uniform-weight kernel (aa_classic, waak with all
+    weights equal) scales instead of computing its own distances.
+    """
 
     n: int
     total: int
@@ -128,6 +147,10 @@ class CountsVector:
     @cached_property
     def _lookup(self):
         return dict(self.cells)
+
+    @cached_property
+    def _packed(self):
+        return _Cells([idx for idx, _ in self.cells], self.n)
 
     def to_dense(self):
         """Full empirical weight vector p with p[j-1] = count_j / total."""
@@ -295,9 +318,10 @@ class EstimatorConfig:
     (parity features, waak log state, normalizer, dense row) is a private
     attribute built on first use and kept by the instance, so it lives
     exactly as long as the configuration. The private _gram and
-    _squared_gram fill Q and Q @ Q on two lists of cells; every estimate,
-    risk and scalar element goes through them, and _quadratic gives the
-    SE risk its p' Q^2 p.
+    _squared_gram fill Q and Q @ Q on two lists of cells, either of which
+    may be a CountsVector's packed support; every estimate, risk and
+    scalar element goes through them, and _quadratic gives the SE risk
+    its p' Q^2 p.
     """
 
     variant: str
@@ -402,7 +426,8 @@ class EstimatorConfig:
         return _divide_by_normalizer(apply(self.transform, raw), self._norm)
 
     def _quadratic(self, cells, weights):
-        """weights' (Q @ Q) weights over a list of distinct cells.
+        """weights' (Q @ Q) weights over a list of distinct cells, or over
+        cells already packed.
 
         Q @ Q of a transformed or mixture kernel has no entrywise shortcut.
         Q p is the XOR convolution of the dense profile g with p, so by
@@ -411,13 +436,14 @@ class EstimatorConfig:
         relative accuracy, which single Q @ Q entries built by transforms
         would not on the far entries of a peaked kernel.
         """
+        cells = _as_cells(cells, self.n)
         if self.variant in _PROFILE_SQUARED:
             g = self._profile()  # refuses n > MAX_DENSE_N before any 2^n buffer
             p = np.zeros(g.size)
-            p[np.asarray(cells, dtype=np.int64) - 1] = weights
+            p[cells.words[:, 0]] = weights
             spectrum = fwht(g) * fwht(p)
             return math.ldexp(float(spectrum @ spectrum), -self.n)
-        return float(weights @ self._squared_gram(cells, cells) @ weights)
+        return float(weights @ self._squared_gram_block(cells, cells) @ weights)
 
     def _squared_gram_block(self, rows, cols):
         if self.variant in _WAAK:
@@ -487,6 +513,11 @@ class _Cells:
         self.bytes = np.frombuffer(raw, dtype=np.uint8).reshape(self.size, nbytes)
         self.words = self.bytes.view(np.uint64)
 
+    @cached_property
+    def hamming(self):
+        """The cells' Hamming matrix among themselves, built on first use."""
+        return _hamming(self, self)
+
     def bits(self, start, stop, pivot):
         """Bits start..stop-1 (start a multiple of 8) of each zero-based
         index XOR the pivot's bytes, as 0/1 floats."""
@@ -495,19 +526,41 @@ class _Cells:
         return np.unpackbits(chunk, axis=1, bitorder="little")[:, : stop - start].astype(np.float64)
 
 
+def _as_cells(cells, n):
+    """A list of cells packed; cells already packed pass through."""
+    return cells if isinstance(cells, _Cells) else _Cells(cells, n)
+
+
 def _cell_pair(rows, cols, n):
     """Pack two cell lists; a list passed as both is packed once."""
-    packed = _Cells(rows, n)
-    return packed, packed if cols is rows else _Cells(cols, n)
+    packed = _as_cells(rows, n)
+    return packed, packed if cols is rows else _as_cells(cols, n)
 
 
 def _weighted_distance(rows, cols, weights):
     """sum_d weights[d] [x_r[d] != x_c[d]] for every row cell r and column cell c.
 
+    Two routes, chosen from the weights alone. When every weight equals
+    one value c, the distance is c times the exact Hamming matrix
+    (_hamming); a list of cells keeps its own (_Cells.hamming), so every
+    uniform-weight candidate scored on one support shares one matrix.
+    Other weights take _float_distance.
+    """
+    c = weights[0]
+    if np.all(weights == c):
+        return c * (rows.hamming if cols is rows else _hamming(rows, cols))
+    return _float_distance(rows, cols, weights)
+
+
+def _float_distance(rows, cols, weights):
+    """_weighted_distance as float products over the unpacked bits.
+
     Bits are taken relative to the first row cell, which leaves the
     distance unchanged; [b_r != b_c] = b_r + b_c - 2 b_r b_c then sums
     only coordinates where a cell differs from that pivot, so cells near
     it keep distances accurate to a few ulps however large sum(weights).
+    A cell's distance to itself, which those ulps would leave nonzero, is
+    set to exactly 0.
     """
     n = weights.size
     width = max(_MIN_WIDTH, _BLOCK_ENTRIES // max(rows.size, cols.size, 1) // 8 * 8)
@@ -520,6 +573,32 @@ def _weighted_distance(rows, cols, weights):
         bc = br if cols is rows else cols.bits(start, stop, pivot)
         wr = br * w
         out += wr.sum(axis=1)[:, None] + (bc @ w)[None, :] - 2.0 * (wr @ bc.T)
+    if cols is rows:
+        np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _hamming(rows, cols):
+    """Number of coordinates where each row cell and column cell differ,
+    as exact int32: the popcount of their XOR, summed over words.
+
+    Words are laid out word-major, so each step sums whole rows x cols
+    planes. Each step takes as many rows and words as keep its
+    temporaries near _BLOCK_ENTRIES entries (at least one row and one
+    word), so no rows x cols x words array is ever made.
+    """
+    by_word_r = np.ascontiguousarray(rows.words.T)
+    by_word_c = np.ascontiguousarray(cols.words.T)[:, None, :]
+    words, width = by_word_r.shape[0], max(cols.size, 1)
+    row_step = max(1, _BLOCK_ENTRIES // width)
+    out = np.zeros((rows.size, cols.size), dtype=np.int32)
+    for r0 in range(0, rows.size, row_step):
+        block = by_word_r[:, r0 : r0 + row_step, None]
+        word_step = max(1, _BLOCK_ENTRIES // (block.shape[1] * width))
+        for w0 in range(0, words, word_step):
+            span = slice(w0, w0 + word_step)
+            diff = np.bitwise_count(block[span] ^ by_word_c[span])
+            out[r0 : r0 + row_step] += diff.sum(axis=0, dtype=np.int32)
     return out
 
 
@@ -787,15 +866,17 @@ def estimate_at(cells, config, counts):
     """Estimated probability of each queried cell, sparse in n.
 
     Each chunk of query cells is one query x support block of Q times
-    the counts; chunks keep the block near _BLOCK_ENTRIES entries, and the
-    fixed (ascending) support order makes results deterministic.
+    the counts, against the support the counts keep packed; chunks keep
+    the block near _BLOCK_ENTRIES entries, and the fixed (ascending)
+    support order makes results deterministic.
     """
     _match_dimensions(config, counts)
     cell_list = list(cells)
     if not cell_list:
         raise ValueError("at least one query cell is required")
-    support, cnt = _support(counts)
-    step = max(1, _BLOCK_ENTRIES // len(support))
+    _, cnt = _support(counts)
+    support = counts._packed
+    step = max(1, _BLOCK_ENTRIES // support.size)
     sums = [
         config._gram(cell_list[start : start + step], support) @ cnt
         for start in range(0, len(cell_list), step)

@@ -289,6 +289,12 @@ class TestWriteReport:
             np.array(SPECIAL_FLOATS),
             [np.array([0.1, -math.inf]), {"nested": [np.array([math.nan])]}, "nan inf, ok"],
             {"values": np.random.default_rng(1).standard_normal(300) * 1e-5, "path": "a\"b\u00e9"},
+            # Bitwise-constant arrays take the one-repr route; -0.0 beside
+            # 0.0 compares equal but is not constant.
+            {"w": np.full(7, 0.8), "tiny": np.full(3, 5e-324), "zeros": np.zeros(4)},
+            {"signed_zeros": np.array([-0.0, 0.0]), "other_order": np.array([0.0, -0.0, 0.0])},
+            {"nan": np.full(3, math.nan), "inf": np.full(2, math.inf), "-inf": np.full(4, -math.inf)},
+            {"mixed": np.array([0.8, 0.8, 0.8, 0.1]), "nan_last": np.array([1.0, 1.0, math.nan])},
         ],
     )
     def test_matches_json_dumps_byte_for_byte(self, tmp_path, payload):
@@ -817,6 +823,19 @@ class TestQueryCommand:
             return report
 
         assert query(old_fit) == query(fit)
+
+    def test_estimator_block_is_rebuilt_from_the_parsed_fit(self, tmp_path):
+        rows = np.random.default_rng(19).choice([-1, 1], size=(14, 4))
+        fit = self._fit(tmp_path, rows, {"variant": "waak", "gamma": 2.0, "w": [0.6, 0.7, 0.7, 1.0]})
+        out = tmp_path / "q.json"
+        assert main(["query", "--fit", str(fit), "--cells", "3", "--out", str(out)]) == 0
+        assert _read_json(out)["estimator"] == _read_json(fit)["estimator"]
+        # A hand-edited fit's values come back normalized.
+        edited = tmp_path / "edited.json"
+        _write_json(edited, {**_read_json(fit), "estimator": {"variant": "waak", "gamma": 3, "w": [1, 0.5, 0.5, 1]}})
+        assert main(["query", "--fit", str(edited), "--cells", "3", "--out", str(out)]) == 0
+        assert '"gamma": 3.0' in out.read_text()
+        assert _read_json(out)["estimator"] == {"variant": "waak", "gamma": 3.0, "w": [1.0, 0.5, 0.5, 1.0]}
 
     def test_conditional_expectation(self, tmp_path):
         rng = np.random.default_rng(17)

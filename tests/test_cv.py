@@ -22,6 +22,7 @@ from bindens import (
     loo_term,
     se_risk,
 )
+from bindens import estimators
 from bindens.errors import BudgetExceededError, ConfigError, DataError, InsufficientDataError
 
 import oracles
@@ -423,6 +424,40 @@ class TestEvaluateSpace:
         assert truncated
         assert len(reports) == 1
         assert best_pos == 0
+
+    @pytest.mark.parametrize("loss", ["kl", "se"])
+    @pytest.mark.parametrize(
+        "space",
+        [
+            SearchSpace.waak_shared_grid(1000, [1.5, 3.0], [0.05, 0.8]),
+            SearchSpace.aa_lambda_grid(1000, [0.6, 0.75, 0.9, 0.99]),
+        ],
+        ids=["shared_grid", "aa_lambda"],
+    )
+    def test_uniform_weights_share_one_support_hamming(self, monkeypatch, space, loss):
+        """Every candidate, Q and Q @ Q alike, scales the support's one
+        Hamming matrix; none takes the float route."""
+        counts = _clustered_counts(np.random.default_rng(91), 1000)
+        built = []
+        hamming = estimators._hamming
+
+        def spy(rows, cols):
+            built.append((rows.size, cols.size))
+            return hamming(rows, cols)
+
+        def float_route(*args):
+            raise AssertionError("uniform weights took the float route")
+
+        monkeypatch.setattr(estimators, "_hamming", spy)
+        monkeypatch.setattr(estimators, "_float_distance", float_route)
+        reports, _, _ = evaluate_space(space, loss, counts)
+        k = len(counts.cells)
+        assert len(reports) == 4
+        assert built == [(k, k)]
+        repeated = sum(1 for _, cnt in counts.cells if cnt >= 2)
+        for rep in reports:
+            assert rep.element_evals == k * (k - 1) // 2 + repeated
+            assert rep.squared_element_evals == (k * (k + 1) // 2 if loss == "se" else 0)
 
     def test_mixture_search_holds_no_row_per_candidate(self):
         """Components keep their dense rows; mixture candidates keep none."""

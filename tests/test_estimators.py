@@ -1,6 +1,8 @@
 """Element evaluation, counts handling, and full-vector estimation."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -737,6 +739,70 @@ class TestEstimatorConfig:
             EstimatorConfig.linear(ShrinkageSpec.sparse(3, {2: 0.5}))
         with pytest.raises(ConfigError):
             EstimatorConfig.transformed(ShrinkageSpec.sparse(3, {1: 1.0}), "relu")
+
+
+# ---------------------------------------------------------------------------
+# distances of the batched core
+
+
+def _clustered_cells(rng, n, k, prototypes=3, flip=0.1):
+    """k cell indexes near a few prototype points (duplicates possible)."""
+    protos = rng.integers(0, 2, size=(prototypes, n))
+    cells = []
+    for r in range(k):
+        bits = protos[r % prototypes] ^ (rng.random(n) < flip)
+        cells.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little") + 1)
+    return cells
+
+
+class TestDistanceRoutes:
+    @pytest.mark.parametrize("n", [7, 64, 65, 1000, 10_000])
+    def test_hamming_matches_bit_count(self, n):
+        rng = np.random.default_rng(n)
+        rows = _clustered_cells(rng, n, 9)
+        cols = _clustered_cells(rng, n, 5) + rows[:2]
+        packed = estimators._Cells(rows, n)
+        got_self = packed.hamming
+        got_cross = estimators._hamming(packed, estimators._Cells(cols, n))
+        for got, col_cells in ((got_self, rows), (got_cross, cols)):
+            want = [[((r - 1) ^ (c - 1)).bit_count() for c in col_cells] for r in rows]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", [16, 1000, 10_000])
+    def test_uniform_route_agrees_with_float_route(self, n):
+        rng = np.random.default_rng(n + 1)
+        support = estimators._Cells(_clustered_cells(rng, n, 12), n)
+        queries = estimators._Cells(_clustered_cells(rng, n, 5), n)
+        weights = np.full(n, 0.8 * math.log(3.0))
+        for rows, cols in ((support, support), (queries, support)):
+            exact = estimators._weighted_distance(rows, cols, weights)
+            floats = estimators._float_distance(rows, cols, weights)
+            off = estimators._hamming(rows, cols) > 0
+            np.testing.assert_allclose(exact[off], floats[off], rtol=1e-12)
+            assert np.all(exact[~off] == 0.0)
+
+    def test_float_route_self_distance_is_zero(self):
+        n = 1000
+        rng = np.random.default_rng(52)
+        cells = _clustered_cells(rng, n, 16)
+        cfg = EstimatorConfig.waak(rng.uniform(0.1, 1.0, n), 3.0)
+        diagonal = np.diag(cfg._gram(cells, cells))
+        assert np.all(diagonal == np.exp(np.full(len(cells), cfg._waak.log_diagonal)))
+
+    def test_hamming_blocks_its_temporaries(self):
+        n, k = 10_000, 300
+        cells = estimators._Cells(_clustered_cells(np.random.default_rng(53), n, k), n)
+        words = cells.words.shape[1]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            distances = cells.hamming
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert distances.shape == (k, k)
+        # One byte per entry: a k x k x words temporary of any dtype exceeds it.
+        assert peak < k * k * words, f"peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------
