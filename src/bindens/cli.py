@@ -178,10 +178,16 @@ def load_config(path):
 # str() and int() refuse integers beyond 4300 decimal digits (Python's
 # int_max_str_digits), which cell indexes pass from n ~ 14,300 on.
 # decimal.Decimal converts between int and digits without that limit.
+# A value of at most 3 d bits is below 8^d < 10^d, so it has at most d
+# digits: a bit length settles most sizes without forming a power of ten.
 
 
 def _decimal(value):
-    """str(value) for an integer of any size."""
+    """str(value) for an integer of any size: str() itself while the value
+    has fewer digits than the limit, decimal.Decimal (slower) beyond."""
+    limit = _int_text_limit()
+    if limit == 0 or value.bit_length() <= 3 * (limit - 1):
+        return str(value)
     return str(decimal.Decimal(value))
 
 
@@ -210,7 +216,9 @@ def _cell_json(cell):
 def _json_int(value):
     """value as a JSON number while str() can print it, as decimal text beyond."""
     limit = _int_text_limit()
-    return value if limit == 0 or value < 10**limit else _decimal(value)
+    if limit == 0 or value.bit_length() <= 3 * limit or value < 10**limit:
+        return value
+    return _decimal(value)
 
 
 # ---------------------------------------------------------------------------

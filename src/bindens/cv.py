@@ -6,8 +6,9 @@ point: leaving out one observation only shifts one count. A risk takes
 one support x support block of Q from the batched kernel core over the
 K distinct observed cells, and SE adds the quadratic form p' Q^2 p of
 the empirical weights: a support x support block of Q @ Q for linear,
-waak and aa_classic kernels, and a Parseval sum over the dense profile
-for transformed and mixture kernels. Every reduction runs in a fixed
+waak and aa_classic kernels, and for transformed and mixture kernels a
+Parseval sum of the kernel's Walsh diagonal times fwht(p), which the
+counts keep for every candidate. Every reduction runs in a fixed
 ascending-cell order so repeated runs are bitwise identical.
 """
 
@@ -154,9 +155,7 @@ def se_risk(config, counts):
     _check_inputs(config, counts)
     cnt, terms = _support_terms(config, counts)
     N = counts.total
-    p = cnt / N
-    quad = config._quadratic(counts._packed, p)
-    value = quad - (2.0 / N) * math.fsum((cnt * terms).tolist())
+    value = config._quadratic(counts) - (2.0 / N) * math.fsum((cnt * terms).tolist())
     k = cnt.size
     return RiskReport(
         loss="se",

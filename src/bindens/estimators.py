@@ -21,9 +21,14 @@ estimate, leave-one-out risk and scalar element goes through it. Blocks
 cost O(#nonzero(b)) or O(n) per entry without touching a 2^n buffer;
 dense materialization is a separate, capacity-guarded path. Q @ Q of a
 transformed or mixture kernel is the exception: its entries need the
-dense profile, and the core's quadratic form p' Q^2 p takes it as a
-Parseval sum over two n 2^n transforms (n <= 30); a single entry of it
-is xor_dot, one gather and dot over the profile.
+dense profile, so a single entry of it is xor_dot, one gather and dot
+over the profile. The core's quadratic form p' Q^2 p instead reads the
+kernel's Walsh diagonal s, with Q = W diag(s) W / 2^n (n <= 30): it is
+||s * fwht(p)||^2 / 2^n. s is b for a linear kernel and a product of
+tanh(t_d) for waak and aa_classic, both in closed form; a transformed
+kernel keeps one transform of its row, and a mixture sums its
+components' diagonals. fwht(p) is kept by the counts, so an SE search
+pays its transforms per component and per counts, not per candidate.
 
 Product-form kernels (waak, aa_classic) see two cells only through a
 weighted distance D_w, the sum of w_d over the coordinates where they
@@ -33,16 +38,17 @@ integer Hamming matrix, a popcount over the packed cells; otherwise D_w
 is a float product over the cells' bits.
 
 Everything a configuration derives (parity features, the normalizer Z,
-the dense row, the waak log state) is a function of that configuration
-alone, so it is a private attribute of the EstimatorConfig itself,
-computed when first asked for, and the core's entry points are private
-methods of the config. A mixture reads its own components and keeps no
-dense row: it sums its components' rows, which they keep, whenever the
-row is asked for. In the same way, what the observed cells derive (their
-packed bits and their Hamming matrix H) is a private attribute of the
-CountsVector. Every uniform-weight candidate of a search (aa_lambda,
-waak shared_grid) scales the one H and pays only O(K^2) elementwise work
-on K observed cells, and every estimate reuses the packed support.
+the dense row, its Walsh diagonal, the waak log state) is a function of
+that configuration alone, so it is a private attribute of the
+EstimatorConfig itself, computed when first asked for, and the core's
+entry points are private methods of the config. A mixture reads its own
+components and keeps no dense row or diagonal: it sums its components'
+whenever one is asked for. In the same way, what the observed cells
+derive (their packed bits, their Hamming matrix H and the transform
+fwht(p) of their weights) is a private attribute of the CountsVector.
+Every uniform-weight candidate of a search (aa_lambda, waak shared_grid)
+scales the one H and pays only O(K^2) elementwise work on K observed
+cells, and every estimate reuses the packed support.
 """
 
 import math
@@ -59,7 +65,7 @@ from .errors import (
     NumericError,
 )
 from .shrinkage import DENSE, SINGLE_INTERACTION, ShrinkageSpec
-from .transforms import Transform, apply, normalizer
+from .transforms import FWHT_GENERAL, Transform, _dense_values, _route, _summed_normalizer, apply, normalizer
 from .walsh import MAX_DENSE_N, _check_index, as_point, fwht
 
 __all__ = [
@@ -106,6 +112,9 @@ class CountsVector:
     bits, and its hamming attribute the exact support x support Hamming
     matrix, which every uniform-weight kernel (aa_classic, waak with all
     weights equal) scales instead of computing its own distances.
+    _spectrum holds fwht(p) of the empirical weights, which the SE
+    quadratic of every transformed or mixture kernel multiplies by that
+    kernel's Walsh diagonal (n <= 30).
     """
 
     n: int
@@ -151,6 +160,12 @@ class CountsVector:
     @cached_property
     def _packed(self):
         return _Cells([idx for idx, _ in self.cells], self.n)
+
+    @cached_property
+    def _spectrum(self):
+        """fwht(p) of the empirical weights p: the one transform of the
+        data that the SE quadratic of every profile kernel reads."""
+        return fwht(self.to_dense())
 
     def to_dense(self):
         """Full empirical weight vector p with p[j-1] = count_j / total."""
@@ -315,13 +330,14 @@ class EstimatorConfig:
     """One fully specified estimator; build through the classmethods.
 
     Instances are immutable. What a configuration derives for evaluation
-    (parity features, waak log state, normalizer, dense row) is a private
-    attribute built on first use and kept by the instance, so it lives
-    exactly as long as the configuration. The private _gram and
-    _squared_gram fill Q and Q @ Q on two lists of cells, either of which
-    may be a CountsVector's packed support; every estimate, risk and
-    scalar element goes through them, and _quadratic gives the SE risk
-    its p' Q^2 p.
+    (parity features, waak log state, normalizer, dense row, a
+    transformed kernel's Walsh diagonal) is a private attribute built on
+    first use and kept by the instance, so it lives exactly as long as
+    the configuration. The private _gram and _squared_gram fill Q and
+    Q @ Q on two lists of cells, either of which may be a CountsVector's
+    packed support; every estimate, risk and scalar element goes through
+    them, and _quadratic gives the SE risk its p' Q^2 p for a
+    CountsVector's weights p.
     """
 
     variant: str
@@ -386,19 +402,36 @@ class EstimatorConfig:
     @cached_property
     def _norm(self):
         """Z of a single kernel: the identity's closed form for linear and
-        the exponential's for waak and aa_classic kernels. A Z that is not
-        positive leaves the kernel undefined and raises here, at the first
-        evaluation that needs it."""
+        the exponential's for waak and aa_classic kernels; a transformed
+        kernel with no closed form sums its dense row (_summed). A Z that
+        is not positive leaves the kernel undefined and raises here, at
+        the first evaluation that needs it."""
+        if self._summed_route:
+            return self._summed[0]
         if self.variant == "linear":
             transform = Transform.identity()
         elif self.variant in _WAAK:
             transform = Transform.exponential(self.gamma)
         else:
             transform = self.transform
-        norm = normalizer(transform, self.shrinkage)
-        if not norm.value > 0:
-            raise DegenerateNormalizerError(f"normalization constant {norm.value} is not positive")
-        return norm
+        return _positive(normalizer(transform, self.shrinkage))
+
+    @property
+    def _summed_route(self):
+        """True for a transformed kernel whose Z has no closed form."""
+        return self.variant == "transformed" and _route(self.transform, self.shrinkage) == FWHT_GENERAL
+
+    @cached_property
+    def _summed(self):
+        """(Z, dense row) of a kernel on the summed route, from one fwht(b).
+
+        Z sums f over W b and the row is the same values over Z, so the
+        normalizer and the row share one transform and stay bit-identical
+        to what normalizer() and a row of their own would give.
+        """
+        values = _dense_values(self.transform, self.shrinkage)
+        norm = _positive(_summed_normalizer(values))
+        return norm, _divide_by_normalizer(values, norm)
 
     def _normalizers(self):
         if self.variant == "mixture":
@@ -425,25 +458,27 @@ class EstimatorConfig:
             return np.ldexp(raw, -self.n)
         return _divide_by_normalizer(apply(self.transform, raw), self._norm)
 
-    def _quadratic(self, cells, weights):
-        """weights' (Q @ Q) weights over a list of distinct cells, or over
-        cells already packed.
+    def _quadratic(self, counts):
+        """p' (Q @ Q) p for the empirical weights p of counts.
 
         Q @ Q of a transformed or mixture kernel has no entrywise shortcut.
-        Q p is the XOR convolution of the dense profile g with p, so by
-        Parseval ||Q p||^2 = ||fwht(g) fwht(p)||^2 / 2^n: two n 2^n
-        transforms in place of one xor_dot per cell pair. A norm keeps full
-        relative accuracy, which single Q @ Q entries built by transforms
-        would not on the far entries of a peaked kernel.
+        Q = W diag(s) W / 2^n with s its Walsh diagonal (_spectrum), so
+        Q p = W (s * fwht(p)) / 2^n and p' Q^2 p = ||s * fwht(p)||^2 / 2^n:
+        a product of two 2^n vectors, of which the counts keep fwht(p) and
+        each kernel keeps or rebuilds its s, with no transform per
+        candidate. A norm keeps full relative accuracy, which single
+        Q @ Q entries built by transforms would not on the far entries of
+        a peaked kernel. Other kernels sum a support x support block of
+        Q @ Q.
         """
-        cells = _as_cells(cells, self.n)
         if self.variant in _PROFILE_SQUARED:
-            g = self._profile()  # refuses n > MAX_DENSE_N before any 2^n buffer
-            p = np.zeros(g.size)
-            p[cells.words[:, 0]] = weights
-            spectrum = fwht(g) * fwht(p)
-            return math.ldexp(float(spectrum @ spectrum), -self.n)
-        return float(weights @ self._squared_gram_block(cells, cells) @ weights)
+            # _spectrum refuses n > MAX_DENSE_N before any 2^n buffer.
+            terms = self._spectrum() * counts._spectrum
+            return math.ldexp(float(terms @ terms), -self.n)
+        _, cnt = _support(counts)
+        p = cnt / counts.total
+        support = counts._packed
+        return float(p @ self._squared_gram_block(support, support) @ p)
 
     def _squared_gram_block(self, rows, cols):
         if self.variant in _WAAK:
@@ -476,10 +511,37 @@ class EstimatorConfig:
     def _row(self):
         if self.variant in _WAAK:
             return self._waak.profile()
+        if self._summed_route:
+            return self._summed[1]
         raw = fwht(self.shrinkage.to_dense())
         if self.variant == "linear":
             return raw * math.ldexp(1.0, -self.n)
         return _divide_by_normalizer(apply(self.transform, raw), self._norm)
+
+    def _spectrum(self):
+        """Walsh diagonal s = fwht(g) of the dense row g: Q = W diag(s) W / 2^n.
+
+        Two families have it in closed form, rebuilt on every call in
+        O(2^n): a linear kernel's is its shrinkage b, and a product-form
+        kernel's is a product of tanh(t_d) (_WaakState.spectrum). A
+        transformed kernel keeps the one transform of its row. A mixture
+        sums its components' diagonals on every call and keeps none.
+        """
+        if self.n > MAX_DENSE_N:
+            raise CapacityError(
+                f"Walsh diagonal needs a 2^{self.n} buffer (limit n={MAX_DENSE_N})"
+            )
+        if self.variant == "mixture":
+            return sum(c * cfg._spectrum() for c, cfg in self.components)
+        if self.variant == "linear":
+            return self.shrinkage.to_dense()
+        if self.variant in _WAAK:
+            return self._waak.spectrum()
+        return self._row_spectrum
+
+    @cached_property
+    def _row_spectrum(self):
+        return fwht(self._row)
 
     @cached_property
     def _squared_row(self):
@@ -559,8 +621,8 @@ def _float_distance(rows, cols, weights):
     distance unchanged; [b_r != b_c] = b_r + b_c - 2 b_r b_c then sums
     only coordinates where a cell differs from that pivot, so cells near
     it keep distances accurate to a few ulps however large sum(weights).
-    A cell's distance to itself, which those ulps would leave nonzero, is
-    set to exactly 0.
+    The distance between equal cells, which those ulps would leave
+    nonzero, is set to exactly 0 (_equal_pairs).
     """
     n = weights.size
     width = max(_MIN_WIDTH, _BLOCK_ENTRIES // max(rows.size, cols.size, 1) // 8 * 8)
@@ -573,9 +635,22 @@ def _float_distance(rows, cols, weights):
         bc = br if cols is rows else cols.bits(start, stop, pivot)
         wr = br * w
         out += wr.sum(axis=1)[:, None] + (bc @ w)[None, :] - 2.0 * (wr @ bc.T)
-    if cols is rows:
-        np.fill_diagonal(out, 0.0)
+    out[_equal_pairs(rows, cols)] = 0.0
     return out
+
+
+def _equal_pairs(rows, cols):
+    """Row and column positions of every pair of equal cells, found by
+    looking each row cell's bytes up among the column cells'."""
+    at = {}
+    for c, key in enumerate(cols.bytes):
+        at.setdefault(key.tobytes(), []).append(c)
+    row_pos, col_pos = [], []
+    for r, key in enumerate(rows.bytes):
+        for c in at.get(key.tobytes(), ()):
+            row_pos.append(r)
+            col_pos.append(c)
+    return row_pos, col_pos
 
 
 def _hamming(rows, cols):
@@ -697,6 +772,23 @@ class _WaakState:
         for td in self.t:  # index bit d is coordinate d
             distance = np.concatenate([distance, distance + td])
         return np.exp(self.log_diagonal - 2.0 * distance)
+
+    def spectrum(self):
+        """fwht(profile()) in closed form: prod of tanh(t_d) over the bits d
+        of each index, as coordinate d's two entries e^(+-t_d) / (e^t_d +
+        e^-t_d) have sum 1 and difference tanh(t_d). Nonnegative, since
+        t >= 0: the kernel is positive semidefinite."""
+        out = np.ones(1)
+        for factor in np.tanh(self.t):  # index bit d is coordinate d
+            out = np.concatenate([out, out * factor])
+        return out
+
+
+def _positive(norm):
+    """norm itself; a Z that is not positive leaves the kernel undefined."""
+    if not norm.value > 0:
+        raise DegenerateNormalizerError(f"normalization constant {norm.value} is not positive")
+    return norm
 
 
 def _divide_by_normalizer(values, norm):

@@ -182,30 +182,51 @@ def normalizer(transform, shrinkage):
     if not isinstance(shrinkage, ShrinkageSpec):
         raise ValueError("shrinkage must be a ShrinkageSpec instance")
     n = shrinkage.n
+    method = _route(transform, shrinkage)
 
-    if transform.kind == "identity" and shrinkage.first_coefficient() == 1.0:
+    if method == LINEAR_TRIVIAL:
         value = float(2**n) if n <= 1023 else math.inf
         return NormalizerResult(value=value, method=LINEAR_TRIVIAL, log_value=n * _LOG2)
+    if method == CLOSED_FORM_LOGISTIC:
+        # Row entries come in x/-x pairs and the logistic satisfies
+        # f(x) + f(-x) = 1, so the row sums to half the row length.
+        value = float(2 ** (n - 1)) if n - 1 <= 1023 else math.inf
+        return NormalizerResult(value=value, method=CLOSED_FORM_LOGISTIC, log_value=(n - 1) * _LOG2)
+    if method == CLOSED_FORM_EXPONENTIAL:
+        t = shrinkage.w * math.log(transform.gamma)
+        log_z = float(np.sum(np.logaddexp(t, -t)))
+        value = math.exp(log_z) if log_z < _EXP_LIMIT else math.inf
+        return NormalizerResult(value=value, method=CLOSED_FORM_EXPONENTIAL, log_value=log_z)
+    return _summed_normalizer(_dense_values(transform, shrinkage))
 
+
+def _route(transform, shrinkage):
+    """The method normalizer() takes for this pair: a closed form when
+    one applies, FWHT_GENERAL otherwise."""
+    if transform.kind == "identity" and shrinkage.first_coefficient() == 1.0:
+        return LINEAR_TRIVIAL
     if shrinkage.form == SINGLE_INTERACTION:
         if transform.kind == "logistic":
-            # Row entries come in x/-x pairs and the logistic satisfies
-            # f(x) + f(-x) = 1, so the row sums to half the row length.
-            value = float(2 ** (n - 1)) if n - 1 <= 1023 else math.inf
-            return NormalizerResult(value=value, method=CLOSED_FORM_LOGISTIC, log_value=(n - 1) * _LOG2)
+            return CLOSED_FORM_LOGISTIC
         if transform.kind == "exponential":
-            t = shrinkage.w * math.log(transform.gamma)
-            log_z = float(np.sum(np.logaddexp(t, -t)))
-            value = math.exp(log_z) if log_z < _EXP_LIMIT else math.inf
-            return NormalizerResult(value=value, method=CLOSED_FORM_EXPONENTIAL, log_value=log_z)
+            return CLOSED_FORM_EXPONENTIAL
+    return FWHT_GENERAL
 
+
+def _dense_values(transform, shrinkage):
+    """f at every entry of the row W b: what the FWHT_GENERAL route sums,
+    and, divided by that sum, the dense kernel row (n <= 30)."""
+    n = shrinkage.n
     if n > MAX_DENSE_N:
         raise CapacityError(
             f"no closed-form normalizer for this configuration and n={n} exceeds the dense limit {MAX_DENSE_N}"
         )
-    row = fwht(shrinkage.to_dense())
-    transformed = apply(transform, row)
-    value = float(np.sum(transformed))
+    return apply(transform, fwht(shrinkage.to_dense()))
+
+
+def _summed_normalizer(values):
+    """The FWHT_GENERAL normalizer: the sum of a row's transformed values."""
+    value = float(np.sum(values))
     if not math.isfinite(value):
         raise TransformOverflowError("normalizer sum is not finite")
     log_value = math.log(value) if value > 0 else -math.inf

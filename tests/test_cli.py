@@ -1,6 +1,7 @@
 """Command line interface: file formats, reports, and exit codes."""
 
 import contextlib
+import decimal
 import json
 import math
 import os
@@ -275,6 +276,35 @@ class TestParseDecimal:
     def test_rejects_non_decimal(self, text):
         with pytest.raises(ValueError):
             _parse_decimal(text)
+
+
+class TestIntText:
+    """Cell indexes to JSON: a bit length settles most sizes, and the text
+    is what decimal.Decimal would write at every size."""
+
+    @staticmethod
+    def _cases(limit):
+        cases = [0, 2**53 - 1, 2**53, 2**53 + 1, 3 << 9_998, 2**15_000 - 5]
+        if limit:
+            power = 10**limit
+            bits = 3 * (limit - 1)
+            cases += [power - 1, power, power + 1, 2**bits - 1, 2**bits, 10 ** (limit - 1), 10 ** (limit - 1) - 1]
+        return cases
+
+    @pytest.mark.parametrize("limit", [4300, 640, 5000, 0])
+    def test_decimal_text_matches_decimal_module(self, limit):
+        with _unlimited_int_text(limit):
+            for value in self._cases(limit):
+                assert cli._decimal(value) == str(decimal.Decimal(value))
+
+    @pytest.mark.parametrize("limit", [4300, 640, 5000, 0])
+    def test_json_int_is_a_number_while_str_prints_it(self, limit):
+        with _unlimited_int_text(limit):
+            for value in self._cases(limit) + [10**6000]:
+                fits = limit == 0 or value < 10**limit
+                want = value if fits else str(decimal.Decimal(value))
+                got = cli._json_int(value)
+                assert got == want and type(got) is type(want)
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1.5e-05, 0.1]

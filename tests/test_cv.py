@@ -22,7 +22,7 @@ from bindens import (
     loo_term,
     se_risk,
 )
-from bindens import estimators
+from bindens import estimators, transforms
 from bindens.errors import BudgetExceededError, ConfigError, DataError, InsufficientDataError
 
 import oracles
@@ -262,6 +262,28 @@ def _spectral_case(name, n, rng):
         entries = {1: 1.0, **first, 4: 0.4}
         cfg = EstimatorConfig.transformed(ShrinkageSpec.sparse(n, entries), Transform.tanh(0.8))
         return cfg, oracles.transformed_row(n, entries, lambda x: np.tanh(0.8 * x))
+    if name == "all_families":
+        # Every family's Walsh diagonal in one mixture: transformed with and
+        # without a closed-form Z (one sign-indefinite), a dense-form linear
+        # kernel, aa_classic and waak.
+        tanh_entries = {1: 1.0, **first, 4: 0.4}
+        w = rng.uniform(0.3, 1.0, n)
+        exp_entries = {(1 << d) + 1: float(v) for d, v in enumerate(w)}
+        b = np.zeros(1 << n)
+        b[[0, 3, 17, 200]] = [1.0, 0.3, 0.2, 0.1]
+        linear_entries = {int(i) + 1: float(b[i]) for i in np.flatnonzero(b)}
+        aa = EstimatorConfig.aa_classic(n, 0.85)
+        parts = [
+            (0.3, EstimatorConfig.transformed(ShrinkageSpec.sparse(n, tanh_entries), Transform.tanh(0.8)),
+             oracles.transformed_row(n, tanh_entries, lambda x: np.tanh(0.8 * x))),
+            (0.2, EstimatorConfig.transformed(ShrinkageSpec.single_interaction(w), Transform.exponential(2.0)),
+             oracles.transformed_row(n, exp_entries, lambda x: np.power(2.0, x))),
+            (0.2, EstimatorConfig.linear(ShrinkageSpec.dense(b)), oracles.linear_row(n, linear_entries)),
+            (0.15, aa, oracles.waak_row(np.ones(n), aa.gamma)),
+            (0.15, EstimatorConfig.waak(w[::-1].copy(), 3.0), oracles.waak_row(w[::-1], 3.0)),
+        ]
+        cfg = EstimatorConfig.mixture([(c, part) for c, part, _ in parts])
+        return cfg, sum(c * row for c, _, row in parts)
     # logistic sparse + linear sparse + waak, as in the dense mixture benchmark
     logistic_entries = {**first, (1 << 2) + (1 << 5) + 1: 0.3, (1 << 1) + (1 << 7) + 1: 0.3}
     linear_entries = {1: 1.0, **{int(i): 0.12 for i in rng.choice(np.arange(2, 1 << n), 6, replace=False)}}
@@ -281,10 +303,11 @@ def _spectral_case(name, n, rng):
 
 class TestSpectralQuadratic:
     """SE of transformed and mixture kernels takes p' Q^2 p as a Parseval
-    sum; the reference adds up (Q @ Q) entries as direct XOR sums."""
+    sum over Walsh diagonals; the reference adds up (Q @ Q) entries as
+    direct XOR sums."""
 
     @pytest.mark.parametrize("n", [12, 16])
-    @pytest.mark.parametrize("name", ["peaked_exponential", "tanh", "mixture"])
+    @pytest.mark.parametrize("name", ["peaked_exponential", "tanh", "mixture", "all_families"])
     def test_matches_direct_xor_sums(self, n, name):
         rng = np.random.default_rng(n)
         counts = _clustered_counts(rng, n)
@@ -296,7 +319,7 @@ class TestSpectralQuadratic:
         p = cnt / counts.total
 
         want_quad = oracles.squared_quadratic_direct(row, cells, p.tolist())
-        assert cfg._quadratic(cells, p) == pytest.approx(want_quad, rel=1e-12)
+        assert cfg._quadratic(counts) == pytest.approx(want_quad, rel=1e-12)
 
         terms = oracles.held_out_from_row(row, counts)
         want = want_quad - 2.0 / counts.total * math.fsum(c * t for c, t in zip(cnt, terms))
@@ -481,6 +504,37 @@ class TestEvaluateSpace:
             tracemalloc.stop()
         assert len(space.configs) == len(reports) == 21
         assert held < (len(comps) + 2) * (8 << n), f"{held} bytes held after the search"
+
+
+    def test_mixture_search_transforms_per_component_not_per_candidate(self, monkeypatch):
+        """Walsh transforms in an SE mixture search: one of the counts and,
+        for the transformed component, one of b shared by its normalizer
+        and row and one of the row, however many candidates there are."""
+        n = 10
+        calls = []
+        real = estimators.fwht
+
+        def spy(v):
+            calls.append(1)
+            return real(v)
+
+        monkeypatch.setattr(estimators, "fwht", spy)
+        monkeypatch.setattr(transforms, "fwht", spy)
+        counted = []
+        for denominator in (4, 8):
+            rng = np.random.default_rng(91)
+            counts = counts_from_observations(rng.choice([-1, 1], size=(60, n)))
+            comps = [
+                EstimatorConfig.transformed(
+                    ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.5, 3 + (1 << 6): 0.3}), Transform.logistic(3.0)
+                ),
+                EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.5, 5: 0.25})),
+                EstimatorConfig.waak(rng.uniform(0.3, 1.0, n), 2.0),
+            ]
+            del calls[:]
+            reports, _, _ = evaluate_space(SearchSpace.mixture_weight_grid(comps, denominator), "se", counts)
+            counted.append((len(reports), len(calls)))
+        assert counted == [(3, 3), (21, 3)]
 
 
 class TestSearchSpaceFactories:

@@ -30,7 +30,7 @@ from bindens import (
     squared_element_waak,
     squared_matrix_element,
 )
-from bindens import estimators
+from bindens import estimators, transforms
 from bindens.errors import (
     CapacityError,
     ConfigError,
@@ -789,6 +789,21 @@ class TestDistanceRoutes:
         diagonal = np.diag(cfg._gram(cells, cells))
         assert np.all(diagonal == np.exp(np.full(len(cells), cfg._waak.log_diagonal)))
 
+    @pytest.mark.parametrize("n", [16, 1000, 10_000])
+    def test_float_route_equal_cells_are_zero_across_lists(self, n):
+        """A queried cell that is also a support cell sits at distance 0
+        from it, though query and support are different packed lists."""
+        rng = np.random.default_rng(n + 2)
+        support = _clustered_cells(rng, n, 20)
+        counts = CountsVector.from_cells(n, {cell: 1 for cell in support})
+        cfg = EstimatorConfig.waak(rng.uniform(0.1, 1.0, n), 3.0)
+        queries = [cell for cell, _ in counts.cells] + _clustered_cells(rng, n, 4)
+        gram = cfg._gram(queries, counts._packed)
+        for r, cell in enumerate(queries):
+            for c, (other, _) in enumerate(counts.cells):
+                if cell == other:
+                    assert gram[r, c] == math.exp(cfg._waak.log_diagonal)
+
     def test_hamming_blocks_its_temporaries(self):
         n, k = 10_000, 300
         cells = estimators._Cells(_clustered_cells(np.random.default_rng(53), n, k), n)
@@ -803,6 +818,99 @@ class TestDistanceRoutes:
         assert distances.shape == (k, k)
         # One byte per entry: a k x k x words temporary of any dtype exceeds it.
         assert peak < k * k * words, f"peak {peak} bytes"
+
+
+# ---------------------------------------------------------------------------
+# Walsh diagonals: Q = W diag(s) W / 2^n
+
+
+def _spectrum_of_row(cfg):
+    return estimators.fwht(cfg._profile())
+
+
+class TestWalshDiagonal:
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_product_form_diagonal_is_transform_of_row(self, n):
+        rng = np.random.default_rng(n + 70)
+        for cfg in (EstimatorConfig.waak(rng.uniform(0.5, 1.0, n), 4.0), EstimatorConfig.aa_classic(n, 0.9)):
+            got = cfg._spectrum()
+            np.testing.assert_allclose(got, _spectrum_of_row(cfg), rtol=1e-12)
+            assert np.all(got >= 0.0)
+
+    def test_product_form_diagonal_is_nonnegative_at_any_weight(self):
+        w = np.array([0.0, 1e-9, 0.3, 1.0, 1.0, 0.05])
+        got = EstimatorConfig.waak(w, 50.0)._spectrum()
+        assert got[0] == 1.0
+        assert np.all(got >= 0.0)
+
+    def test_linear_diagonal_is_shrinkage(self):
+        rng = np.random.default_rng(71)
+        dense = ShrinkageSpec.dense(np.concatenate([[1.0], rng.uniform(0.0, 1.0, size=255)]))
+        sparse = ShrinkageSpec.sparse(8, {1: 1.0, 4: 0.5, 130: 0.25})
+        for spec in (dense, sparse):
+            assert np.array_equal(EstimatorConfig.linear(spec)._spectrum(), spec.to_dense())
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ShrinkageSpec.single_interaction(np.full(9, 0.6)), ShrinkageSpec.sparse(9, {1: 1.0, 2: 0.7, 6: 0.4, 260: 0.3})],
+    )
+    def test_transformed_diagonal_is_one_transform_of_row_kept(self, spec, monkeypatch):
+        cfg = EstimatorConfig.transformed(spec, Transform.logistic(3.0))
+        want = estimators.fwht(cfg._row)
+        calls = []
+        monkeypatch.setattr(estimators, "fwht", lambda v: calls.append(1) or want)
+        assert np.array_equal(cfg._spectrum(), want)
+        assert cfg._spectrum() is cfg._spectrum()
+        assert len(calls) == 1
+
+    def test_mixture_diagonal_is_weighted_sum(self):
+        n = 7
+        rng = np.random.default_rng(72)
+        parts = [
+            (0.5, EstimatorConfig.transformed(ShrinkageSpec.sparse(n, {1: 1.0, 3: 0.5, 6: 0.3}), Transform.tanh(0.8))),
+            (0.3, EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 9: 0.2}))),
+            (0.2, EstimatorConfig.waak(rng.uniform(0.2, 1.0, n), 2.0)),
+        ]
+        cfg = EstimatorConfig.mixture(parts)
+        np.testing.assert_allclose(cfg._spectrum(), _spectrum_of_row(cfg), rtol=1e-12, atol=1e-15)
+
+    def test_capacity_guard(self):
+        n = 31
+        cfg = EstimatorConfig.mixture([(0.5, EstimatorConfig.waak(np.full(n, 0.5), 2.0)), (0.5, EstimatorConfig.aa_classic(n, 0.8))])
+        with pytest.raises(CapacityError):
+            cfg._spectrum()
+
+
+class TestSummedNormalizer:
+    """A transformed kernel with no closed-form Z takes Z and its dense row
+    from one transform of b."""
+
+    @pytest.mark.parametrize("norm_first", [True, False])
+    def test_one_transform_serves_normalizer_and_row(self, norm_first, monkeypatch):
+        spec = ShrinkageSpec.sparse(10, {1: 1.0, 2: 0.6, 5: 0.4, 3 + (1 << 7): 0.3})
+        cfg = EstimatorConfig.transformed(spec, Transform.logistic(3.0))
+        calls = []
+        real = estimators.fwht
+
+        def spy(v):
+            calls.append(1)
+            return real(v)
+
+        monkeypatch.setattr(estimators, "fwht", spy)
+        monkeypatch.setattr(transforms, "fwht", spy)
+        if norm_first:
+            norm, row = cfg._norm, cfg._row
+        else:
+            row, norm = cfg._row, cfg._norm
+        assert len(calls) == 1
+        assert norm == normalizer(Transform.logistic(3.0), spec)
+        raw = real(spec.to_dense())
+        assert np.array_equal(row, estimators.apply(Transform.logistic(3.0), raw) / norm.value)
+
+    def test_row_refuses_degenerate_sum_before_dividing(self):
+        cfg = EstimatorConfig.transformed(ShrinkageSpec.sparse(4, {2: 1.0}), Transform.tanh(1.0))
+        with pytest.raises(DegenerateNormalizerError):
+            cfg._row
 
 
 # ---------------------------------------------------------------------------
