@@ -43,7 +43,7 @@ from .estimators import (
 )
 from .shrinkage import ShrinkageSpec
 from .transforms import Transform, normalizer
-from .walsh import index_of_point, point_of_index
+from .walsh import _real, index_of_point, point_of_index
 
 REPORT_VERSION = 2
 
@@ -236,14 +236,17 @@ def _require(mapping, key, what):
 def _number(raw, what, kind=float):
     """kind(raw) for kind float or int; a JSON value it refuses is a ConfigError.
 
-    Both kinds refuse a bool, which float() and int() would read as 1 or 0.
-    An int read also refuses a number with a fractional part rather than
-    truncate it; an integral float such as 3.0 is accepted.
+    Both kinds refuse a bool, which float() and int() would read as 1 or 0;
+    a float read is the package's real-number check. An int read also
+    refuses a number with a fractional part rather than truncate it; an
+    integral float such as 3.0 is accepted.
     """
-    if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and not raw.is_integer()):
-        raise ConfigError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {raw!r}")
+    if kind is float:
+        return _real(raw, what, ConfigError)
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {raw!r}")
     try:
-        return kind(raw)
+        return int(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, got {raw!r}") from exc
 
@@ -631,6 +634,8 @@ def cmd_estimate(args):
 def _search_from_dict(d, n):
     kind = _require(d, "kind", "cv.search")
     budget = d.get("budget")
+    if budget is not None:
+        budget = _number(budget, "search budget", int)
     if kind == "aa_lambda":
         return SearchSpace.aa_lambda_grid(n, _numbers(_require(d, "lambdas", "aa_lambda search"), "aa_lambda lambdas"), budget=budget)
     if kind == "waak":

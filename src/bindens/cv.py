@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError
-from .estimators import EstimatorConfig, _match_dimensions, _support
+from .estimators import EstimatorConfig, _match_dimensions
 from .shrinkage import ShrinkageSpec
+from .walsh import _check_index, _integer, _real
 
 __all__ = [
     "LOSSES",
@@ -92,7 +93,7 @@ def _element_evals(counts):
 
 def _support_terms(config, counts):
     """Support counts and the held-out term at each support cell."""
-    _, cnt = _support(counts)
+    cnt = counts._counts
     support = counts._packed
     terms = _held_out(config._gram(support, support), cnt, np.arange(cnt.size), counts.total)
     return cnt, terms
@@ -109,15 +110,15 @@ def loo_term(k, config, counts):
     the estimate at that observation's cell.
     """
     _check_inputs(config, counts)
-    obs = counts.observations
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"observation index must be an integer, got {k!r}")
-    if not 0 <= k < len(obs):
-        raise ValueError(f"observation index {k} out of range [0, {len(obs) - 1}]")
-    cell = obs[int(k)]
-    cells, cnt = _support(counts)
-    gram = config._gram([cell], counts._packed)
-    return float(_held_out(gram, cnt, [cells.index(cell)], counts.total)[0])
+    k = _integer(k, "observation index", 0)
+    if k >= counts.total:
+        raise ValueError(f"observation index {k} out of range [0, {counts.total - 1}]")
+    cnt = counts._counts
+    # Observations run in support order, so k falls in the first support
+    # cell whose running count passes it.
+    own = int(np.searchsorted(np.cumsum(cnt), k, side="right"))
+    gram = config._gram([counts.cells[own][0]], counts._packed)
+    return float(_held_out(gram, cnt, [own], counts.total)[0])
 
 
 def kl_risk(config, counts):
@@ -168,12 +169,14 @@ def se_risk(config, counts):
     )
 
 
+def _check_loss(loss):
+    if loss not in LOSSES:
+        raise ConfigError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+
+
 def _risk(loss, config, counts):
-    if loss == "kl":
-        return kl_risk(config, counts)
-    if loss == "se":
-        return se_risk(config, counts)
-    raise ConfigError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+    """The risk named by loss, which the caller has checked (_check_loss)."""
+    return kl_risk(config, counts) if loss == "kl" else se_risk(config, counts)
 
 
 def _rank_key(report):
@@ -190,11 +193,7 @@ def _rank_key(report):
 
 
 def _check_budget(budget):
-    if budget is None:
-        return None
-    if not isinstance(budget, (int, np.integer)) or isinstance(budget, bool) or budget < 1:
-        raise ConfigError(f"budget must be a positive integer or None, got {budget!r}")
-    return int(budget)
+    return None if budget is None else _integer(budget, "budget", 1, ConfigError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,13 +230,9 @@ class SearchSpace:
     @classmethod
     def waak_shared_grid(cls, n, gammas, w_grid, budget=None):
         """All weights equal; axes ordered gamma outermost, then the weight."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ConfigError(f"dimension must be a positive integer, got {n!r}")
-        configs = tuple(
-            EstimatorConfig.waak(np.full(int(n), float(v)), g)
-            for g in gammas
-            for v in w_grid
-        )
+        n = _integer(n, "dimension", 1, ConfigError)
+        values = [_real(v, "weight grid value", ConfigError) for v in w_grid]
+        configs = tuple(EstimatorConfig.waak(np.full(n, v), g) for g in gammas for v in values)
         return cls(configs=configs, budget=_check_budget(budget))
 
     @classmethod
@@ -256,12 +251,13 @@ class SearchSpace:
     @classmethod
     def linear_sparse_grid(cls, n, indexes, value_grid, budget=None):
         """Sparse linear estimators with index 1 pinned to coefficient 1."""
-        idx_list = [int(i) for i in indexes]
+        n = _integer(n, "dimension", 1, ConfigError)
+        idx_list = [_check_index(i, n, "shrinkage index", ConfigError) for i in indexes]
         if len(set(idx_list)) != len(idx_list):
             raise ConfigError("shrinkage indexes must be distinct")
         if 1 in idx_list:
             raise ConfigError("index 1 is pinned to coefficient 1 and cannot be searched")
-        values = list(value_grid)
+        values = [_real(v, "shrinkage grid value", ConfigError) for v in value_grid]
         configs = []
         for combo in itertools.product(values, repeat=len(idx_list)):
             entries = {1: 1.0}
@@ -275,7 +271,7 @@ class SearchSpace:
         comps = list(components)
         if not comps:
             raise ConfigError("mixture grid needs at least one component")
-        m = int(denominator)
+        m = _integer(denominator, "denominator", 1, ConfigError)
         if m < len(comps):
             raise ConfigError(
                 f"denominator {m} cannot give positive weights to {len(comps)} components"
@@ -301,11 +297,6 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _check_positive(value, name):
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-
-
 def evaluate_space(space, loss, counts, threads=1):
     """Evaluate every candidate up to the budget, keeping declared order.
 
@@ -316,9 +307,8 @@ def evaluate_space(space, loss, counts, threads=1):
     """
     if not isinstance(space, SearchSpace):
         raise ConfigError("expected a SearchSpace")
-    if loss not in LOSSES:
-        raise ConfigError(f"unknown loss {loss!r}; expected one of {LOSSES}")
-    _check_positive(threads, "threads")
+    _check_loss(loss)
+    _integer(threads, "threads", 1, ConfigError)
     configs = space.configs
     if not configs:
         raise ConfigError("search space is empty")
@@ -356,11 +346,10 @@ def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid, threads=1
     Returns (config, report) for the final weights. threads is validated
     as in evaluate_space and does not fan out.
     """
-    _check_positive(threads, "threads")
-    _check_positive(sweeps, "sweeps")
-    if loss not in LOSSES:
-        raise ConfigError(f"unknown loss {loss!r}; expected one of {LOSSES}")
-    grid_values = [float(v) for v in grid]
+    _integer(threads, "threads", 1, ConfigError)
+    sweeps = _integer(sweeps, "sweeps", 1, ConfigError)
+    _check_loss(loss)
+    grid_values = [_real(v, "weight grid value", ConfigError) for v in grid]
     if not grid_values:
         raise ConfigError("weight grid is empty")
     for v in grid_values:
@@ -368,7 +357,7 @@ def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid, threads=1
             raise ConfigError(f"weight grid value {v} lies outside [0, 1]")
     current_cfg = EstimatorConfig.waak(initial_w, gamma)
     current = _risk(loss, current_cfg, counts)
-    for _ in range(int(sweeps)):
+    for _ in range(sweeps):
         moved = False
         for d in range(current_cfg.n):
             trials = []

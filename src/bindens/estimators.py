@@ -44,11 +44,11 @@ EstimatorConfig itself, computed when first asked for, and the core's
 entry points are private methods of the config. A mixture reads its own
 components and keeps no dense row or diagonal: it sums its components'
 whenever one is asked for. In the same way, what the observed cells
-derive (their packed bits, their Hamming matrix H and the transform
-fwht(p) of their weights) is a private attribute of the CountsVector.
-Every uniform-weight candidate of a search (aa_lambda, waak shared_grid)
-scales the one H and pays only O(K^2) elementwise work on K observed
-cells, and every estimate reuses the packed support.
+derive (their packed bits, their Hamming matrix H, their counts and the
+transform fwht(p) of their weights) is a private attribute of the
+CountsVector. Every uniform-weight candidate of a search (aa_lambda,
+waak shared_grid) scales the one H and pays only O(K^2) elementwise
+work on K observed cells, and every estimate reuses the packed support.
 """
 
 import math
@@ -66,7 +66,7 @@ from .errors import (
 )
 from .shrinkage import DENSE, SINGLE_INTERACTION, ShrinkageSpec
 from .transforms import FWHT_GENERAL, Transform, _dense_values, _route, _summed_normalizer, apply, normalizer
-from .walsh import MAX_DENSE_N, _check_index, as_point, fwht
+from .walsh import MAX_DENSE_N, _check_index, _integer, _real, as_point, fwht
 
 __all__ = [
     "MAX_FULL_N",
@@ -114,7 +114,8 @@ class CountsVector:
     weights equal) scales instead of computing its own distances.
     _spectrum holds fwht(p) of the empirical weights, which the SE
     quadratic of every transformed or mixture kernel multiplies by that
-    kernel's Walsh diagonal (n <= 30).
+    kernel's Walsh diagonal (n <= 30), and _counts the support's counts
+    as floats, which every risk and estimate multiplies kernel blocks by.
     """
 
     n: int
@@ -124,20 +125,13 @@ class CountsVector:
     @classmethod
     def from_cells(cls, n, mapping):
         """Build from {cell index: positive count}; indexes may be huge."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise DataError(f"dimension must be a positive integer, got {n!r}")
-        n = int(n)
+        n = _integer(n, "dimension", 1, DataError)
         if not mapping:
             raise DataError("counts must cover at least one cell")
-        limit = 1 << n
         cleaned = []
         for idx, cnt in mapping.items():
-            idx = int(idx)
-            if idx < 1 or idx > limit:
-                raise DataError(f"cell index {idx} out of range [1, 2^{n}]")
-            if not isinstance(cnt, (int, np.integer)) or cnt < 1:
-                raise DataError(f"count for cell {idx} must be a positive integer, got {cnt!r}")
-            cleaned.append((idx, int(cnt)))
+            idx = _check_index(idx, n, "cell index", DataError)
+            cleaned.append((idx, _integer(cnt, "cell count", 1, DataError)))
         cleaned.sort()
         total = sum(cnt for _, cnt in cleaned)
         return cls(n=n, total=total, cells=tuple(cleaned))
@@ -151,7 +145,7 @@ class CountsVector:
         return tuple(out)
 
     def count_of(self, cell):
-        return self._lookup.get(int(cell), 0)
+        return self._lookup.get(_check_index(cell, self.n, "cell index", DataError), 0)
 
     @cached_property
     def _lookup(self):
@@ -162,9 +156,17 @@ class CountsVector:
         return _Cells([idx for idx, _ in self.cells], self.n)
 
     @cached_property
+    def _counts(self):
+        """The support's counts as floats, in support order."""
+        out = np.array([cnt for _, cnt in self.cells], dtype=np.float64)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def _spectrum(self):
         """fwht(p) of the empirical weights p: the one transform of the
-        data that the SE quadratic of every profile kernel reads."""
+        data that the SE quadratic of every profile kernel and the full
+        linear estimate read."""
         return fwht(self.to_dense())
 
     def to_dense(self):
@@ -250,9 +252,8 @@ def shrinkage_optimal(q, N):
     samples, the squared-error optimum is N q^2 / ((N-1) q^2 + 1),
     which always lands in [0, 1] and is 1 exactly at |q| = 1.
     """
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"sample count must be a positive integer, got {N!r}")
-    q = float(q)
+    N = _integer(N, "sample count")
+    q = _real(q, "coefficient")
     if not -1.0 <= q <= 1.0:
         raise ValueError(f"coefficient must lie in [-1, 1], got {q}")
     return float(N * q * q / ((N - 1) * q * q + 1.0))
@@ -278,11 +279,16 @@ def _validate_linear_shrinkage(shrinkage):
         )
     if shrinkage.first_coefficient() != 1.0:
         raise ConfigError("linear estimator requires the leading shrinkage coefficient to equal 1")
-    for idx, val in shrinkage.nonzero_items():
-        if not 0.0 <= val <= 1.0:
-            raise ConfigError(
-                f"linear shrinkage coefficient {val} at index {idx} lies outside [0, 1]"
-            )
+    if shrinkage.form == DENSE:
+        # On the stored array: no Python pair per coefficient of a dense b.
+        values = shrinkage.values
+        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+        outside = [(int(p) + 1, float(values[p])) for p in bad[:1]]
+    else:
+        outside = [(idx, val) for idx, val in shrinkage.entries if not 0.0 <= val <= 1.0]
+    if outside:
+        idx, val = outside[0]
+        raise ConfigError(f"linear shrinkage coefficient {val} at index {idx} lies outside [0, 1]")
 
 
 def _validate_components(components):
@@ -292,7 +298,7 @@ def _validate_components(components):
             weight, cfg = item
         except (TypeError, ValueError) as exc:
             raise ConfigError("mixture components must be (weight, config) pairs") from exc
-        weight = float(weight)
+        weight = _real(weight, "mixture weight", ConfigError)
         if not isinstance(cfg, EstimatorConfig):
             raise ConfigError("mixture components must wrap EstimatorConfig instances")
         if cfg.variant == "mixture":
@@ -359,22 +365,21 @@ class EstimatorConfig:
 
     @classmethod
     def waak(cls, w, gamma):
-        gamma = float(gamma)
+        gamma = _real(gamma, "weighted kernel base", ConfigError)
         if not math.isfinite(gamma) or gamma < 1.0:
             raise ConfigError(f"weighted kernel base must satisfy gamma >= 1, got {gamma}")
         return cls(variant="waak", shrinkage=_as_weight_vector(w), gamma=gamma)
 
     @classmethod
     def aa_classic(cls, n, lam):
-        lam = float(lam)
+        lam = _real(lam, "classic kernel smoothing", ConfigError)
         if not 0.5 <= lam < 1.0:
             raise ConfigError(f"classic kernel smoothing must satisfy 0.5 <= lam < 1, got {lam}")
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ConfigError(f"dimension must be a positive integer, got {n!r}")
+        n = _integer(n, "dimension", 1, ConfigError)
         gamma = math.sqrt(lam / (1.0 - lam))
         return cls(
             variant="aa_classic",
-            shrinkage=ShrinkageSpec.single_interaction(np.ones(int(n))),
+            shrinkage=ShrinkageSpec.single_interaction(np.ones(n)),
             gamma=gamma,
             lam=lam,
         )
@@ -475,8 +480,7 @@ class EstimatorConfig:
             # _spectrum refuses n > MAX_DENSE_N before any 2^n buffer.
             terms = self._spectrum() * counts._spectrum
             return math.ldexp(float(terms @ terms), -self.n)
-        _, cnt = _support(counts)
-        p = cnt / counts.total
+        p = counts._counts / counts.total
         support = counts._packed
         return float(p @ self._squared_gram_block(support, support) @ p)
 
@@ -567,11 +571,10 @@ class _Cells:
     cell, also viewed as 64-bit words (word 0 is the whole index for n <= 64)."""
 
     def __init__(self, cells, n):
-        for cell in cells:
-            _check_index(cell, n)
+        cells = [_check_index(cell, n) for cell in cells]
         self.size = len(cells)
         nbytes = 8 * max(1, (n + 63) // 64)
-        raw = b"".join((int(cell) - 1).to_bytes(nbytes, "little") for cell in cells)
+        raw = b"".join((cell - 1).to_bytes(nbytes, "little") for cell in cells)
         self.bytes = np.frombuffer(raw, dtype=np.uint8).reshape(self.size, nbytes)
         self.words = self.bytes.view(np.uint64)
 
@@ -948,12 +951,6 @@ def _match_dimensions(config, counts):
         )
 
 
-def _support(counts):
-    """Observed cells (ascending) and their counts as floats."""
-    cells = [cell for cell, _ in counts.cells]
-    return cells, np.array([cnt for _, cnt in counts.cells], dtype=np.float64)
-
-
 def estimate_at(cells, config, counts):
     """Estimated probability of each queried cell, sparse in n.
 
@@ -966,11 +963,10 @@ def estimate_at(cells, config, counts):
     cell_list = list(cells)
     if not cell_list:
         raise ValueError("at least one query cell is required")
-    _, cnt = _support(counts)
     support = counts._packed
     step = max(1, _BLOCK_ENTRIES // support.size)
     sums = [
-        config._gram(cell_list[start : start + step], support) @ cnt
+        config._gram(cell_list[start : start + step], support) @ counts._counts
         for start in range(0, len(cell_list), step)
     ]
     values = np.concatenate(sums) / counts.total
@@ -998,8 +994,7 @@ def estimate_full(config, counts):
         raise CapacityError(f"full estimate limited to n <= {MAX_FULL_N}, got n={n}")
     size = 1 << n
     if config.variant == "linear":
-        spectrum = fwht(counts.to_dense()) * config.shrinkage.to_dense()
-        values = fwht(spectrum) * math.ldexp(1.0, -n)
+        values = fwht(counts._spectrum * config._spectrum()) * math.ldexp(1.0, -n)
     else:
         g = config._profile()
         idx = np.arange(size, dtype=np.int64)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .walsh import MAX_DENSE_N
+from .walsh import MAX_DENSE_N, _check_index, _integer, _real
 
 __all__ = ["DENSE", "SPARSE", "SINGLE_INTERACTION", "ShrinkageSpec"]
 
@@ -56,16 +56,11 @@ class ShrinkageSpec:
     @classmethod
     def sparse(cls, n, entries):
         """Sparse coefficients {cell index: value}; zero values are dropped."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
-        n = int(n)
-        limit = 1 << n
+        n = _integer(n, "dimension")
         cleaned = []
         for idx, val in entries.items():
-            idx = int(idx)
-            if idx < 1 or idx > limit:
-                raise ValueError(f"sparse shrinkage index {idx} out of range [1, 2^{n}]")
-            val = float(val)
+            idx = _check_index(idx, n, "sparse shrinkage index")
+            val = _real(val, "sparse shrinkage value")
             if not np.isfinite(val):
                 raise ValueError(f"sparse shrinkage value at index {idx} must be finite")
             if val != 0.0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, TransformOverflowError
 from .shrinkage import SINGLE_INTERACTION, ShrinkageSpec
-from .walsh import MAX_DENSE_N, fwht
+from .walsh import MAX_DENSE_N, _real, fwht
 
 __all__ = [
     "KINDS",
@@ -85,17 +85,18 @@ class Transform:
     @classmethod
     def exponential(cls, gamma):
         """f(x) = gamma ** x."""
-        return cls(kind="exponential", gamma=float(gamma))
+        return cls(kind="exponential", gamma=_real(gamma, "exponential transform gamma"))
 
     @classmethod
     def logistic(cls, gamma):
         """f(x) = 1 / (1 + gamma ** -x)."""
-        return cls(kind="logistic", gamma=float(gamma))
+        return cls(kind="logistic", gamma=_real(gamma, "logistic transform gamma"))
 
     @classmethod
     def step(cls, threshold, low, high):
         """f(x) = low for x < threshold, high for x >= threshold."""
-        return cls(kind="step", threshold=float(threshold), low=float(low), high=float(high))
+        threshold, low = _real(threshold, "step transform threshold"), _real(low, "step transform low")
+        return cls(kind="step", threshold=threshold, low=low, high=_real(high, "step transform high"))
 
     @classmethod
     def relu(cls):
@@ -105,12 +106,12 @@ class Transform:
     @classmethod
     def tanh(cls, scale=1.0):
         """f(x) = tanh(scale * x)."""
-        return cls(kind="tanh", scale=float(scale))
+        return cls(kind="tanh", scale=_real(scale, "tanh transform scale"))
 
     @classmethod
     def elu(cls, alpha=1.0):
         """f(x) = x for x >= 0, alpha * (exp(x) - 1) below."""
-        return cls(kind="elu", alpha=float(alpha))
+        return cls(kind="elu", alpha=_real(alpha, "elu transform alpha"))
 
     @property
     def is_nonnegative(self):

@@ -39,16 +39,36 @@ MAX_DENSE_N = 30
 _MAX_SET_SIZE = 1 << 26
 
 
-def _check_dimension(n):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+def _integer(value, what, minimum=1, error=ValueError):
+    """value as an int, the package's one integer check: an int or numpy
+    integer at or above minimum, never a bool or a float; else error(what...)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
-def _check_index(j, n, what="cell index"):
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
-        raise ValueError(f"{what} must be an integer, got {type(j).__name__}")
-    if j < 1 or j > (1 << int(n)):
-        raise ValueError(f"{what} {j} out of range [1, 2^{n}]")
+def _real(value, what, error=ValueError):
+    """float(value), the package's one real-number check: never a bool,
+    and error(what...) rather than float()'s own error for a non-number."""
+    if isinstance(value, (bool, np.bool_)):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} must be a number, got {value!r}") from exc
+
+
+def _check_index(j, n, what="cell index", error=ValueError):
+    """j as an int, checked by _integer and against the range [1, 2^n]."""
+    j = _integer(j, what, 1, error)
+    if j > 1 << n:
+        # Past 2^64 the bit length stands in for the digits, which str()
+        # refuses to print beyond 4300.
+        shown = j if j.bit_length() <= 64 else f"of {j.bit_length()} bits"
+        raise error(f"{what} {shown} out of range [1, 2^{n}]")
+    return j
 
 
 def as_point(x):
@@ -73,20 +93,19 @@ def index_of_point(x):
 
 def point_of_index(j, n):
     """Sign vector of cell j in dimension n; inverse of index_of_point."""
-    _check_dimension(n)
-    _check_index(j, n)
-    nbytes = (int(n) + 7) // 8
-    raw = np.frombuffer(int(j - 1).to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: int(n)]
+    n = _integer(n, "dimension")
+    j = _check_index(j, n)
+    raw = np.frombuffer((j - 1).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[:n]
     return np.where(bits == 1, -1, 1).astype(np.int8)
 
 
 def walsh_entry(row, col, n):
     """Single +-1 entry of the 2^n Walsh matrix: parity of shared index bits."""
-    _check_dimension(n)
-    _check_index(row, n, "row index")
-    _check_index(col, n, "column index")
-    return 1 - 2 * (((int(row) - 1) & (int(col) - 1)).bit_count() & 1)
+    n = _integer(n, "dimension")
+    row = _check_index(row, n, "row index")
+    col = _check_index(col, n, "column index")
+    return 1 - 2 * (((row - 1) & (col - 1)).bit_count() & 1)
 
 
 def product_index(i, j):
@@ -95,11 +114,7 @@ def product_index(i, j):
     The zero-based map is a plain XOR, so rows and columns of the full
     product table are permutations of the index range.
     """
-    if not isinstance(i, (int, np.integer)) or not isinstance(j, (int, np.integer)):
-        raise ValueError("cell indexes must be integers")
-    if i < 1 or j < 1:
-        raise ValueError("cell indexes are 1-based and must be >= 1")
-    return ((int(i) - 1) ^ (int(j) - 1)) + 1
+    return ((_integer(i, "cell index") - 1) ^ (_integer(j, "cell index") - 1)) + 1
 
 
 def fwht(v):
@@ -153,10 +168,8 @@ def interaction_indexes(n, k):
     equivalently the k-th order interaction columns. Members are sorted
     ascending and exact at any n (Python integers).
     """
-    _check_dimension(n)
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"interaction order must be a nonnegative integer, got {k!r}")
-    n, k = int(n), int(k)
+    n = _integer(n, "dimension")
+    k = _integer(k, "interaction order", 0)
     if k > n:
         return InteractionIndexSet(n, k, ())
     if math.comb(n, k) > _MAX_SET_SIZE:

@@ -629,6 +629,17 @@ class TestCvCommand:
         assert len(report["evaluations"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_integral_float_budget_reads_as_integer(self, workspace):
+        """budget is read like sweeps and denominator: 2.0 means 2."""
+        tmp, data = workspace
+        cfg = tmp / "cfg.json"
+        out = tmp / "cv.json"
+        _write_json(cfg, {"cv": {"search": {"kind": "aa_lambda", "lambdas": [0.6, 0.7, 0.8], "budget": 2.0}}})
+        assert main(["cv", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+        report = _read_json(out)
+        assert report["partial"] is True
+        assert len(report["evaluations"]) == 2
+
     def test_waak_descent_rows(self, tmp_path):
         rng = np.random.default_rng(15)
         data = self._dataset(tmp_path, rng, n=3, rows=12)
@@ -785,6 +796,8 @@ def test_config_value_of_wrong_json_type_exits_2(workspace, command, config):
         ("cv", {"cv": {"search": {"kind": "mixture", "components": [UNIFORM_ESTIMATOR, FREQUENCY_2],
                                   "denominator": 4.5}}}),
         ("cv", {"cv": {"search": {"kind": "linear_sparse", "indexes": [3.5], "value_grid": [0.5]}}}),
+        ("cv", {"cv": {"search": {"kind": "aa_lambda", "lambdas": [0.7], "budget": True}}}),
+        ("cv", {"cv": {"search": {"kind": "aa_lambda", "lambdas": [0.7], "budget": 2.5}}}),
         ("query", {"n": 2.7}),
         ("query", {"data": {"counts": {"1": 1.5}}}),
     ],

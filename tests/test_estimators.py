@@ -21,6 +21,7 @@ from bindens import (
     element_waak,
     estimate_at,
     estimate_full,
+    fwht,
     index_of_point,
     matrix_element,
     normalizer,
@@ -734,6 +735,18 @@ class TestEstimatorConfig:
         mix = EstimatorConfig.mixture([(1.0, EstimatorConfig.aa_classic(4, 0.9))])
         assert mix.n == 4
 
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_linear_names_first_coefficient_outside_unit_interval(self, form):
+        values = [1.0, 0.5, 0.0, 1.5, 0.25, -0.5, 1.0, 0.0]
+        spec = (
+            ShrinkageSpec.dense(values)
+            if form == "dense"
+            else ShrinkageSpec.sparse(3, {j + 1: v for j, v in enumerate(values)})
+        )
+        with pytest.raises(ConfigError) as info:
+            EstimatorConfig.linear(spec)
+        assert str(info.value) == "linear shrinkage coefficient 1.5 at index 4 lies outside [0, 1]"
+
     def test_linear_factory_validation(self):
         with pytest.raises(ConfigError):
             EstimatorConfig.linear(ShrinkageSpec.sparse(3, {2: 0.5}))
@@ -1081,6 +1094,15 @@ class TestEstimateFull:
         for cfg in configs:
             g = cfg._profile()
             assert np.array_equal(estimate_full(cfg, counts).values, oracles.gather_estimate(g, counts))
+
+    def test_linear_is_the_double_transform_bit_for_bit(self):
+        rng = np.random.default_rng(62)
+        n = 12
+        b = _unit_lead_dense(rng, n)
+        counts = _random_counts(rng, n, size=40)
+        want = fwht(fwht(counts.to_dense()) * b) * 2.0**-n
+        full = estimate_full(EstimatorConfig.linear(ShrinkageSpec.dense(b)), counts)
+        assert np.array_equal(full.values, want)
 
     def test_linear_spectral_route_matches_oracle(self):
         rng = np.random.default_rng(59)
