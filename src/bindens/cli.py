@@ -8,6 +8,7 @@ refusals, 4 numeric failures.
 """
 
 import argparse
+import collections
 import decimal
 import json
 import math
@@ -43,7 +44,7 @@ from .estimators import (
 )
 from .shrinkage import ShrinkageSpec
 from .transforms import Transform, normalizer
-from .walsh import _real, index_of_point, point_of_index
+from .walsh import _real, point_of_index
 
 REPORT_VERSION = 2
 
@@ -236,14 +237,14 @@ def _require(mapping, key, what):
 def _number(raw, what, kind=float):
     """kind(raw) for kind float or int; a JSON value it refuses is a ConfigError.
 
-    Both kinds refuse a bool, which float() and int() would read as 1 or 0;
-    a float read is the package's real-number check. An int read also
-    refuses a number with a fractional part rather than truncate it; an
-    integral float such as 3.0 is accepted.
+    Both kinds refuse a bool, which float() and int() would read as 1 or 0,
+    and a string, which they would parse; a float read is the package's
+    real-number check. An int read also refuses a number with a fractional
+    part rather than truncate it; an integral float such as 3.0 is accepted.
     """
     if kind is float:
         return _real(raw, what, ConfigError)
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+    if isinstance(raw, (bool, str)) or (isinstance(raw, float) and not raw.is_integer()):
         raise ConfigError(f"{what} must be an integer, got {raw!r}")
     try:
         return int(raw)
@@ -258,11 +259,23 @@ def _numbers(raw, what, kind=float):
     return [_number(v, f"{what} entry", kind) for v in raw]
 
 
+def _float_array(raw, what):
+    """_numbers(raw, what) as a float64 array. A list of JSON ints and floats
+    converts in one numpy pass; any other value, or an int past float range,
+    goes through _numbers, whose error names the first bad entry."""
+    if isinstance(raw, list) and set(map(type, raw)) <= {int, float}:
+        try:
+            return np.asarray(raw, dtype=np.float64)
+        except OverflowError:
+            pass
+    return np.asarray(_numbers(raw, what), dtype=np.float64)
+
+
 def _weight_vector(raw, n, what):
     if isinstance(raw, (int, float)):
         return np.full(n, _number(raw, what))
     if isinstance(raw, list):
-        arr = np.asarray(_numbers(raw, what), dtype=np.float64)
+        arr = _float_array(raw, what)
         if arr.size != n:
             raise ConfigError(f"{what} has {arr.size} entries, expected {n}")
         return arr
@@ -273,7 +286,7 @@ def shrinkage_from_dict(d, n):
     form = _require(d, "form", "shrinkage")
     try:
         if form == "dense":
-            values = _numbers(_require(d, "values", "dense shrinkage"), "dense shrinkage values")
+            values = _float_array(_require(d, "values", "dense shrinkage"), "dense shrinkage values")
             spec = ShrinkageSpec.dense(values)
             if spec.n != n:
                 raise ConfigError(f"dense shrinkage is for n={spec.n}, data has n={n}")
@@ -413,18 +426,19 @@ def _parse_pattern(item, n):
     holes = item.count("?")
     if holes > 1:
         raise ConfigError(f"pattern {item!r} has {holes} '?' marks; at most one is supported")
-    signs = np.where(np.frombuffer(item.encode("ascii"), dtype=np.uint8) == ord("-"), -1, 1)
+    # Bit k of the zero-based index is set where coordinate k + 1 is '-'
+    # (walsh.index_of_point); a '?' leaves its bit clear, at the '+' cell.
+    minus = np.frombuffer(item.encode("ascii"), dtype=np.uint8) == ord("-")
+    cell = 1 + int.from_bytes(np.packbits(minus, bitorder="little").tobytes(), "little")
     if not holes:
-        return {"kind": "cell", "cell": index_of_point(signs), "label": item}
+        return {"kind": "cell", "cell": cell, "label": item}
     pos = item.index("?")
-    cell_plus = index_of_point(signs)
-    signs[pos] = -1
     return {
         "kind": "conditional",
         "pattern": item,
         "coordinate": pos + 1,
-        "cell_plus": cell_plus,
-        "cell_minus": index_of_point(signs),
+        "cell_plus": cell,
+        "cell_minus": cell + (1 << pos),
     }
 
 
@@ -722,6 +736,52 @@ def cmd_cv(args):
     return 0
 
 
+# The members of a fit report that query reads. The rest (the estimate,
+# whose values run to 2^20 numbers, timing, a version 1 backend, unknown
+# keys) are checked as JSON but build no number objects: _SKIPPER reads
+# each number as None. Its hook runs once per number, so it is a builtin
+# that returns None without reading the number's text: the append of a
+# deque that keeps nothing. A lambda's Python frame slowed the whole read
+# of a 2^20-value fit by 5 to 20 %.
+_FIT_KEYS = frozenset(("report_version", "n", "seed", "data", "estimator"))
+_DECODER = json.JSONDecoder()
+_NO_NUMBER = collections.deque(maxlen=0).append
+_SKIPPER = json.JSONDecoder(parse_float=_NO_NUMBER, parse_int=_NO_NUMBER, parse_constant=_NO_NUMBER)
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _read_fit(text):
+    """json.loads(text) for a fit report, except that a top-level member
+    outside _FIT_KEYS holds None for every number in it. Text that is not
+    JSON raises json.JSONDecodeError wherever the fault is; a top level
+    other than an object is left to json.loads."""
+    pos = _WHITESPACE.match(text).end()
+    if text[pos:pos + 1] != "{":
+        return json.loads(text)
+    fit = {}
+    while True:
+        pos = _WHITESPACE.match(text, pos + 1).end()  # past "{" or ","
+        if not fit and text[pos:pos + 1] == "}":  # an empty object
+            break
+        if text[pos:pos + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
+        key, pos = _DECODER.raw_decode(text, pos)
+        pos = _WHITESPACE.match(text, pos).end()
+        if text[pos:pos + 1] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+        decoder = _DECODER if key in _FIT_KEYS else _SKIPPER
+        fit[key], pos = decoder.raw_decode(text, _WHITESPACE.match(text, pos + 1).end())
+        pos = _WHITESPACE.match(text, pos).end()
+        if text[pos:pos + 1] == "}":
+            break
+        if text[pos:pos + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+    pos = _WHITESPACE.match(text, pos + 1).end()
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+    return fit
+
+
 def _fit_counts(fit, path):
     """n and the CountsVector a fit report records; a value of the wrong
     JSON type is a DataError naming the report."""
@@ -740,7 +800,7 @@ def cmd_query(args):
     started = time.perf_counter()
     try:
         with open(args.fit, "r", encoding="utf-8") as handle:
-            fit = json.load(handle)
+            fit = _read_fit(handle.read())
     except OSError as exc:
         raise DataError(f"cannot read fit report {args.fit}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError
 from .estimators import EstimatorConfig, _match_dimensions
 from .shrinkage import ShrinkageSpec
-from .walsh import _check_index, _integer, _real
+from .walsh import _check_index, _integer, _items, _real
 
 __all__ = [
     "LOSSES",
@@ -210,7 +210,7 @@ class SearchSpace:
 
     @classmethod
     def from_configs(cls, configs, budget=None):
-        configs = tuple(configs)
+        configs = tuple(_items(configs, "search space entries", ConfigError))
         for cfg in configs:
             if not isinstance(cfg, EstimatorConfig):
                 raise ConfigError("search space entries must be EstimatorConfig instances")
@@ -218,19 +218,22 @@ class SearchSpace:
 
     @classmethod
     def aa_lambda_grid(cls, n, lambdas, budget=None):
+        lambdas = _items(lambdas, "lambdas", ConfigError)
         configs = tuple(EstimatorConfig.aa_classic(n, lam) for lam in lambdas)
         return cls(configs=configs, budget=_check_budget(budget))
 
     @classmethod
     def waak_fixed_w(cls, w, gammas, budget=None):
         arr = np.asarray(w, dtype=np.float64)
-        configs = tuple(EstimatorConfig.waak(arr, g) for g in gammas)
+        configs = tuple(EstimatorConfig.waak(arr, g) for g in _items(gammas, "gammas", ConfigError))
         return cls(configs=configs, budget=_check_budget(budget))
 
     @classmethod
     def waak_shared_grid(cls, n, gammas, w_grid, budget=None):
         """All weights equal; axes ordered gamma outermost, then the weight."""
         n = _integer(n, "dimension", 1, ConfigError)
+        gammas = _items(gammas, "gammas", ConfigError)
+        w_grid = _items(w_grid, "weight grid", ConfigError)
         values = [_real(v, "weight grid value", ConfigError) for v in w_grid]
         configs = tuple(EstimatorConfig.waak(np.full(n, v), g) for g in gammas for v in values)
         return cls(configs=configs, budget=_check_budget(budget))
@@ -238,7 +241,8 @@ class SearchSpace:
     @classmethod
     def waak_product(cls, gammas, w_axes, budget=None):
         """Full cross product over per-coordinate weight axes."""
-        axes = [list(axis) for axis in w_axes]
+        gammas = _items(gammas, "gammas", ConfigError)
+        axes = [_items(axis, "weight axis", ConfigError) for axis in _items(w_axes, "weight axes", ConfigError)]
         if not axes or any(not axis for axis in axes):
             raise ConfigError("every coordinate needs a nonempty weight axis")
         configs = tuple(
@@ -252,11 +256,13 @@ class SearchSpace:
     def linear_sparse_grid(cls, n, indexes, value_grid, budget=None):
         """Sparse linear estimators with index 1 pinned to coefficient 1."""
         n = _integer(n, "dimension", 1, ConfigError)
+        indexes = _items(indexes, "shrinkage indexes", ConfigError)
         idx_list = [_check_index(i, n, "shrinkage index", ConfigError) for i in indexes]
         if len(set(idx_list)) != len(idx_list):
             raise ConfigError("shrinkage indexes must be distinct")
         if 1 in idx_list:
             raise ConfigError("index 1 is pinned to coefficient 1 and cannot be searched")
+        value_grid = _items(value_grid, "shrinkage value grid", ConfigError)
         values = [_real(v, "shrinkage grid value", ConfigError) for v in value_grid]
         configs = []
         for combo in itertools.product(values, repeat=len(idx_list)):
@@ -268,7 +274,7 @@ class SearchSpace:
     @classmethod
     def mixture_weight_grid(cls, components, denominator, budget=None):
         """All positive weight vectors with entries a_i/denominator summing to 1."""
-        comps = list(components)
+        comps = _items(components, "mixture grid components", ConfigError)
         if not comps:
             raise ConfigError("mixture grid needs at least one component")
         m = _integer(denominator, "denominator", 1, ConfigError)

@@ -66,7 +66,7 @@ from .errors import (
 )
 from .shrinkage import DENSE, SINGLE_INTERACTION, ShrinkageSpec
 from .transforms import FWHT_GENERAL, Transform, _dense_values, _route, _summed_normalizer, apply, normalizer
-from .walsh import MAX_DENSE_N, _check_index, _integer, _real, as_point, fwht
+from .walsh import MAX_DENSE_N, _check_index, _integer, _items, _pairs, _real, as_point, fwht
 
 __all__ = [
     "MAX_FULL_N",
@@ -126,10 +126,11 @@ class CountsVector:
     def from_cells(cls, n, mapping):
         """Build from {cell index: positive count}; indexes may be huge."""
         n = _integer(n, "dimension", 1, DataError)
-        if not mapping:
+        pairs = _pairs(mapping, "counts", DataError)
+        if not pairs:
             raise DataError("counts must cover at least one cell")
         cleaned = []
-        for idx, cnt in mapping.items():
+        for idx, cnt in pairs:
             idx = _check_index(idx, n, "cell index", DataError)
             cleaned.append((idx, _integer(cnt, "cell count", 1, DataError)))
         cleaned.sort()
@@ -293,7 +294,7 @@ def _validate_linear_shrinkage(shrinkage):
 
 def _validate_components(components):
     comps = []
-    for item in components:
+    for item in _items(components, "mixture components", ConfigError):
         try:
             weight, cfg = item
         except (TypeError, ValueError) as exc:

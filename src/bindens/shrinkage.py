@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .walsh import MAX_DENSE_N, _check_index, _integer, _real
+from .walsh import MAX_DENSE_N, _check_index, _integer, _pairs, _real
 
 __all__ = ["DENSE", "SPARSE", "SINGLE_INTERACTION", "ShrinkageSpec"]
 
@@ -58,7 +58,7 @@ class ShrinkageSpec:
         """Sparse coefficients {cell index: value}; zero values are dropped."""
         n = _integer(n, "dimension")
         cleaned = []
-        for idx, val in entries.items():
+        for idx, val in _pairs(entries, "sparse shrinkage entries"):
             idx = _check_index(idx, n, "sparse shrinkage index")
             val = _real(val, "sparse shrinkage value")
             if not np.isfinite(val):

@@ -12,6 +12,7 @@ passes, each one vectorized add and subtract over the whole vector.
 """
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -50,14 +51,31 @@ def _integer(value, what, minimum=1, error=ValueError):
 
 
 def _real(value, what, error=ValueError):
-    """float(value), the package's one real-number check: never a bool,
-    and error(what...) rather than float()'s own error for a non-number."""
-    if isinstance(value, (bool, np.bool_)):
+    """float(value), the package's one real-number check: never a bool or a
+    string (which float() would parse), and error(what...) rather than
+    float()'s own error for a non-number."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
         raise error(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be a number, got {value!r}") from exc
+
+
+def _items(values, what, error=ValueError):
+    """list(values), or error(what...) rather than Python's own TypeError
+    when values is not iterable."""
+    if not isinstance(values, Iterable):
+        raise error(f"{what} must be a list, got {values!r}")
+    return list(values)
+
+
+def _pairs(mapping, what, error=ValueError):
+    """The (key, value) pairs of mapping, or error(what...) when it is not
+    a mapping: a list of pairs has no items() to call."""
+    if not isinstance(mapping, Mapping):
+        raise error(f"{what} must be a mapping, got {type(mapping).__name__}")
+    return list(mapping.items())
 
 
 def _check_index(j, n, what="cell index", error=ValueError):

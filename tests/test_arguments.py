@@ -1,6 +1,7 @@
 """Scalar arguments of every public entry point go through one integer check
-and one real-number check: a bool is never read as 0 or 1, an integer
-argument never truncates a fraction, and a value of the wrong type raises
+and one real-number check: a bool is never read as 0 or 1, a string is
+never parsed as a number, an integer argument never truncates a fraction,
+and a value (or a container argument) of the wrong type raises
 the error type of its layer (ValueError for walsh, shrinkage, transforms,
 shrinkage_optimal and loo_term; DataError for counts; ConfigError for
 configurations and searches)."""
@@ -79,12 +80,12 @@ REAL_ARGUMENTS = [
     ("descent grid value", lambda v: coordinate_descent_w(np.ones(3), 2.0, "kl", COUNTS, 1, [v]), ConfigError),
 ]
 
-# A bool and a wrong-typed value for every argument, and a fraction for
-# integer arguments, where 2.5 and 2.7 lie inside the valid range, so a
-# truncation would go unnoticed.
+# A bool, a number written as a string and a wrong-typed value for every
+# argument, and a fraction for integer arguments, where 2.5 and 2.7 lie
+# inside the valid range, so a truncation would go unnoticed.
 BAD_VALUES = (
-    (INTEGER_ARGUMENTS, (True, 2.7, np.float64(2.5), "x", (2,))),
-    (REAL_ARGUMENTS, (True, np.True_, "x", (2,))),
+    (INTEGER_ARGUMENTS, (True, 2.7, np.float64(2.5), "2", "x", (2,))),
+    (REAL_ARGUMENTS, (True, np.True_, "2.5", np.str_("2.5"), b"2.5", "x", (2,))),
 )
 BAD = [
     pytest.param(call, value, error, id=f"{name}-{value!r}")
@@ -98,6 +99,32 @@ BAD = [
 def test_bad_scalar_raises_layer_error(call, value, error):
     with pytest.raises(error):
         call(value)
+
+
+# A container argument that is not a mapping or not iterable raises its
+# layer's error, not Python's own AttributeError or TypeError.
+CONTAINER_ARGUMENTS = [
+    ("from_cells pairs", lambda: CountsVector.from_cells(3, [(1, 1)]), DataError),
+    ("sparse pairs", lambda: ShrinkageSpec.sparse(3, [(1, 1.0)]), ValueError),
+    ("aa_lambda_grid lambdas", lambda: SearchSpace.aa_lambda_grid(3, 0.7), ConfigError),
+    ("mixture components", lambda: EstimatorConfig.mixture(5), ConfigError),
+    ("from_configs configs", lambda: SearchSpace.from_configs(AA), ConfigError),
+    ("waak_fixed_w gammas", lambda: SearchSpace.waak_fixed_w(np.ones(3), 2.0), ConfigError),
+    ("waak_shared_grid gammas", lambda: SearchSpace.waak_shared_grid(3, 2.0, [0.5]), ConfigError),
+    ("waak_shared_grid grid", lambda: SearchSpace.waak_shared_grid(3, [2.0], 0.5), ConfigError),
+    ("waak_product gammas", lambda: SearchSpace.waak_product(2.0, [[0.5]] * 3), ConfigError),
+    ("waak_product axes", lambda: SearchSpace.waak_product([2.0], 0.5), ConfigError),
+    ("waak_product axis", lambda: SearchSpace.waak_product([2.0], [0.5, 0.5, 0.5]), ConfigError),
+    ("linear_sparse_grid indexes", lambda: SearchSpace.linear_sparse_grid(3, 2, [0.5]), ConfigError),
+    ("linear_sparse_grid values", lambda: SearchSpace.linear_sparse_grid(3, [2], 0.5), ConfigError),
+    ("mixture_weight_grid components", lambda: SearchSpace.mixture_weight_grid(AA, 2), ConfigError),
+]
+
+
+@pytest.mark.parametrize("call, error", [a[1:] for a in CONTAINER_ARGUMENTS], ids=[a[0] for a in CONTAINER_ARGUMENTS])
+def test_bad_container_raises_layer_error(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("call", [a[1] for a in INTEGER_ARGUMENTS], ids=[a[0] for a in INTEGER_ARGUMENTS])

@@ -22,7 +22,7 @@ from bindens import (
 )
 from bindens import cli, cv
 from bindens.cli import _parse_decimal, load_observations, main, parse_cells_spec
-from bindens.errors import DataError
+from bindens.errors import ConfigError, DataError
 
 UNIFORM_ESTIMATOR = {"variant": "linear", "shrinkage": {"form": "sparse", "entries": {"1": 1.0}}}
 FREQUENCY_2 = {"variant": "linear", "shrinkage": {"form": "dense", "values": [1.0, 1.0, 1.0, 1.0]}}
@@ -238,11 +238,16 @@ class TestParseCellsSpec:
         with pytest.raises(ConfigError):
             parse_cells_spec(["+-"], 3)
 
-    @pytest.mark.parametrize("n", [1, 8, 65, 10_000])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 10_000])
     def test_patterns_match_index_of_point(self, n):
+        # Patterns are indexed from their bytes; index_of_point is the reference.
         rng = np.random.default_rng(n)
         signs = rng.choice([-1, 1], size=n)
         text = "".join("+" if v > 0 else "-" for v in signs)
+        assert parse_cells_spec(["-" * n, "+" * n], n) == [
+            {"kind": "cell", "cell": 1 << n, "label": "-" * n},
+            {"kind": "cell", "cell": 1, "label": "+" * n},
+        ]
         items = [text]
         for pos in sorted({0, n // 2, n - 1}):
             items.append(text[:pos] + "?" + text[pos + 1:])
@@ -768,6 +773,12 @@ class TestCvCommand:
                                     "transform": {"kind": "logistic", "gamma": True}}}),
         ("estimate", {"estimator": {"variant": "mixture",
                                     "components": [{"weight": True, "estimator": UNIFORM_ESTIMATOR}]}}),
+        # a number written as a JSON string is not a number
+        ("estimate", {"seed": "3", "estimator": {"variant": "waak", "gamma": "2.5", "w": 0.5}}),
+        ("estimate", {"seed": "3", "estimator": UNIFORM_ESTIMATOR}),
+        ("estimate", {"estimator": {"variant": "waak", "gamma": "2.5", "w": 0.5}}),
+        ("estimate", {"estimator": {"variant": "waak", "gamma": 2.0, "w": [0.5, "0.5"]}}),
+        ("cv", {"cv": {"search": {"kind": "aa_lambda", "lambdas": [0.7], "budget": "2"}}}),
     ],
 )
 def test_config_value_of_wrong_json_type_exits_2(workspace, command, config):
@@ -1009,6 +1020,142 @@ class TestQueryCommand:
         bad = tmp_path / "fit.json"
         _write_json(bad, {"report_version": 1, "n": 2})
         assert main(["query", "--fit", str(bad), "--cells", "1", "--out", str(tmp_path / "q.json")]) == 2
+
+
+_NULL_NUMBERS = {"parse_float": lambda text: None, "parse_int": lambda text: None, "parse_constant": lambda text: None}
+FIT_ESTIMATORS = {
+    "linear_sparse": UNIFORM_ESTIMATOR,
+    "linear_dense": {"variant": "linear", "shrinkage": {"form": "dense", "values": [1.0, 0.5, 0.5, 0.25, 0.5, 0.25, 0.25, 0.0]}},
+    "transformed": {"variant": "transformed", "shrinkage": {"form": "single_interaction", "w": [0.5, 0.7, 0.9]},
+                    "transform": {"kind": "logistic", "gamma": 2.0}},
+    "waak": {"variant": "waak", "gamma": 2.0, "w": [0.6, 0.7, 1.0]},
+    "aa_classic": {"variant": "aa_classic", "lambda": 0.8},
+    "mixture": {"variant": "mixture", "components": [{"weight": 0.25, "estimator": UNIFORM_ESTIMATOR},
+                                                     {"weight": 0.75, "estimator": {"variant": "waak", "gamma": 3.0, "w": 0.5}}]},
+}
+
+
+class TestFitReader:
+    """query reads report_version, n, seed, data and estimator from a fit as
+    json.loads would; every other member is checked as JSON but holds None
+    where it holds a number."""
+
+    def _fit(self, tmp_path, estimator, rows=((1, 1, 1), (1, -1, 1), (-1, 1, -1), (1, 1, 1)), cells="all"):
+        data = tmp_path / "obs.csv"
+        _write_signs(data, rows)
+        cfg = tmp_path / "cfg.json"
+        fit = tmp_path / "fit.json"
+        _write_json(cfg, {"estimator": estimator, "seed": 5, "query": {"cells": cells}})
+        assert main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(fit)]) == 0
+        return fit
+
+    def _query(self, fit, tmp_path):
+        out = tmp_path / "q.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bindens", "query", "--fit", str(fit), "--cells", "1,?+-", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        return proc, out
+
+    @pytest.mark.parametrize("variant", sorted(FIT_ESTIMATORS))
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("cells", ["all", [1, 6]])
+    def test_members_read_equal_json_loads(self, tmp_path, variant, version, cells):
+        fit = self._fit(tmp_path, FIT_ESTIMATORS[variant], cells=cells)
+        if version == 1:
+            _write_json(fit, {**_read_json(fit), "report_version": 1, "backend": "numpy"})
+        text = fit.read_text(encoding="utf-8")
+        got, want, nulled = cli._read_fit(text), json.loads(text), json.loads(text, **_NULL_NUMBERS)
+        assert list(got) == list(want)
+        assert set(cli._FIT_KEYS) - {"seed"} < set(got)
+        for key in got:
+            assert got[key] == (want[key] if key in cli._FIT_KEYS else nulled[key]), key
+
+    def test_full_estimate_values_hold_no_float(self, tmp_path):
+        n = 16
+        rows = np.random.default_rng(3).choice([-1, 1], size=(6, n))
+        fit = self._fit(tmp_path, {"variant": "waak", "gamma": 2.0, "w": 0.5}, rows=rows)
+        got = cli._read_fit(fit.read_text(encoding="utf-8"))
+        values = got["estimate"]["values"]
+        assert len(values) == 1 << n and set(values) == {None}
+        assert got["estimate"]["sum"] is None and got["timing"] == {"elapsed_ms": None}
+        assert got["data"] == _read_json(fit)["data"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace('"values": [', '"values": [1.2.3, ', 1),
+            lambda text: text[: len(text) // 2],
+            lambda text: text.rstrip() + " {}\n",
+            lambda text: text.replace(',\n  "estimate": {', '\n  "estimate": {', 1),
+            lambda text: text[: text.index(",", text.index('"values": ['))] + text[text.index(",", text.index('"values": [')) + 1:],
+        ],
+        ids=["bad_number_in_values", "truncated", "trailing_data", "missing_comma", "missing_comma_in_values"],
+    )
+    def test_malformed_fit_exits_2(self, tmp_path, edit):
+        fit = self._fit(tmp_path, UNIFORM_ESTIMATOR)
+        text = fit.read_text(encoding="utf-8")
+        edited = edit(text)
+        assert edited != text
+        fit.write_text(edited, encoding="utf-8")
+        proc, out = self._query(fit, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "is not valid JSON" in lines[0], lines
+        assert not out.exists()
+
+    def test_int_past_digit_limit_in_a_read_member_exits_2(self, tmp_path):
+        fit = self._fit(tmp_path, UNIFORM_ESTIMATOR)
+        text = fit.read_text(encoding="utf-8")
+        assert text.count('"seed": 5,') == 1
+        fit.write_text(text.replace('"seed": 5,', '"seed": ' + "9" * 5000 + ","), encoding="utf-8")
+        proc, out = self._query(fit, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_duplicate_estimator_keys_give_the_last(self, tmp_path):
+        fit = self._fit(tmp_path, UNIFORM_ESTIMATOR)
+        text = fit.read_text(encoding="utf-8")
+        waak = {"variant": "waak", "gamma": 3.0, "w": [0.5, 0.5, 0.5]}
+        first = '{"estimator": ' + json.dumps(waak) + "," + text[1:]
+        last = text.rstrip()[:-1] + ', "estimator": ' + json.dumps(waak) + "}\n"
+        for edited, want in ((first, UNIFORM_ESTIMATOR), (last, waak)):
+            fit.write_text(edited, encoding="utf-8")
+            assert cli._read_fit(edited)["estimator"] == json.loads(edited)["estimator"] == want
+            proc, out = self._query(fit, tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            assert _read_json(out)["estimator"] == want
+
+
+# Lists of JSON numbers, and lists the one-pass read leaves to the entry loop.
+NUMBER_LISTS = [
+    [],
+    [0.5],
+    [1, 0.25, -0.0, 0, -3],
+    [2**53 + 1, 2**64 + 1, -(2**70), 10**300, 0.1],
+    [float("nan"), float("inf"), -float("inf"), 5e-324, 1.7976931348623157e308],
+]
+BAD_NUMBER_LISTS = [[0.5, True], [False], [0.5, "2"], [None], [[0.5]], [0.5, {}], [0.5, 10**400], [-(10**400)], "0.5", {"a": 1}]
+
+
+@pytest.mark.parametrize("raw", NUMBER_LISTS)
+def test_float_array_equals_the_entry_loop(raw):
+    got = cli._float_array(raw, "w")
+    want = np.asarray(cli._numbers(raw, "w"), dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("raw", BAD_NUMBER_LISTS)
+def test_float_array_refuses_with_the_entry_loop_message(raw):
+    with pytest.raises(ConfigError) as want:
+        cli._numbers(raw, "w")
+    with pytest.raises(ConfigError) as got:
+        cli._float_array(raw, "w")
+    assert str(got.value) == str(want.value)
 
 
 class TestBenchCommand:
