@@ -166,8 +166,10 @@ def load_config(path):
             payload = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(_too_many_digits(f"config file {path}")) from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")
     return payload
@@ -488,23 +490,36 @@ def _json_safe(x):
 _ARRAY_MARK = "\x00ndarray"
 
 
+# Shorter float arrays go through repr, at about 1 us a value. The vector
+# route (floattext) takes about 0.3 us a value plus 0.4 ms of numpy calls
+# per array, and the first array of a process also pays about 5 ms to
+# compile floattext and build its tables: they cross near 8000 values.
+_VECTOR_MIN_VALUES = 8192
+
+
 def _float_array_text(values, indent):
     """A 1-D float64 array as json.dumps(values.tolist(), indent=2) writes it
-    at a line indented by indent spaces."""
+    at a line indented by indent spaces, in pieces."""
     if values.size == 0:
-        return "[]"
+        yield "[]"
+        return
     inner = " " * (indent + 2)
+    yield "[\n" + inner
     bits = values.view(np.uint64)
     if np.all(bits == bits[0]):
         # One value repeated, as a shared-grid weight vector is, takes one
         # repr. Bitwise equality keeps -0.0 beside 0.0 apart.
-        items = (",\n" + inner).join([json.dumps(float(values[0]))] * values.size)
+        yield (",\n" + inner).join([json.dumps(float(values[0]))] * values.size)
+    elif values.size >= _VECTOR_MIN_VALUES:
+        from .floattext import array_text
+
+        yield from array_text(values, ",\n" + inner)
     else:
         # A list's repr joins float.__repr__ with ", ", as json does with its
         # separator; json spells repr's nan, inf and -inf NaN, Infinity and -Infinity.
-        items = repr(values.tolist())[1:-1].replace(", ", ",\n" + inner)
-        items = items.replace("nan", "NaN").replace("inf", "Infinity")
-    return "[\n" + inner + items + "\n" + " " * indent + "]"
+        text = repr(values.tolist())[1:-1].replace(", ", ",\n" + inner)
+        yield text.replace("nan", "NaN").replace("inf", "Infinity")
+    yield "\n" + " " * indent + "]"
 
 
 def write_report(path, payload):
@@ -533,7 +548,7 @@ def write_report(path, payload):
             handle.write(pieces[0])
             for head, values, tail in zip(pieces, arrays, pieces[1:]):
                 line = head[head.rfind("\n") + 1 :]
-                handle.write(_float_array_text(values, len(line) - len(line.lstrip(" "))))
+                handle.writelines(_float_array_text(values, len(line) - len(line.lstrip(" "))))
                 handle.write(tail)
             handle.write("\n")
         os.replace(tmp_path, path)
@@ -750,14 +765,26 @@ _SKIPPER = json.JSONDecoder(parse_float=_NO_NUMBER, parse_int=_NO_NUMBER, parse_
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
+def _too_many_digits(what):
+    """The message for JSON text whose integer int() refuses to read: one
+    of more digits than sys.get_int_max_str_digits() allows."""
+    return f"{what} holds an integer of more than {_int_text_limit()} digits"
+
+
 def _read_fit(text):
     """json.loads(text) for a fit report, except that a top-level member
     outside _FIT_KEYS holds None for every number in it. Text that is not
     JSON raises json.JSONDecodeError wherever the fault is; a top level
-    other than an object is left to json.loads."""
+    other than an object is left to json.loads. An integer too long for
+    int() raises ValueError naming the member that holds it."""
     pos = _WHITESPACE.match(text).end()
     if text[pos:pos + 1] != "{":
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise ValueError(_too_many_digits("the top level")) from exc
     fit = {}
     while True:
         pos = _WHITESPACE.match(text, pos + 1).end()  # past "{" or ","
@@ -770,7 +797,12 @@ def _read_fit(text):
         if text[pos:pos + 1] != ":":
             raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
         decoder = _DECODER if key in _FIT_KEYS else _SKIPPER
-        fit[key], pos = decoder.raw_decode(text, _WHITESPACE.match(text, pos + 1).end())
+        try:
+            fit[key], pos = decoder.raw_decode(text, _WHITESPACE.match(text, pos + 1).end())
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise ValueError(_too_many_digits(f"member {key!r}")) from exc
         pos = _WHITESPACE.match(text, pos).end()
         if text[pos:pos + 1] == "}":
             break
@@ -803,8 +835,10 @@ def cmd_query(args):
             fit = _read_fit(handle.read())
     except OSError as exc:
         raise DataError(f"cannot read fit report {args.fit}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{args.fit} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"fit report {args.fit}: {exc}") from exc
     if not isinstance(fit, dict):
         raise DataError(f"fit report {args.fit} must be a JSON object")
     for key in ("report_version", "n", "data", "estimator"):

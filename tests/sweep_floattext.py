@@ -1,0 +1,46 @@
+"""A seeded sweep of the report writer's vector float route against repr.
+
+Formats random float64 bit patterns with bindens.floattext, a million at a
+time, and compares each chunk's text with json.dumps, which writes every
+finite float as repr does. Exits 1 at the first value that differs. pytest
+does not collect this file (tests/test_floattext.py runs a smaller sweep);
+run it from the root of a checkout:
+
+    PYTHONPATH=src python tests/sweep_floattext.py --count 20000000 --seed 1
+"""
+
+import argparse
+import json
+import sys
+
+import numpy as np
+
+from bindens.floattext import array_text
+
+CHUNK = 10**6
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--count", type=int, default=2 * 10**7, help="bit patterns to check")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    rng = np.random.default_rng(args.seed)
+    for start in range(0, args.count, CHUNK):
+        bits = rng.integers(0, 2**64, size=min(CHUNK, args.count - start), dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        got = "".join(array_text(values, ", ")).split(", ")
+        want = json.dumps(values.tolist())[1:-1].split(", ")
+        for word, value, mine, theirs in zip(bits.tolist(), values.tolist(), got, want):
+            if mine != theirs:
+                print(f"bits {word:#018x}: {mine!r} where repr gives {theirs!r} ({value!r})")
+                return 1
+        if len(got) != len(want):
+            print(f"{len(got)} values written for {len(want)}")
+            return 1
+    print(f"{args.count} bit patterns (seed {args.seed}) match repr")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

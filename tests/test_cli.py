@@ -2,11 +2,13 @@
 
 import contextlib
 import decimal
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -316,6 +318,12 @@ SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1.5e-05, 0.
 
 
 class TestWriteReport:
+    @pytest.fixture(autouse=True, params=["repr", "vector"])
+    def route(self, request, monkeypatch):
+        """Every array takes the route named: the vector route from one
+        value on, or repr however long the array is."""
+        monkeypatch.setattr(cli, "_VECTOR_MIN_VALUES", 1 if request.param == "vector" else 1 << 30)
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -330,6 +338,10 @@ class TestWriteReport:
             {"signed_zeros": np.array([-0.0, 0.0]), "other_order": np.array([0.0, -0.0, 0.0])},
             {"nan": np.full(3, math.nan), "inf": np.full(2, math.inf), "-inf": np.full(4, -math.inf)},
             {"mixed": np.array([0.8, 0.8, 0.8, 0.1]), "nan_last": np.array([1.0, 1.0, math.nan])},
+            # Several blocks of the vector route, at two indents.
+            {"estimate": {"values": np.concatenate([np.random.default_rng(2).random(20_000) / 3, SPECIAL_FLOATS])}},
+            [np.random.default_rng(3).standard_normal(9_000) * 1e12],
+            {"strided": np.linspace(-1.0, 1.0, 41)[::3], "reversed": np.geomspace(1e-310, 1e300, 50)[::-1]},
         ],
     )
     def test_matches_json_dumps_byte_for_byte(self, tmp_path, payload):
@@ -351,6 +363,27 @@ class TestWriteReport:
         assert _read_json(out) == {"text": "\x00ndarray"}
         with pytest.raises(ValueError):
             cli.write_report(out, {"text": "\x00ndarray", "values": np.zeros(2)})
+
+
+@pytest.mark.parametrize("n, limit_mb", [(16, 5.5), (20, 8.0)])
+def test_write_report_memory_stays_in_blocks(tmp_path, n, limit_mb):
+    """A full vector's text is written as it is made, block by block: the
+    peak stays near one block's temporaries, where the list repr formats,
+    its text and that text's copies took 87.5 MB at n = 20."""
+    values = np.random.default_rng(n).random(1 << n) / (1 << n)
+    assert values.size >= cli._VECTOR_MIN_VALUES
+    payload = {"estimate": {"full": True, "values": values, "sum": 1.0}}
+    out = tmp_path / "r.json"
+    cli.write_report(out, {"values": values[: cli._VECTOR_MIN_VALUES]})  # imports and tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cli.write_report(out, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 20 << n
+    assert peak <= limit_mb * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestEstimateCommand:
@@ -799,6 +832,40 @@ def test_config_value_of_wrong_json_type_exits_2(workspace, command, config):
 
 
 @pytest.mark.parametrize(
+    "command, config",
+    [
+        ("estimate", {"seed": 12345, "estimator": UNIFORM_ESTIMATOR}),
+        ("estimate", {"estimator": {"variant": "waak", "gamma": 12345, "w": 0.5}}),
+        ("cv", {"seed": 12345, "cv": {"search": {"kind": "aa_lambda", "lambdas": [0.7]}}}),
+    ],
+)
+def test_config_integer_past_digit_limit_exits_2(workspace, capsys, command, config):
+    """An integer longer than int() reads (sys.get_int_max_str_digits())
+    is named by its config file, not by int()'s advice to raise the limit."""
+    tmp, data = workspace
+    cfg = tmp / "cfg.json"
+    out = tmp / "r.json"
+    text = json.dumps(config)
+    assert text.count("12345") == 1
+    cfg.write_text(text.replace("12345", "9" * 5000), encoding="utf-8")
+    with _unlimited_int_text(4300):
+        code = main([command, "--data", str(data), "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: config file {cfg} holds an integer of more than 4300 digits"]
+    assert not out.exists()
+
+
+def test_config_not_utf8_exits_2(workspace, capsys):
+    tmp, data = workspace
+    cfg = tmp / "cfg.json"
+    cfg.write_bytes(b'\xff{"estimator": 1}')
+    assert main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(tmp / "r.json")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg} is not valid JSON: 'utf-8' codec"), lines
+
+
+@pytest.mark.parametrize(
     "command, doc",
     [
         ("estimate", {"seed": 2.9, "estimator": UNIFORM_ESTIMATOR}),
@@ -1113,8 +1180,24 @@ class TestFitReader:
         proc, out = self._query(fit, tmp_path)
         assert proc.returncode == 2, proc.stderr
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines == [f"error: fit report {fit}: member 'seed' holds an integer of more than 4300 digits"]
         assert not out.exists()
+
+    def test_int_past_digit_limit_at_the_top_level_exits_2(self, tmp_path, capsys):
+        fit = tmp_path / "fit.json"
+        fit.write_text("9" * 5000, encoding="utf-8")
+        with _unlimited_int_text(4300):
+            code = main(["query", "--fit", str(fit), "--cells", "1", "--out", str(tmp_path / "q.json")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: fit report {fit}: the top level holds an integer of more than 4300 digits"]
+
+    def test_fit_not_utf8_exits_2(self, tmp_path, capsys):
+        fit = tmp_path / "fit.json"
+        fit.write_bytes(b'\xff{"n": 1}')
+        assert main(["query", "--fit", str(fit), "--cells", "1", "--out", str(tmp_path / "q.json")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {fit} is not valid JSON: 'utf-8' codec"), lines
 
     def test_duplicate_estimator_keys_give_the_last(self, tmp_path):
         fit = self._fit(tmp_path, UNIFORM_ESTIMATOR)
