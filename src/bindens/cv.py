@@ -303,18 +303,15 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def evaluate_space(space, loss, counts, threads=1):
+def evaluate_space(space, loss, counts):
     """Evaluate every candidate up to the budget, keeping declared order.
 
     Returns (reports, best_pos, truncated); truncated is True when the
-    budget cut the enumeration short. threads is validated and kept for
-    compatibility: candidates run one after another, and BLAS threads
-    act inside each kernel block.
+    budget cut the enumeration short.
     """
     if not isinstance(space, SearchSpace):
         raise ConfigError("expected a SearchSpace")
     _check_loss(loss)
-    _integer(threads, "threads", 1, ConfigError)
     configs = space.configs
     if not configs:
         raise ConfigError("search space is empty")
@@ -324,7 +321,7 @@ def evaluate_space(space, loss, counts, threads=1):
     return reports, best_pos, limit < len(configs)
 
 
-def grid_search(space, loss, counts, threads=1):
+def grid_search(space, loss, counts):
     """Exhaustively evaluate a search space; returns (config, report).
 
     Candidates are compared by strict improvement in declared order, so
@@ -332,7 +329,7 @@ def grid_search(space, loss, counts, threads=1):
     the space, the evaluated prefix is still ranked and the best result
     rides along on the budget error.
     """
-    reports, best_pos, truncated = evaluate_space(space, loss, counts, threads)
+    reports, best_pos, truncated = evaluate_space(space, loss, counts)
     if truncated:
         raise BudgetExceededError(
             f"budget {space.budget} exhausted with {len(space.configs) - len(reports)} candidates unevaluated",
@@ -342,17 +339,15 @@ def grid_search(space, loss, counts, threads=1):
     return space.configs[best_pos], reports[best_pos]
 
 
-def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid, threads=1):
+def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid):
     """Cyclic per-coordinate grid descent on the weighted kernel weights.
 
     Each coordinate in turn is scanned over the grid, its trials scored
     by evaluate_space, and moved only when the best trial strictly beats
     the current weights (first-best wins), so the surrogate is monotone
     along the trajectory. Stops early when a full sweep changes nothing.
-    Returns (config, report) for the final weights. threads is validated
-    as in evaluate_space and does not fan out.
+    Returns (config, report) for the final weights.
     """
-    _integer(threads, "threads", 1, ConfigError)
     sweeps = _integer(sweeps, "sweeps", 1, ConfigError)
     _check_loss(loss)
     grid_values = [_real(v, "weight grid value", ConfigError) for v in grid]

@@ -19,7 +19,6 @@ from bindens import (
     ShrinkageSpec,
     Transform,
     coordinate_descent_w,
-    evaluate_space,
     interaction_indexes,
     loo_term,
     point_of_index,
@@ -53,11 +52,11 @@ INTEGER_ARGUMENTS = [
     ("shrinkage_optimal N", lambda v: shrinkage_optimal(0.5, v), ValueError),
     ("aa_classic n", lambda v: EstimatorConfig.aa_classic(v, 0.8), ConfigError),
     ("loo_term k", lambda v: loo_term(v, AA, COUNTS), ValueError),
+    ("aa_lambda_grid n", lambda v: SearchSpace.aa_lambda_grid(v, [0.8]), ConfigError),
     ("budget", lambda v: SearchSpace.aa_lambda_grid(3, [0.8], budget=v), ConfigError),
-    ("evaluate_space threads", lambda v: evaluate_space(SearchSpace.from_configs([AA]), "kl", COUNTS, v), ConfigError),
     ("descent sweeps", lambda v: coordinate_descent_w(np.ones(3), 2.0, "kl", COUNTS, v, [0.5]), ConfigError),
-    ("descent threads", lambda v: coordinate_descent_w(np.ones(3), 2.0, "kl", COUNTS, 1, [0.5], v), ConfigError),
     ("waak_shared_grid n", lambda v: SearchSpace.waak_shared_grid(v, [2.0], [0.5]), ConfigError),
+    ("linear_sparse_grid n", lambda v: SearchSpace.linear_sparse_grid(v, [2], [0.5]), ConfigError),
     ("linear_sparse_grid index", lambda v: SearchSpace.linear_sparse_grid(3, [v], [0.5]), ConfigError),
     ("mixture_weight_grid denominator", lambda v: SearchSpace.mixture_weight_grid([AA, UNIFORM], v), ConfigError),
 ]

@@ -1,5 +1,6 @@
 """Command line interface: file formats, reports, and exit codes."""
 
+import argparse
 import contextlib
 import decimal
 import gc
@@ -16,9 +17,11 @@ import pytest
 
 from bindens import (
     EstimatorConfig,
+    SearchSpace,
     ShrinkageSpec,
     counts_from_observations,
     estimate_at,
+    evaluate_space,
     index_of_point,
     kl_risk,
 )
@@ -112,6 +115,24 @@ class TestLoadObservations:
         p.write_text("1,-1\n1,2\n")
         with pytest.raises(DataError, match=":2"):
             load_observations(p)
+
+    @pytest.mark.parametrize(
+        "raw, lineno, reason",
+        [
+            (b"1,1\n\xff,-1\n", 2, "byte 0xff in position 0: invalid start byte"),
+            # Lines end as the text reader ends them: \r\n, a lone \r, \n.
+            (b"1,1\r\n-1,1\r1,-1\n-1,\xe9\n", 4, "byte 0xe9 in position 3: unexpected end of data"),
+            # Past the text reader's first 8 KiB chunk.
+            (b"1,-1\n" * 5000 + b"\xc3\x28,1\n", 5001, "byte 0xc3 in position 0: invalid continuation byte"),
+        ],
+        ids=["second line", "mixed line ends", "late line"],
+    )
+    def test_not_utf8_names_file_and_line(self, tmp_path, raw, lineno, reason):
+        p = tmp_path / "d.csv"
+        p.write_bytes(raw)
+        with pytest.raises(DataError) as info:
+            load_observations(p)
+        assert str(info.value) == f"{p}:{lineno}: not valid UTF-8: 'utf-8' codec can't decode {reason}"
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -678,6 +699,34 @@ class TestCvCommand:
         assert report["partial"] is True
         assert len(report["evaluations"]) == 2
 
+    @pytest.mark.parametrize("loss", ["kl", "se"])
+    def test_waak_product_search_matches_library(self, tmp_path, loss):
+        rng = np.random.default_rng(16)
+        data = self._dataset(tmp_path, rng, n=3, rows=12)
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "cv.json"
+        gammas, axes = [1.5, 2.5], [[0.2, 1.0], [0.5], [0.2, 1.0]]
+        search = {"kind": "waak", "gammas": gammas, "w": {"mode": "product", "axes": axes}}
+        _write_json(cfg, {"cv": {"loss": loss, "search": search}})
+        assert main(["cv", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+        rows = sorted(_read_json(out)["evaluations"], key=lambda row: row["candidate_index"])
+        want, _, _ = evaluate_space(SearchSpace.waak_product(gammas, axes), loss, load_observations(data))
+        assert [row["candidate_index"] for row in rows] == list(range(len(want))) == list(range(8))
+        for row, rep in zip(rows, want):
+            assert row["estimator"] == {"variant": "waak", "gamma": rep.config.gamma, "w": rep.config.shrinkage.w.tolist()}
+            assert row["value"] == pytest.approx(rep.value, rel=1e-12)
+
+    def test_waak_product_search_needs_an_axis_per_coordinate(self, tmp_path, capsys):
+        rng = np.random.default_rng(17)
+        data = self._dataset(tmp_path, rng, n=3, rows=12)
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "cv.json"
+        search = {"kind": "waak", "gammas": [1.5], "w": {"mode": "product", "axes": [[0.2, 1.0], [0.5]]}}
+        _write_json(cfg, {"cv": {"search": search}})
+        assert main(["cv", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: product search needs 3 axes, got 2"]
+        assert not out.exists()
+
     def test_waak_descent_rows(self, tmp_path):
         rng = np.random.default_rng(15)
         data = self._dataset(tmp_path, rng, n=3, rows=12)
@@ -853,6 +902,19 @@ def test_config_integer_past_digit_limit_exits_2(workspace, capsys, command, con
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"error: config file {cfg} holds an integer of more than 4300 digits"]
+    assert not out.exists()
+
+
+def test_data_not_utf8_exits_2(workspace, capsys):
+    tmp, _ = workspace
+    data = tmp / "bad.csv"
+    data.write_bytes(b"1,1\n\xff,-1\n")
+    cfg = tmp / "cfg.json"
+    _write_json(cfg, {"estimator": UNIFORM_ESTIMATOR})
+    out = tmp / "r.json"
+    assert main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {data}:2: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]
     assert not out.exists()
 
 
@@ -1264,6 +1326,54 @@ class TestBenchCommand:
 
     def test_max_n_validation(self, tmp_path):
         assert main(["bench", "--out", str(tmp_path / "b.json"), "--max-n", "4"]) == 2
+
+
+class _RecordingNamespace(argparse.Namespace):
+    """A Namespace that records the attribute names read once reads is a set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryOptionIsRead:
+    """Each option of a command reaches the command: an option that parses
+    but is never read selects nothing."""
+
+    @pytest.fixture
+    def argvs(self, workspace):
+        tmp, data = workspace
+        estimate_cfg, cv_cfg = tmp / "estimate.json", tmp / "cv.json"
+        _write_json(estimate_cfg, {"estimator": UNIFORM_ESTIMATOR})
+        _write_json(cv_cfg, {"cv": {"search": {"kind": "aa_lambda", "lambdas": [0.6, 0.8]}}})
+        fit = tmp / "fit.json"
+        return {
+            "estimate": ["estimate", "--data", str(data), "--config", str(estimate_cfg), "--out", str(fit)],
+            "cv": ["cv", "--data", str(data), "--config", str(cv_cfg), "--out", str(tmp / "cv-report.json")],
+            "query": ["query", "--fit", str(fit), "--cells", "1,2", "--out", str(tmp / "query-report.json")],
+        }
+
+    def test_estimate_cv_and_query_read_every_option(self, argvs):
+        for command, argv in argvs.items():  # estimate first: query reads its fit
+            args = cli.build_parser().parse_args(argv, namespace=_RecordingNamespace())
+            dests = set(vars(args)) - {"func", "command"}
+            args.reads = set()
+            assert args.func(args) == 0, command
+            assert dests <= args.reads, (command, sorted(dests - args.reads))
+
+    @pytest.mark.parametrize("command", ["estimate", "cv"])
+    def test_threads_is_a_usage_error(self, argvs, command, capsys):
+        argv = argvs[command] + ["--threads", "1"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments: --threads 1" in err
+        assert not os.path.exists(argv[argv.index("--out") + 1])
 
 
 class TestSubprocessEntryPoints:

@@ -394,14 +394,15 @@ class TestGridSearch:
         cfg, _ = grid_search(space, "kl", counts)
         assert cfg in space.configs
 
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(85)
-        counts = _random_counts(rng, 4, size=12)
-        space = SearchSpace.waak_shared_grid(4, [1.5, 2.5], [0.2, 0.6, 1.0])
-        solo, solo_rep = grid_search(space, "se", counts, threads=1)
-        multi, multi_rep = grid_search(space, "se", counts, threads=4)
-        assert solo is multi
-        assert solo_rep.value == multi_rep.value
+    def test_takes_no_threads(self):
+        counts = _random_counts(np.random.default_rng(85), 3, size=6)
+        space = SearchSpace.aa_lambda_grid(3, [0.8])
+        with pytest.raises(TypeError):
+            grid_search(space, "kl", counts, threads=1)
+        with pytest.raises(TypeError):
+            evaluate_space(space, "kl", counts, threads=1)
+        with pytest.raises(TypeError):
+            coordinate_descent_w([0.5, 0.5, 0.5], 2.0, "kl", counts, sweeps=1, grid=[0.5], threads=1)
 
     def test_rerun_is_identical(self):
         rng = np.random.default_rng(86)
@@ -420,8 +421,6 @@ class TestGridSearch:
         space = SearchSpace.aa_lambda_grid(3, [0.8])
         with pytest.raises(ConfigError):
             grid_search(space, "l2", counts)
-        with pytest.raises(ConfigError):
-            grid_search(space, "kl", counts, threads=0)
         with pytest.raises(ConfigError):
             SearchSpace.aa_lambda_grid(3, [0.8], budget=0)
 
@@ -683,5 +682,3 @@ class TestCoordinateDescent:
             coordinate_descent_w([0.5, 0.5], 2.0, "kl", counts, sweeps=1, grid=[1.5])
         with pytest.raises(ConfigError):
             coordinate_descent_w([0.5, 0.5], 2.0, "bad", counts, sweeps=1, grid=[0.5])
-        with pytest.raises(ConfigError):
-            coordinate_descent_w([0.5, 0.5], 2.0, "kl", counts, sweeps=1, grid=[0.5], threads=0)
