@@ -141,12 +141,13 @@ class TestLoadObservations:
             load_observations(p)
         assert str(info.value) == f"{p}: rows have inconsistent lengths [2, 3]"
 
-    @pytest.fixture(params=["by length", "every line"])
+    @pytest.fixture(params=["byte pass", "token loop"])
     def route(self, request, monkeypatch):
-        """Long signs lines take the byte pass; "every line" sends even
-        one-character signs lines there, so both decoders see each case."""
-        if request.param == "every line":
-            monkeypatch.setattr(cli, "_VECTORIZE_MIN_CHARS", 1)
+        """Blocks take the byte pass where it reads them; "token loop" sends
+        every block line by line through the token decoder, so both see
+        each case."""
+        if request.param == "token loop":
+            monkeypatch.setattr(cli._Observations, "add_block", lambda self, block: None)
 
     SIGNS, PLUS, BITS = ("1", "-1"), ("+1", "-1"), ("0", "1")
     # name -> (encoding, delimiter, header, tokens for +1 and -1, file text from token rows)
@@ -227,6 +228,32 @@ class TestLoadObservations:
         with pytest.raises(DataError) as info:
             load_observations(p, encoding=encoding)
         assert str(info.value) == f"{p}:2: expected {expected} tokens, got {token!r}"
+        with pytest.raises(ValueError) as info:
+            oracles.decode_observations(p, encoding)
+        assert str(info.value) == f"line 2: bad token {token!r}"
+
+    @pytest.mark.parametrize("line, token", [("1,-", "-"), ("-1,+", "+"), ("1,-1-", "-1-")])
+    def test_bad_last_line_without_line_end(self, tmp_path, route, line, token):
+        p = tmp_path / "d.csv"
+        p.write_text(f"1,1\n{line}")
+        with pytest.raises(DataError) as info:
+            load_observations(p)
+        assert str(info.value) == f"{p}:2: expected -1/+1 tokens, got {token!r}"
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"1,2\n\xff,1\n", ":1: expected -1/+1 tokens, got '2'"),
+            (b"\xff,1\n1,2\n", ":1: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["bad token first", "bad byte first"],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, route, raw, message):
+        p = tmp_path / "d.csv"
+        p.write_bytes(raw)
+        with pytest.raises(DataError) as info:
+            load_observations(p)
+        assert str(info.value) == f"{p}{message}"
 
     def test_bad_token_reported_before_ragged_rows(self, tmp_path, route):
         p = tmp_path / "d.csv"
@@ -234,6 +261,144 @@ class TestLoadObservations:
         with pytest.raises(DataError) as info:
             load_observations(p)
         assert str(info.value) == f"{p}:3: expected -1/+1 tokens, got '2'"
+
+    @pytest.fixture
+    def token_loop_lines(self, monkeypatch):
+        """Records the number of lines in each block sent to the token loop."""
+        seen = []
+        real = cli._token_rows
+
+        def spy(block, *args):
+            seen.append(len(block.splitlines()))
+            return real(block, *args)
+
+        monkeypatch.setattr(cli, "_token_rows", spy)
+        return seen
+
+    # name -> (delimiter, header, file text): each is read by the byte pass alone.
+    BYTE_PASS = {
+        "canonical": (",", False, "1,-1,1\n-1,1,1\n"),
+        "plus tokens": (",", False, "+1,-1,1\n-1,+1,+1\n"),
+        "leading and trailing spaces": (",", False, "  1,-1,1  \n -1,1,1\n"),
+        "leading and trailing tabs": (",", False, "\t1,-1,1\t\n\t\t-1,1,1\n"),
+        "spaces and tabs mixed": (",", False, " \t1,-1,1 \t \n-1,1,1\t \n \t\n"),
+        "header": (",", True, "x1,x2,x3\n1,-1,1\n-1,1,1\n"),
+        "padded header": (",", True, " x1 , x2 , x3 \n1,-1,1\n-1,1,1\n"),
+        "non-ASCII header": (",", True, "\u00e9t\u00e9,\u00fc,\u2603\n1,-1,1\n-1,1,1\n"),
+        "empty tokens": (",", False, ",1,,-1,1,\n,,-1,1,1,,\n"),
+        "delimiter-only and blank lines": (",", False, "1,-1,1\n,,,\n\n   \n-1,1,1\n"),
+        "crlf and lone cr": (",", False, "1,-1,1\r\n-1,1,1\r1,1,1\n"),
+        "space delimiter with tabs": (" ", False, "\t1 -1  1\t\n-1 1 1 \n"),
+        "tab delimiter with spaces": ("\t", False, " 1\t-1\t1 \n-1\t1\t1\t\n"),
+        "no final line end": (";", False, "1;-1;1\n-1;1;1"),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(BYTE_PASS))
+    def test_byte_pass_reads_without_token_loop(self, tmp_path, token_loop_lines, layout):
+        delimiter, header, text = self.BYTE_PASS[layout]
+        p = tmp_path / "d.txt"
+        p.write_bytes(text.encode("utf-8"))
+        counts = load_observations(p, delimiter=delimiter, header=header)
+        n, total, cells = oracles.decode_observations(p, "signs", delimiter, header)
+        assert (counts.n, counts.total, counts.cells) == (n, total, tuple(sorted(cells.items())))
+        assert token_loop_lines == []
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1, -1\n", "1 ,-1\n", "1,\x0b-1\n", "1,-1\x0c\n", "1,\u00a0-1\n", "1,1\n1,- 1\n"],
+        ids=["space after delimiter", "space before delimiter", "vertical tab", "form feed", "no-break space", "split token"],
+    )
+    def test_byte_pass_refuses_padded_tokens(self, tmp_path, token_loop_lines, text):
+        # Whitespace that is not at either end of a line, or not a space or
+        # tab, is left to the token loop, which strips each token.
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        try:
+            want = oracles.decode_observations(p)
+        except ValueError:
+            with pytest.raises(DataError):
+                load_observations(p)
+        else:
+            counts = load_observations(p)
+            assert (counts.n, counts.total, counts.cells) == (want[0], want[1], tuple(sorted(want[2].items())))
+        assert token_loop_lines == [text.count("\n")]
+
+    def test_refusal_costs_only_its_block(self, tmp_path, monkeypatch, token_loop_lines):
+        monkeypatch.setattr(cli, "_READ_BLOCK", 16)
+        lines = ["1,-1,1,1"] * 12
+        lines[5] = "1, -1,1,1"
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(lines) + "\n")
+        counts = load_observations(p)
+        assert counts.total == 12
+        # 9-byte lines in 16-byte reads: a block holds one or two lines, and
+        # only the padded line's block goes to the token loop.
+        assert len(token_loop_lines) == 1 and token_loop_lines[0] <= 2
+
+    # name -> (header, file bytes) that straddle reads of a few bytes.
+    BOUNDARIES = {
+        "line longer than a block": (False, b"1,-1,1,-1,1,-1,1,-1,1,-1,1,-1\n" * 3),
+        "crlf split across blocks": (False, b"1,-1\r\n-1,1\r\n1,1\r\n-1,-1\r\n" * 3),
+        "lone cr at block ends": (False, b"1,-1\r\r-1,1\r1,1\r\n\r-1,-1\r" * 3),
+        "no final line end": (False, b"1,-1\n-1,1\n1,1\n-1,-1"),
+        "delimiter-only and blank lines": (False, b"1,-1\n,,,,\n\n\r\n  \t \n,\n-1,1\n" * 3),
+        "non-ASCII header": (True, "\u00e9t\u00e9,\u2603,\U0001f600 \u00fc\n1,-1\n-1,1\n".encode("utf-8")),
+        "padded lines": (False, b"  1,-1 \n\t-1,1\t\n 1 , 1 \n" * 3),
+    }
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8, 13])
+    @pytest.mark.parametrize("case", sorted(BOUNDARIES))
+    def test_read_block_boundaries(self, tmp_path, monkeypatch, route, case, size):
+        monkeypatch.setattr(cli, "_READ_BLOCK", size)
+        header, raw = self.BOUNDARIES[case]
+        p = tmp_path / "d.csv"
+        p.write_bytes(raw)
+        counts = load_observations(p, header=header)
+        n, total, cells = oracles.decode_observations(p, "signs", ",", header)
+        assert (counts.n, counts.total, counts.cells) == (n, total, tuple(sorted(cells.items())))
+
+    @pytest.mark.parametrize("size", [1, 4, 7, 64])
+    def test_not_utf8_after_the_first_block(self, tmp_path, monkeypatch, route, size):
+        monkeypatch.setattr(cli, "_READ_BLOCK", size)
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"1,-1\r\n-1,1\r" * 20 + b"1,\xe9\n1,1\n")
+        with pytest.raises(DataError) as info:
+            load_observations(p)
+        reason = "byte 0xe9 in position 2: unexpected end of data"
+        assert str(info.value) == f"{p}:41: not valid UTF-8: 'utf-8' codec can't decode {reason}"
+
+    @pytest.mark.parametrize("size", [1, 5, 64])
+    def test_header_not_utf8(self, tmp_path, monkeypatch, size):
+        monkeypatch.setattr(cli, "_READ_BLOCK", size)
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"x\xff,y\n1,-1\n")
+        with pytest.raises(DataError) as info:
+            load_observations(p, header=True)
+        reason = "byte 0xff in position 1: invalid start byte"
+        assert str(info.value) == f"{p}:1: not valid UTF-8: 'utf-8' codec can't decode {reason}"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,-1\n-1,1\n1,1\n", " 1 , -1 \n-1,1\n1,1\n", "1,-1\n1 ,1\n" * 40],
+        ids=["canonical", "padded", "mixed blocks"],
+    )
+    def test_counts_are_taken_once_through_cli(self, tmp_path, monkeypatch, text):
+        # e2ebench times estimators.counts_from_observations by rebinding
+        # bindens.cli's global: every file, whichever decoder read it, is
+        # counted by one call through that name.
+        monkeypatch.setattr(cli, "_READ_BLOCK", 16)
+        calls = []
+        real = cli.counts_from_observations
+
+        def counted(points):
+            calls.append((type(points), points.dtype, points.shape))
+            return real(points)
+
+        monkeypatch.setattr(cli, "counts_from_observations", counted)
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        counts = load_observations(p)
+        assert calls == [(np.ndarray, np.int8, (counts.total, 2))]
 
 
 class TestParseCellsSpec:
@@ -260,6 +425,14 @@ class TestParseCellsSpec:
 
         with pytest.raises(ConfigError):
             parse_cells_spec(["+-"], 3)
+
+    @pytest.mark.parametrize("text", ["\u00b2", "--5", "+-3", "1_000", "12a", "+*"])
+    def test_rejects_non_index_naming_the_cell(self, text):
+        # One decimal check for indexes: a digit that is not decimal, or a
+        # second sign, is a bad query cell, not a bare parse error.
+        with pytest.raises(ConfigError) as info:
+            parse_cells_spec([text], 3)
+        assert str(info.value) == f"query cell {text!r} is neither an index nor a +/-/? pattern"
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 10_000])
     def test_patterns_match_index_of_point(self, n):
@@ -300,7 +473,7 @@ class TestParseDecimal:
         with _unlimited_int_text(4300):
             assert _parse_decimal(f" {text}\n") == want
 
-    @pytest.mark.parametrize("text", ["", "-", "1_000", "12a", "--3", "1.5"])
+    @pytest.mark.parametrize("text", ["", "-", "1_000", "12a", "--3", "1.5", "\u00b2", "--5", "+-3"])
     def test_rejects_non_decimal(self, text):
         with pytest.raises(ValueError):
             _parse_decimal(text)
@@ -1113,6 +1286,13 @@ class TestQueryCommand:
         fit = self._fit(tmp_path, [(1, 1), (-1, 1)], UNIFORM_ESTIMATOR)
         assert main(["query", "--fit", str(fit), "--cells", "??", "--out", str(tmp_path / "q.json")]) == 2
         assert main(["query", "--fit", str(fit), "--cells", "+*", "--out", str(tmp_path / "q.json")]) == 2
+
+    @pytest.mark.parametrize("spec", ["\u00b2", "--5", "+-3"])
+    def test_non_decimal_cell_names_the_query_cell(self, tmp_path, capsys, spec):
+        fit = self._fit(tmp_path, [(1, 1), (-1, 1)], UNIFORM_ESTIMATOR)
+        assert main(["query", "--fit", str(fit), f"--cells={spec}", "--out", str(tmp_path / "q.json")]) == 2
+        assert capsys.readouterr().err == f"error: query cell {spec!r} is neither an index nor a +/-/? pattern\n"
+        assert not (tmp_path / "q.json").exists()
 
     def test_missing_fit_report_exits_2(self, tmp_path):
         code = main(
