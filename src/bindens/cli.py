@@ -1216,19 +1216,15 @@ def _add_data_arguments(sub):
     sub.add_argument("--header", action="store_true", help="skip the first line")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bindens",
-        description="Density estimation over the {-1,+1}^n binary hypercube.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
+def _add_estimate(commands):
     est = commands.add_parser("estimate", help="fit one estimator and evaluate it")
     _add_data_arguments(est)
     est.add_argument("--config", required=True, help="JSON config with an 'estimator' block")
     est.add_argument("--out", required=True, help="output report path")
     est.set_defaults(func=cmd_estimate)
 
+
+def _add_cv(commands):
     cv = commands.add_parser("cv", help="search configurations by leave-one-out risk")
     _add_data_arguments(cv)
     cv.add_argument("--config", required=True, help="JSON config with a 'cv' block")
@@ -1236,6 +1232,8 @@ def build_parser():
     cv.add_argument("--loss", choices=("se", "kl"), default=None, help="override the configured loss")
     cv.set_defaults(func=cmd_cv)
 
+
+def _add_query(commands):
     query = commands.add_parser("query", help="evaluate a fitted report at new cells")
     query.add_argument("--fit", required=True, help="report written by the estimate command")
     query.add_argument("--cells", required=True,
@@ -1243,6 +1241,8 @@ def build_parser():
     query.add_argument("--out", required=True, help="output report path")
     query.set_defaults(func=cmd_query)
 
+
+def _add_bench(commands):
     bench = commands.add_parser("bench", help="measure element/normalization scaling")
     bench.add_argument("--out", required=True, help="output report path")
     bench.add_argument(
@@ -1256,11 +1256,38 @@ def build_parser():
     bench.add_argument("--seed", type=int, default=1, help="rng seed for benchmark inputs")
     bench.set_defaults(func=cmd_bench)
 
+
+# Each subcommand's builder, in the order the full parser lists them.
+_COMMANDS = {"estimate": _add_estimate, "cv": _add_cv, "query": _add_query, "bench": _add_bench}
+
+
+def build_parser(command=None):
+    """The bindens argument parser: every subcommand, or only `command`,
+    which then parses into the same Namespace, with the same help, usage
+    and error text, as the full parser."""
+    parser = argparse.ArgumentParser(
+        prog="bindens",
+        description="Density estimation over the {-1,+1}^n binary hypercube.",
+    )
+    # Usage lists the commands a parser has, and a one-command parser's
+    # "unrecognized arguments" error prints it, so that parser is given the
+    # full list. The full parser keeps no metavar: one would also rename
+    # "command" in its "arguments are required" error.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(commands)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A known command first builds only its own subparser; anything else
+    # (no argument, -h, an unknown name) needs the full parser's help or error.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except CapacityError as exc:

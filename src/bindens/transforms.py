@@ -120,11 +120,16 @@ class Transform:
 
 
 def _stable_sigmoid(y):
-    out = np.empty_like(y)
-    pos = y >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-    ey = np.exp(y[~pos])
-    out[~pos] = ey / (1.0 + ey)
+    """1 / (1 + e^-y) that cannot overflow: with e = e^-|y| in [0, 1], it is
+    1 / (1 + e) where y >= 0 and e / (1 + e) below, with no mask to gather
+    or scatter by. -|y| is taken as min(y, -y), which keeps the sign of a
+    NaN (negating abs() would set it)."""
+    e = np.negative(y)
+    np.minimum(y, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(y >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

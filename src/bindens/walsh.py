@@ -140,6 +140,16 @@ def fwht(v):
 
     Out of place: the input is never modified. Applying twice scales by
     2^n, since the matrix squares to 2^n times the identity.
+
+    The butterfly takes index bit 0 first, as a plain in-place butterfly
+    does, and forms every output as the same sums in the same order, so
+    the result is bit-identical to it. Viewed as a (2^ceil(n/2),
+    2^floor(n/2)) matrix, the low floor(n/2) index bits number columns:
+    their stages run on the transposed layout, where each pairs whole
+    contiguous rows of 2^ceil(n/2) values rather than strided runs of 1,
+    2, 4, ...; the high bits number rows of the natural layout. Each stage
+    writes through np.add and np.subtract into one of two buffers, which
+    take turns, so no stage copies: the peak is 2 * 2^n floats.
     """
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
@@ -149,16 +159,25 @@ def fwht(v):
         raise ValueError(f"fwht length must be a power of two, got {size}")
     if size > (1 << MAX_DENSE_N):
         raise CapacityError(f"fwht supports at most 2^{MAX_DENSE_N} elements, got {size}")
-    out = arr.copy()
-    h = 1
-    while h < size:
-        pairs = out.reshape(-1, 2 * h)
-        top = pairs[:, :h].copy()
-        bot = pairs[:, h:]
-        pairs[:, :h] = top + bot
-        pairs[:, h:] = top - bot
-        h *= 2
-    return out
+    n = size.bit_length() - 1
+    if n == 0:
+        return arr.copy()
+    low = n // 2
+    buffers = np.empty(size), np.empty(size)
+    # The first stage reads the input through the transposed view, so the
+    # transpose costs no pass of its own; the first high stage reads the
+    # last low stage's buffer transposed back.
+    src = arr.reshape(1 << (n - low), 1 << low).T
+    for bit in range(n):
+        if bit == low:
+            src = src.T
+        half = 1 << (bit if bit < low else bit - low)
+        pairs = src.reshape(-1, 2, half, src.shape[1])
+        out = buffers[bit & 1].reshape(pairs.shape)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        src = out.reshape(src.shape)
+    return buffers[(n - 1) & 1]
 
 
 @dataclass(frozen=True)

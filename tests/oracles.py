@@ -22,6 +22,23 @@ def walsh_dense(n):
     return w
 
 
+
+def fwht_butterfly(v):
+    """The Walsh transform by the plain in-place butterfly: passes over
+    index bits 0, 1, ..., n-1, each pairing runs of h = 1, 2, 4, ...
+    values on a copy of v. The package's transform must match it bit for
+    bit, since it forms the same sums in the same order."""
+    out = np.array(v, dtype=np.float64)
+    h = 1
+    while h < out.size:
+        pairs = out.reshape(-1, 2 * h)
+        top = pairs[:, :h].copy()
+        bot = pairs[:, h:]
+        pairs[:, :h] = top + bot
+        pairs[:, h:] = top - bot
+        h *= 2
+    return out
+
 def mapping_dense(n):
     """1-based column-product index table from the block recursion.
 
@@ -146,6 +163,18 @@ def transform_callable(kind, **params):
         return _elu
     raise ValueError(f"no oracle for transform kind {kind!r}")
 
+
+
+def masked_sigmoid(y):
+    """1 / (1 + e^-y) split by a boolean mask: 1 / (1 + e^-y) where y >= 0,
+    e^y / (1 + e^y) elsewhere (NaN included). The package's logistic must
+    match it bit for bit."""
+    out = np.empty_like(y)
+    pos = y >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
+    ey = np.exp(y[~pos])
+    out[~pos] = ey / (1.0 + ey)
+    return out
 
 # ---------------------------------------------------------------------------
 # dense estimation and leave-one-out references

@@ -1556,6 +1556,103 @@ class TestEveryOptionIsRead:
         assert not os.path.exists(argv[argv.index("--out") + 1])
 
 
+
+class TestOneCommandParser:
+    """main builds only the named command's subparser; it must parse, help
+    and fail exactly as the full parser does."""
+
+    VALID = {
+        "estimate": [
+            ["estimate", "--data", "d.csv", "--config", "c.json", "--out", "o.json"],
+            ["estimate", "--data=d.csv", "--header", "--encoding", "bits", "--delimiter", "ws",
+             "--config", "c.json", "--out", "o.json"],
+        ],
+        "cv": [
+            ["cv", "--data", "d.csv", "--config", "c.json", "--out", "o.json", "--loss", "kl"],
+            ["cv", "--out", "o.json", "--header", "--data", "d.csv", "--config", "c.json", "--loss=se"],
+        ],
+        "query": [
+            ["query", "--fit", "f.json", "--cells=-+-,?+", "--out", "o.json"],
+            ["query", "--fit", "f.json", "--cells", "1,2", "--out", "o.json"],
+        ],
+        "bench": [
+            ["bench", "--out", "o.json"],
+            ["bench", "--out", "o.json", "--max-n", "12", "--seed", "5"],
+        ],
+    }
+
+    # Each is a usage error (exit 2) for the command it starts with.
+    INVALID = [
+        ["estimate"],
+        ["estimate", "--data", "d.csv", "--out", "o.json"],
+        ["estimate", "--data", "d.csv", "--config", "c.json", "--out", "o.json", "--encoding", "hex"],
+        ["estimate", "--data", "d.csv", "--config", "c.json", "--out", "o.json", "--bogus"],
+        ["estimate", "--data", "d.csv", "--config", "c.json", "--out", "o.json", "--threads", "2"],
+        ["cv", "--data", "d.csv", "--config", "c.json"],
+        ["cv", "--data", "d.csv", "--config", "c.json", "--out", "o.json", "--encoding", "hex"],
+        ["cv", "--data", "d.csv", "--config", "c.json", "--out", "o.json", "--loss", "l1"],
+        ["cv", "--data", "d.csv", "--config", "c.json", "--out", "o.json", "extra"],
+        ["cv", "--data", "d.csv", "--config", "c.json", "--out", "o.json", "--threads", "2"],
+        ["query", "--fit", "f.json", "--out", "o.json"],
+        ["query", "--fit", "f.json", "--cells", "1", "--out", "o.json", "--bogus"],
+        ["query", "--fit", "f.json", "--cells", "1", "--out", "o.json", "--threads", "2"],
+        ["bench"],
+        ["bench", "--out", "o.json", "--max-n", "many"],
+        ["bench", "--out", "o.json", "--bogus"],
+        ["bench", "--out", "o.json", "--threads", "2"],
+    ]
+
+    @staticmethod
+    def _exit(parser, argv, capsys):
+        """(exit code, stdout, stderr) of parser.parse_args(argv), which must exit."""
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(argv)
+        out, err = capsys.readouterr()
+        return info.value.code, out, err
+
+    @staticmethod
+    def _module(argv):
+        return subprocess.run(
+            [sys.executable, "-m", "bindens", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, COLUMNS="80"),
+        )
+
+    @pytest.mark.parametrize("command", list(VALID))
+    def test_same_namespace(self, command):
+        for argv in self.VALID[command]:
+            one = cli.build_parser(command).parse_args(argv)
+            full = cli.build_parser().parse_args(argv)
+            assert vars(one) == vars(full), argv
+            assert one.command == command
+
+    @pytest.mark.parametrize("command", list(VALID))
+    def test_same_help(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        one = self._exit(cli.build_parser(command), [command, "--help"], capsys)
+        full = self._exit(cli.build_parser(), [command, "--help"], capsys)
+        assert one == full
+        assert one[0] == 0 and one[1].startswith(f"usage: bindens {command} ")
+
+    @pytest.mark.parametrize("argv", INVALID, ids=" ".join)
+    def test_same_usage_error_through_the_module(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = self._exit(cli.build_parser(), argv, capsys)
+        assert code == 2 and not out
+        proc = self._module(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["nope"]], ids=repr)
+    def test_other_arguments_get_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = self._exit(cli.build_parser(), argv, capsys)
+        proc = self._module(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+        shown = proc.stdout + proc.stderr
+        assert "{estimate,cv,query,bench}" in shown
+        assert "usage: bindens [-h] {estimate,cv,query,bench} ..." in shown
+
 class TestSubprocessEntryPoints:
     def test_module_invocation(self, workspace):
         tmp, data = workspace

@@ -70,6 +70,19 @@ class TestApply:
         assert np.all(np.isfinite(got))
         np.testing.assert_array_equal(got, [0.0, 0.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("gamma", [2.5, math.e, 0.5])
+    def test_logistic_bits_match_masked_split(self, gamma):
+        rng = np.random.default_rng(int(gamma * 1000))
+        special = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+        x = np.concatenate([rng.standard_normal(4096) * 40.0, rng.uniform(-800.0, 800.0, 512), special])
+        want = oracles.masked_sigmoid(x * math.log(gamma))
+        # e^-|y| lies in [0, 1], so nothing can overflow, divide by zero or
+        # be invalid; numpy does flag underflow where it rounds to a
+        # subnormal or to 0, as the masked split's exp does.
+        with np.errstate(all="raise", under="ignore"):
+            got = apply(Transform.logistic(gamma), x)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_logistic_is_centered(self):
         t = Transform.logistic(1.9)
         assert apply(t, 0.0) == pytest.approx(0.5, rel=1e-15)

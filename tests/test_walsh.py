@@ -14,7 +14,7 @@ from bindens import (
 )
 from bindens.errors import CapacityError
 
-from oracles import interaction_sets_union, mapping_dense, walsh_dense
+from oracles import fwht_butterfly, interaction_sets_union, mapping_dense, walsh_dense
 
 
 class TestPointIndexMap:
@@ -193,7 +193,7 @@ class TestFwht:
     """In-order fast transform against dense multiplication."""
 
     def test_pair_example(self):
-        # The butterfly runs in place on fwht's own copy, never on v.
+        # fwht writes only to buffers of its own, never to v.
         v = np.array([1.0, 1.0])
         np.testing.assert_array_equal(fwht(v), [2.0, 0.0])
         np.testing.assert_array_equal(v, [1.0, 1.0])
@@ -230,6 +230,37 @@ class TestFwht:
 
     def test_accepts_lists_and_ints(self):
         np.testing.assert_array_equal(fwht([3, 1]), [4.0, 2.0])
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_bits_match_plain_butterfly(self, n):
+        rng = np.random.default_rng(1000 + n)
+        size = 1 << n
+        v = rng.standard_normal(size) * np.exp2(rng.integers(-300, 301, size))
+        v[rng.integers(0, size, max(1, size // 8))] = 0.0
+        v[rng.integers(0, size)] = -0.0
+        # A lone inf, then a NaN with an inf of the other sign, so outputs
+        # mix finite values, infinities and NaNs of either sign.
+        with_inf = v.copy()
+        with_inf[rng.integers(0, size)] = np.inf
+        with_nan = v.copy()
+        with_nan[rng.integers(0, size)] = -np.inf
+        with_nan[rng.integers(0, size)] = np.nan
+        with np.errstate(invalid="ignore"):
+            for x in (v, with_inf, with_nan):
+                got, want = fwht(x), fwht_butterfly(x)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_bits_match_for_views_and_ints(self):
+        rng = np.random.default_rng(77)
+        base = rng.standard_normal(2 << 12)
+        keep = base.copy()
+        strided = base[::2]
+        assert not strided.flags.c_contiguous
+        got = fwht(strided)
+        np.testing.assert_array_equal(got.view(np.uint64), fwht_butterfly(strided).view(np.uint64))
+        np.testing.assert_array_equal(base.view(np.uint64), keep.view(np.uint64))
+        ints = rng.integers(-1000, 1000, 1 << 9).tolist()
+        np.testing.assert_array_equal(fwht(ints).view(np.uint64), fwht_butterfly(ints).view(np.uint64))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
