@@ -1171,7 +1171,8 @@ def cmd_bench(args):
     rows.append(_bench_row("logistic_single_interaction", ("O(1)", "O(n)", "O(n 2^n)"), norm_t, el_t, sq_t, checks))
 
     # Regime 4: no closed form (relu over sparse shrinkage); the
-    # normalizer pays the full dense transform.
+    # normalizer pays the full dense transform, and an element is then
+    # one read of the row it summed.
     norm_t, el_t, sq_t = {}, {}, {}
     for n in dense_grid:
         spec = _random_sparse(rng, n, nonzeros=8)
@@ -1185,7 +1186,7 @@ def cmd_bench(args):
         lo, hi = dense_grid[-2], dense_grid[-1]
         checks.append(_growth_check("normalization_dense_growth", norm_t, lo, hi, 2.0))
         checks.append(_growth_check("squared_element_dense_growth", sq_t, lo, hi, 2.0))
-    rows.append(_bench_row("general_no_closed_form", ("O(n 2^n)", "O(nonzeros)", "O(n 2^n)"), norm_t, el_t, sq_t, checks))
+    rows.append(_bench_row("general_no_closed_form", ("O(n 2^n)", "O(1)", "O(n 2^n)"), norm_t, el_t, sq_t, checks))
 
     all_pass = all(check["pass"] for row in rows for check in row["checks"])
     report = _common_header("bench", None, int(args.seed))

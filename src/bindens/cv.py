@@ -86,23 +86,6 @@ def _held_out(gram, cnt, own, total):
     return (gram @ cnt + own_entries * (cnt[own] - 1.0)) / (total - 1)
 
 
-def _element_evals(counts):
-    k = len(counts.cells)
-    return k * (k - 1) // 2 + sum(1 for _, cnt in counts.cells if cnt >= 2)
-
-
-def _support_terms(config, counts):
-    """Support counts and the held-out term at each support cell."""
-    cnt = counts._counts
-    support = counts._packed
-    terms = _held_out(config._gram(support, support), cnt, np.arange(cnt.size), counts.total)
-    return cnt, terms
-
-
-def _observation_terms(terms, counts):
-    return tuple(np.repeat(terms, [cnt for _, cnt in counts.cells]).tolist())
-
-
 def loo_term(k, config, counts):
     """Held-out estimate for observation k in canonical order.
 
@@ -121,6 +104,31 @@ def loo_term(k, config, counts):
     return float(_held_out(gram, cnt, [own], counts.total)[0])
 
 
+def _loo_risk(loss, config, counts):
+    """The RiskReport of either loss from the held-out term at each
+    support cell, read off one support x support block of Q."""
+    _check_inputs(config, counts)
+    cnt = counts._counts
+    support = counts._packed
+    terms = _held_out(config._gram(support, support), cnt, np.arange(cnt.size), counts.total)
+    k = cnt.size
+    dominated = False
+    if loss == "kl":
+        dominated = not bool(np.all(terms > 0.0))
+        value = -math.inf if dominated else math.fsum((cnt * np.log(terms)).tolist())
+    else:
+        value = config._quadratic(counts) - (2.0 / counts.total) * math.fsum((cnt * terms).tolist())
+    return RiskReport(
+        loss=loss,
+        value=value,
+        loo_terms=tuple(np.repeat(terms, [c for _, c in counts.cells]).tolist()),
+        config=config,
+        element_evals=k * (k - 1) // 2 + int(np.count_nonzero(cnt >= 2)),
+        squared_element_evals=k * (k + 1) // 2 if loss == "se" else 0,
+        dominated=dominated,
+    )
+
+
 def kl_risk(config, counts):
     """Leave-one-out log-likelihood surrogate (maximize).
 
@@ -128,22 +136,7 @@ def kl_risk(config, counts):
     and sets dominated, so such configurations lose to every finite one
     without raising.
     """
-    _check_inputs(config, counts)
-    cnt, terms = _support_terms(config, counts)
-    dominated = not bool(np.all(terms > 0.0))
-    if dominated:
-        value = -math.inf
-    else:
-        value = math.fsum((cnt * np.log(terms)).tolist())
-    return RiskReport(
-        loss="kl",
-        value=value,
-        loo_terms=_observation_terms(terms, counts),
-        config=config,
-        element_evals=_element_evals(counts),
-        squared_element_evals=0,
-        dominated=dominated,
-    )
+    return _loo_risk("kl", config, counts)
 
 
 def se_risk(config, counts):
@@ -153,20 +146,7 @@ def se_risk(config, counts):
     from the true expected squared error only by a configuration-free
     constant, so rankings are preserved.
     """
-    _check_inputs(config, counts)
-    cnt, terms = _support_terms(config, counts)
-    N = counts.total
-    value = config._quadratic(counts) - (2.0 / N) * math.fsum((cnt * terms).tolist())
-    k = cnt.size
-    return RiskReport(
-        loss="se",
-        value=value,
-        loo_terms=_observation_terms(terms, counts),
-        config=config,
-        element_evals=_element_evals(counts),
-        squared_element_evals=k * (k + 1) // 2,
-        dominated=False,
-    )
+    return _loo_risk("se", config, counts)
 
 
 def _check_loss(loss):
@@ -342,10 +322,12 @@ def grid_search(space, loss, counts):
 def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid):
     """Cyclic per-coordinate grid descent on the weighted kernel weights.
 
-    Each coordinate in turn is scanned over the grid, its trials scored
-    by evaluate_space, and moved only when the best trial strictly beats
-    the current weights (first-best wins), so the surrogate is monotone
-    along the trajectory. Stops early when a full sweep changes nothing.
+    Each coordinate in turn is scanned over the grid, each trial scored
+    by its risk. A trial replaces the best so far, which starts as the
+    current weights, only when it strictly beats it: the first of tied
+    trials wins, weights move only on a strict improvement, and the
+    surrogate is monotone along the trajectory. Stops early when a full
+    sweep changes nothing.
     Returns (config, report) for the final weights.
     """
     sweeps = _integer(sweeps, "sweeps", 1, ConfigError)
@@ -361,17 +343,16 @@ def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid):
     for _ in range(sweeps):
         moved = False
         for d in range(current_cfg.n):
-            trials = []
+            best = current
             for v in grid_values:
                 w = current_cfg.shrinkage.w.copy()
                 if w[d] != v:
                     w[d] = v
-                    trials.append(EstimatorConfig.waak(w, gamma))
-            if not trials:
-                continue
-            reports, best_pos, _ = evaluate_space(SearchSpace(configs=tuple(trials)), loss, counts)
-            if _rank_key(reports[best_pos]) < _rank_key(current):
-                current_cfg, current = trials[best_pos], reports[best_pos]
+                    report = _risk(loss, EstimatorConfig.waak(w, gamma), counts)
+                    if _rank_key(report) < _rank_key(best):
+                        best = report
+            if best is not current:
+                current_cfg, current = best.config, best
                 moved = True
         if not moved:
             break

@@ -17,18 +17,20 @@ cell indexes, applied to the empirical cell weights. The families are
 Kernel entries are filled a block at a time: one batched core returns Q
 (or Q @ Q) on two lists of cells as a matrix product over their points,
 their parity features, or a gather from a dense profile, and every
-estimate, leave-one-out risk and scalar element goes through it. Blocks
-cost O(#nonzero(b)) or O(n) per entry without touching a 2^n buffer;
-dense materialization is a separate, capacity-guarded path. Q @ Q of a
-transformed or mixture kernel is the exception: its entries need the
-dense profile, so a single entry of it is xor_dot, one gather and dot
-over the profile. The core's quadratic form p' Q^2 p instead reads the
-kernel's Walsh diagonal s, with Q = W diag(s) W / 2^n (n <= 30): it is
-||s * fwht(p)||^2 / 2^n. s is b for a linear kernel and a product of
-tanh(t_d) for waak and aa_classic, both in closed form; a transformed
-kernel keeps one transform of its row, and a mixture sums its
-components' diagonals. fwht(p) is kept by the counts, so an SE search
-pays its transforms per component and per counts, not per candidate.
+estimate, leave-one-out risk and scalar element goes through it. A
+kernel whose Z has no closed form sums its dense row for Z (n <= 30) and
+reads every entry from that row, as a dense-shrinkage kernel does, so
+its Z, full estimate and single entries are one set of numbers; other
+blocks cost O(#nonzero(b)) or O(n) per entry with no 2^n buffer. Q @ Q
+of a transformed or mixture kernel needs the dense profile, so a single
+entry of it is xor_dot, one gather and dot over the profile. The core's
+quadratic form p' Q^2 p instead reads the kernel's Walsh diagonal s,
+with Q = W diag(s) W / 2^n (n <= 30): it is ||s * fwht(p)||^2 / 2^n.
+s is b for a linear kernel and a product of tanh(t_d) for waak and
+aa_classic, both in closed form; a transformed kernel keeps one
+transform of its row, and a mixture sums its components' diagonals.
+fwht(p) is kept by the counts, so an SE search pays its transforms per
+component and per counts, not per candidate.
 
 Product-form kernels (waak, aa_classic) see two cells only through a
 weighted distance D_w, the sum of w_d over the coordinates where they
@@ -344,7 +346,8 @@ class EstimatorConfig:
     Q @ Q on two lists of cells, either of which may be a CountsVector's
     packed support; every estimate, risk and scalar element goes through
     them, and _quadratic gives the SE risk its p' Q^2 p for a
-    CountsVector's weights p.
+    CountsVector's weights p. A kernel that sums its dense row for Z
+    reads its Q entries from that row.
     """
 
     variant: str
@@ -446,19 +449,14 @@ class EstimatorConfig:
 
     def _gram(self, rows, cols):
         """Q[r, c] for every cell r in rows and c in cols, as an array."""
-        return self._gram_block(*_cell_pair(rows, cols, self.n))
-
-    def _squared_gram(self, rows, cols):
-        """(Q @ Q)[r, c] for every cell r in rows and c in cols, as an array."""
-        return self._squared_gram_block(*_cell_pair(rows, cols, self.n))
-
-    def _gram_block(self, rows, cols):
+        rows, cols = _cell_pair(rows, cols, self.n)
         if self.variant in _WAAK:
             return self._waak.gram(rows, cols)
         if self.variant == "mixture":
-            return sum(c * cfg._gram_block(rows, cols) for c, cfg in self.components)
-        if self.shrinkage.form == DENSE:
-            return _xor_gather(self._profile(), rows, cols)
+            return sum(c * cfg._gram(rows, cols) for c, cfg in self.components)
+        if self.shrinkage.form == DENSE or self._summed_route:
+            # The dense row (for the summed route, the one that gave Z).
+            return _xor_gather(self._row, rows, cols)
         raw = self._features.signed_sums(rows, cols, self._features.values)
         if self.variant == "linear":
             return np.ldexp(raw, -self.n)
@@ -483,9 +481,11 @@ class EstimatorConfig:
             return math.ldexp(float(terms @ terms), -self.n)
         p = counts._counts / counts.total
         support = counts._packed
-        return float(p @ self._squared_gram_block(support, support) @ p)
+        return float(p @ self._squared_gram(support, support) @ p)
 
-    def _squared_gram_block(self, rows, cols):
+    def _squared_gram(self, rows, cols):
+        """(Q @ Q)[r, c] for every cell r in rows and c in cols, as an array."""
+        rows, cols = _cell_pair(rows, cols, self.n)
         if self.variant in _WAAK:
             return self._waak.squared_gram(rows, cols)
         if self.variant in _PROFILE_SQUARED:
@@ -853,9 +853,10 @@ def squared_element_linear(i, j, shrinkage):
 def element_transformed(i, j, shrinkage, transform):
     """Entry (i, j) of f(W diag(b) W) / Z.
 
-    The numerator costs O(#nonzero(b)); the normalization constant is
-    resolved once per (transform, shrinkage) pair through the cheapest
-    available dispatch route.
+    Z is resolved once per (transform, shrinkage) pair through the
+    cheapest available dispatch route. With a closed-form Z the numerator
+    costs O(#nonzero(b)); a kernel that sums its dense row for Z (n <= 30)
+    reads the entry from that row in O(1).
     """
     _validate_transformed(shrinkage, transform)
     return _entry(_element_config("transformed", shrinkage, transform), i, j)

@@ -176,6 +176,47 @@ def masked_sigmoid(y):
     out[~pos] = ey / (1.0 + ey)
     return out
 
+def descent_by_search_space(initial_w, gamma, loss, counts, sweeps, grid):
+    """The weight descent as it was when each coordinate's trials went
+    through a SearchSpace and evaluate_space: the reference for the move
+    rule (the first best trial wins, and moves only on a strict
+    improvement). It calls the package's risks, which the descent under
+    test shares; what it pins is the choice among their reports."""
+    from bindens.cv import SearchSpace, _check_loss, _rank_key, _risk, evaluate_space
+    from bindens.errors import ConfigError
+    from bindens.estimators import EstimatorConfig
+    from bindens.walsh import _integer, _real
+
+    sweeps = _integer(sweeps, "sweeps", 1, ConfigError)
+    _check_loss(loss)
+    grid_values = [_real(v, "weight grid value", ConfigError) for v in grid]
+    if not grid_values:
+        raise ConfigError("weight grid is empty")
+    for v in grid_values:
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(f"weight grid value {v} lies outside [0, 1]")
+    current_cfg = EstimatorConfig.waak(initial_w, gamma)
+    current = _risk(loss, current_cfg, counts)
+    for _ in range(sweeps):
+        moved = False
+        for d in range(current_cfg.n):
+            trials = []
+            for v in grid_values:
+                w = current_cfg.shrinkage.w.copy()
+                if w[d] != v:
+                    w[d] = v
+                    trials.append(EstimatorConfig.waak(w, gamma))
+            if not trials:
+                continue
+            reports, best_pos, _ = evaluate_space(SearchSpace(configs=tuple(trials)), loss, counts)
+            if _rank_key(reports[best_pos]) < _rank_key(current):
+                current_cfg, current = trials[best_pos], reports[best_pos]
+                moved = True
+        if not moved:
+            break
+    return current_cfg, current
+
+
 # ---------------------------------------------------------------------------
 # dense estimation and leave-one-out references
 

@@ -1163,6 +1163,32 @@ class TestQueryCommand:
         np.testing.assert_allclose([r["value"] for r in results], want.values, rtol=1e-13)
         assert results[1]["point"] == "+-++-"
 
+    def test_step_kernel_round_trip_over_every_cell(self, tmp_path):
+        # A step kernel has no closed-form Z: it sums its dense row, and the
+        # fit's full vector and every queried entry come from that row. At
+        # w = 0.3 half the row sits on the threshold 0 in exact arithmetic.
+        rng = np.random.default_rng(12)
+        n = 12
+        data = tmp_path / "obs.csv"
+        _write_signs(data, rng.choice([-1, 1], size=(40, n)))
+        cfg = tmp_path / "cfg.json"
+        fit = tmp_path / "fit.json"
+        estimator = {
+            "variant": "transformed",
+            "shrinkage": {"form": "single_interaction", "w": 0.3},
+            "transform": {"kind": "step", "threshold": 0, "low": 0.1, "high": 1},
+        }
+        _write_json(cfg, {"estimator": estimator, "query": {"cells": "all"}})
+        assert main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(fit)]) == 0
+        values = _read_json(fit)["estimate"]["values"]
+        assert len(values) == 1 << n
+        out = tmp_path / "q.json"
+        cells = ",".join(str(c) for c in range(1, (1 << n) + 1))
+        assert main(["query", "--fit", str(fit), "--cells", cells, "--out", str(out)]) == 0
+        results = _read_json(out)["query"]["results"]
+        assert [r["cell"] for r in results] == list(range(1, (1 << n) + 1))
+        np.testing.assert_allclose([r["value"] for r in results], values, rtol=1e-12, atol=0)
+
     def test_reads_version_1_fit(self, tmp_path):
         # A version 1 fit differs from the current one by its version and
         # a "backend" field.

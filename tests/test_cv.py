@@ -671,6 +671,54 @@ class TestCoordinateDescent:
                 wins += 1
         assert wins >= 14
 
+    @staticmethod
+    def _even_code_twice(n):
+        """Every cell of even parity, each observed twice: distinct cells
+        differ in at least two coordinates."""
+        cells = [row for row in itertools.product([1, -1], repeat=n) if math.prod(row) == 1]
+        return counts_from_observations(np.array(cells + cells))
+
+    @pytest.mark.parametrize("loss", ["kl", "se"])
+    def test_first_of_tied_best_trials_wins(self, loss):
+        # At gamma = 1e300 every weight of 0.6 or more makes Q exactly the
+        # identity (the off-diagonal entries underflow to 0), so the trials
+        # w_0 = 0.6 and w_0 = 1 tie bit for bit; both beat w_0 = 0, whose
+        # entries are 1/2. The first of them in grid order is kept.
+        counts = self._even_code_twice(4)
+        cfg, rep = coordinate_descent_w(
+            [0.0, 1.0, 1.0, 1.0], 1e300, loss, counts, sweeps=1, grid=[0.0, 0.6, 1.0]
+        )
+        np.testing.assert_array_equal(cfg.shrinkage.w, [0.6, 1.0, 1.0, 1.0])
+        tied = (kl_risk if loss == "kl" else se_risk)(EstimatorConfig.waak([1.0] * 4, 1e300), counts)
+        assert rep.value == tied.value
+
+    @pytest.mark.parametrize("loss", ["kl", "se"])
+    @pytest.mark.parametrize(
+        "n, gamma, grid, start",
+        [
+            (3, 2.5, [0.0, 0.5, 1.0], 0.25),
+            (4, 2.5, [0.25, 0.75, 0.25, 1.0], 0.5),  # a repeated value
+            (5, 2.5, [0.0, 0.5, 1.0], 0.5),  # the start value is on the grid
+            (6, 2.5, [1.0, 0.5, 0.5, 0.0, 0.5], 0.5),  # both
+            (4, 1.0, [0.0, 0.5, 1.0], 0.5),  # every trial ties with the start
+            (4, 1e300, [0.0, 0.6, 0.6, 1.0], 1.0),  # ties among the trials
+        ],
+    )
+    def test_move_rule_matches_search_space_descent(self, loss, n, gamma, grid, start):
+        for seed in range(3):
+            rng = np.random.default_rng(950 + 10 * n + seed)
+            rows = rng.choice([-1, 1], size=(6, n))
+            for counts in (counts_from_observations(rows), self._even_code_twice(n)):
+                initial = np.full(n, start)
+                initial[0] = grid[0]
+                got_cfg, got = coordinate_descent_w(initial, gamma, loss, counts, sweeps=3, grid=grid)
+                want_cfg, want = oracles.descent_by_search_space(
+                    initial, gamma, loss, counts, sweeps=3, grid=grid
+                )
+                assert got_cfg.shrinkage.w.tobytes() == want_cfg.shrinkage.w.tobytes()
+                assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value))
+                assert got.loo_terms == want.loo_terms
+
     def test_validation(self):
         rng = np.random.default_rng(94)
         counts = _random_counts(rng, 2, size=6)

@@ -1198,3 +1198,103 @@ class TestSampleNeutrality:
             fb = estimate_full(cfg, counts_from_observations(b)).values
             want = (8 * fa + 13 * fb) / 21.0
             np.testing.assert_allclose(full, want, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# route parity: single entries and the full vector are one set of numbers
+
+
+def _parity_transforms(threshold):
+    """One transform of every kind; the step threshold is the caller's."""
+    return (
+        Transform.identity(),
+        Transform.exponential(2.0),
+        Transform.logistic(3.0),
+        Transform.step(threshold, 0.1, 1.0),
+        Transform.relu(),
+        Transform.tanh(2.0),
+        Transform.elu(0.5),
+    )
+
+
+def _parity_cases(n):
+    """(name, config) for every variant and for every transform kind over
+    single-interaction and sparse shrinkage.
+
+    Step thresholds sit on lattice points, values the row W b takes in
+    exact arithmetic: 0.3 (n - 2k) for weights all 0.3, and a signed sum
+    of the sparse coefficients. A tie there is rounded one way or the
+    other, and only reading every entry from one row keeps the routes
+    on the same side.
+    """
+    rng = np.random.default_rng(n)
+    single = ShrinkageSpec.single_interaction(np.full(n, 0.3))
+    sparse = ShrinkageSpec.sparse(n, {1: 0.5, 3: 0.25, 6: 0.3, (1 << n) - 2: 0.125})
+    lattice = ((single, 0.0, 0.6), (sparse, 0.5 + 0.25 - 0.3 + 0.125, 0.5 - 0.25 - 0.3 + 0.125))
+    cases = []
+    for shrinkage, first, second in lattice:
+        for t in _parity_transforms(first) + (Transform.step(second, 0.1, 1.0),):
+            name = f"{shrinkage.form}-{t.kind}" + (f"-{t.threshold:g}" if t.kind == "step" else "")
+            cases.append((name, EstimatorConfig.transformed(shrinkage, t)))
+    linear_sparse = EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 3: 0.25, 6: 0.3}))
+    step = EstimatorConfig.transformed(single, Transform.step(0.0, 0.1, 1.0))
+    waak = EstimatorConfig.waak(rng.uniform(0.1, 1.0, size=n), 3.0)
+    cases += [
+        ("linear-sparse", linear_sparse),
+        ("linear-dense", EstimatorConfig.linear(ShrinkageSpec.dense(_unit_lead_dense(rng, n)))),
+        (
+            "dense-step-0",
+            EstimatorConfig.transformed(
+                ShrinkageSpec.dense(rng.uniform(-1, 1, size=1 << n)), Transform.step(0.0, 0.1, 1.0)
+            ),
+        ),
+        ("waak", waak),
+        ("aa_classic", EstimatorConfig.aa_classic(n, 0.8)),
+        ("mixture", EstimatorConfig.mixture([(0.5, step), (0.3, waak), (0.2, linear_sparse)])),
+    ]
+    return cases
+
+
+def _assert_routes_agree(config, seed, rows=40):
+    """estimate_at over all 2^n cells equals estimate_full to 1e-12 of its
+    largest entry, and both sum to 1; a Z that is not positive is refused
+    by both."""
+    n = config.n
+    rng = np.random.default_rng(seed)
+    counts = counts_from_observations(rng.choice([-1, 1], size=(rows, n)))
+    try:
+        full = estimate_full(config, counts).values
+    except DegenerateNormalizerError:
+        # Identity and tanh over b_1 = 0 rows: Z is 0 in exact arithmetic.
+        with pytest.raises(DegenerateNormalizerError):
+            estimate_at([1], config, counts)
+        return
+    at = estimate_at(range(1, (1 << n) + 1), config, counts).values
+    assert np.max(np.abs(at - full)) <= 1e-12 * np.max(np.abs(full))
+    assert abs(math.fsum(full) - 1.0) <= 1e-12
+    assert abs(math.fsum(at) - 1.0) <= 1e-12
+
+
+class TestRouteParity:
+    """Z, estimate_full and estimate_at read one set of kernel entries."""
+
+    @pytest.mark.parametrize(
+        "n, index",
+        [(n, i) for n in (8, 12) for i in range(len(_parity_cases(n)))],
+        ids=[f"n{n}-{name}" for n in (8, 12) for name, _ in _parity_cases(n)],
+    )
+    def test_estimate_at_equals_estimate_full(self, n, index):
+        _, config = _parity_cases(n)[index]
+        _assert_routes_agree(config, seed=100 + index)
+
+    @pytest.mark.parametrize(
+        "w, threshold",
+        [
+            (np.full(12, 0.3), 0.0),
+            (np.resize([0.2, 0.5, 0.9], 14), 0.3),
+        ],
+        ids=["n12-w0.3-threshold0", "n14-w0.2-0.5-0.9-threshold0.3"],
+    )
+    def test_step_ties_on_the_lattice(self, w, threshold):
+        spec = ShrinkageSpec.single_interaction(w)
+        _assert_routes_agree(EstimatorConfig.transformed(spec, Transform.step(threshold, 0.1, 1.0)), seed=9)
