@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration or data problems, 3 capacity
 refusals, 4 numeric failures.
 """
 
-import argparse
 import collections
 import decimal
 import json
@@ -17,6 +16,7 @@ import re
 import sys
 import tempfile
 import time
+import types
 
 import numpy as np
 
@@ -1209,63 +1209,42 @@ def cmd_bench(args):
 # argument parsing
 
 
-def _add_data_arguments(sub):
-    sub.add_argument("--data", required=True, help="observation file, one point per line")
-    sub.add_argument("--encoding", choices=("signs", "bits"), default="signs",
-                     help="signs: -1/+1 tokens; bits: 0 -> +1, 1 -> -1")
-    sub.add_argument("--delimiter", default=",", help="token delimiter; 'ws' splits on whitespace")
-    sub.add_argument("--header", action="store_true", help="skip the first line")
+_DATA_OPTIONS = (
+    ("--data", {"required": True, "help": "observation file, one point per line"}),
+    ("--encoding", {"choices": ("signs", "bits"), "default": "signs",
+                    "help": "signs: -1/+1 tokens; bits: 0 -> +1, 1 -> -1"}),
+    ("--delimiter", {"default": ",", "help": "token delimiter; 'ws' splits on whitespace"}),
+    ("--header", {"action": "store_true", "help": "skip the first line"}),
+)
+_OUT = ("--out", {"required": True, "help": "output report path"})
 
-
-def _add_estimate(commands):
-    est = commands.add_parser("estimate", help="fit one estimator and evaluate it")
-    _add_data_arguments(est)
-    est.add_argument("--config", required=True, help="JSON config with an 'estimator' block")
-    est.add_argument("--out", required=True, help="output report path")
-    est.set_defaults(func=cmd_estimate)
-
-
-def _add_cv(commands):
-    cv = commands.add_parser("cv", help="search configurations by leave-one-out risk")
-    _add_data_arguments(cv)
-    cv.add_argument("--config", required=True, help="JSON config with a 'cv' block")
-    cv.add_argument("--out", required=True, help="output report path")
-    cv.add_argument("--loss", choices=("se", "kl"), default=None, help="override the configured loss")
-    cv.set_defaults(func=cmd_cv)
-
-
-def _add_query(commands):
-    query = commands.add_parser("query", help="evaluate a fitted report at new cells")
-    query.add_argument("--fit", required=True, help="report written by the estimate command")
-    query.add_argument("--cells", required=True,
-                       help="comma-separated cell indexes or +/- patterns; one '?' asks for a conditional expectation")
-    query.add_argument("--out", required=True, help="output report path")
-    query.set_defaults(func=cmd_query)
-
-
-def _add_bench(commands):
-    bench = commands.add_parser("bench", help="measure element/normalization scaling")
-    bench.add_argument("--out", required=True, help="output report path")
-    bench.add_argument(
-        "--max-n",
-        type=int,
-        default=20,
-        dest="max_n",
-        help="largest dense dimension to time; growth checks below 16 compare "
-        "overhead-bound sizes and can FAIL spuriously",
-    )
-    bench.add_argument("--seed", type=int, default=1, help="rng seed for benchmark inputs")
-    bench.set_defaults(func=cmd_bench)
-
-
-# Each subcommand's builder, in the order the full parser lists them.
-_COMMANDS = {"estimate": _add_estimate, "cv": _add_cv, "query": _add_query, "bench": _add_bench}
+# Every command's help, function and (flag, add_argument keywords) pairs,
+# in the order the parser lists them: the one definition of the options.
+_COMMANDS = {
+    "estimate": ("fit one estimator and evaluate it", cmd_estimate, _DATA_OPTIONS + (
+        ("--config", {"required": True, "help": "JSON config with an 'estimator' block"}), _OUT)),
+    "cv": ("search configurations by leave-one-out risk", cmd_cv, _DATA_OPTIONS + (
+        ("--config", {"required": True, "help": "JSON config with a 'cv' block"}), _OUT,
+        ("--loss", {"choices": ("se", "kl"), "help": "override the configured loss"}))),
+    "query": ("evaluate a fitted report at new cells", cmd_query, (
+        ("--fit", {"required": True, "help": "report written by the estimate command"}),
+        ("--cells", {"required": True, "help": "comma-separated cell indexes or +/- patterns; "
+                     "one '?' asks for a conditional expectation"}),
+        _OUT)),
+    "bench": ("measure element/normalization scaling", cmd_bench, (
+        _OUT,
+        ("--max-n", {"type": int, "default": 20, "help": "largest dense dimension to time; growth checks "
+                     "below 16 compare overhead-bound sizes and can FAIL spuriously"}),
+        ("--seed", {"type": int, "default": 1, "help": "rng seed for benchmark inputs"}))),
+}
 
 
 def build_parser(command=None):
     """The bindens argument parser: every subcommand, or only `command`,
     which then parses into the same Namespace, with the same help, usage
     and error text, as the full parser."""
+    import argparse  # only for the command lines _read_table declines
+
     parser = argparse.ArgumentParser(
         prog="bindens",
         description="Density estimation over the {-1,+1}^n binary hypercube.",
@@ -1276,19 +1255,66 @@ def build_parser(command=None):
     # "command" in its "arguments are required" error.
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, add in _COMMANDS.items():
+    for name, (text, func, options) in _COMMANDS.items():
         if command in (None, name):
-            add(commands)
+            sub = commands.add_parser(name, help=text)
+            for flag, kwargs in options:
+                sub.add_argument(flag, **kwargs)
+            sub.set_defaults(func=func)
     return parser
+
+
+def _read_table(argv):
+    """The namespace argparse gives argv when argv is a command followed by
+    exact flags of its table, each once, as --flag=value or --flag value
+    with a value not led by '-', whose values pass type and choices and
+    which include every required flag; None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    options = dict(options)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        kwargs = options.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            if equals:
+                return None
+            value = True
+        elif not equals:
+            value = next(tokens, "-")  # a missing value declines as a dash-led one
+            if value.startswith("-"):
+                return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in options.items()):
+        return None
+    args = types.SimpleNamespace(command=argv[0], func=func)
+    for flag, kwargs in options.items():
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # A known command first builds only its own subparser; anything else
-    # (no argument, -h, an unknown name) needs the full parser's help or error.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # argparse reads what the table reader declines. A known command first
+    # builds only its own subparser; anything else (no argument, -h, an
+    # unknown name) needs the full parser's help or error.
+    args = _read_table(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except CapacityError as exc:

@@ -231,9 +231,13 @@ def _dense_values(transform, shrinkage):
 
 
 def _summed_normalizer(values):
-    """The FWHT_GENERAL normalizer: the sum of a row's transformed values."""
+    """The FWHT_GENERAL normalizer: the sum of a row's transformed values.
+    A sum within n * eps * sum(|f|) of zero, the rounding error of summing
+    2^n terms, is taken as 0: its sign and size are noise."""
     value = float(np.sum(values))
     if not math.isfinite(value):
         raise TransformOverflowError("normalizer sum is not finite")
+    if abs(value) <= (values.size.bit_length() - 1) * math.ulp(1.0) * float(np.sum(np.abs(values))):
+        value = 0.0
     log_value = math.log(value) if value > 0 else -math.inf
     return NormalizerResult(value=value, method=FWHT_GENERAL, log_value=log_value)

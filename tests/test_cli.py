@@ -717,6 +717,19 @@ class TestEstimateCommand:
         assert code == 4
         assert "not positive" in capsys.readouterr().err
 
+    def test_rounding_error_normalizer_exits_4(self, tmp_path, capsys):
+        # The identity over a single-interaction row sums to 0 exactly; at
+        # n=6, w=0.3 the summed row gives 1.8e-15, rounding error only.
+        data, cfg = tmp_path / "obs.csv", tmp_path / "cfg.json"
+        _write_signs(data, [(1, -1, 1, 1, -1, 1), (-1, -1, 1, 1, 1, 1)])
+        shrinkage = {"form": "single_interaction", "w": 0.3}
+        _write_json(cfg, {"estimator": {"variant": "transformed", "shrinkage": shrinkage, "transform": {"kind": "identity"}},
+                          "query": {"cells": [1, 2]}})
+        code = main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert code == 4
+        assert "not positive" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_estimator_key_exits_2(self, workspace, capsys):
         tmp, data = workspace
         cfg = tmp / "cfg.json"
@@ -1668,6 +1681,51 @@ class TestOneCommandParser:
         assert code == 2 and not out
         proc = self._module(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    # Command lines the table reader leaves to argparse, one reason each:
+    # an abbreviation, a repeat, "--", a dash-led value, a value given to a
+    # store_true flag, -h after the command, and a dash-led number.
+    DECLINED = [
+        ["estimate", "--dat", "d.csv", "--config", "c.json", "--out", "o.json"],
+        ["estimate", "--data", "d.csv", "--config", "c.json", "--out", "o.json", "--out", "p.json"],
+        ["cv", "--data", "d.csv", "--config", "c.json", "--out", "o.json", "--"],
+        ["query", "--fit", "f.json", "--cells", "-+-", "--out", "o.json"],
+        ["estimate", "--data", "d.csv", "--header=1", "--config", "c.json", "--out", "o.json"],
+        ["cv", "-h"],
+        ["bench", "--out", "o.json", "--max-n", "-5"],
+    ]
+
+    @pytest.mark.parametrize("command", list(VALID))
+    def test_table_reader_gives_the_parser_namespace(self, command):
+        for argv in self.VALID[command]:
+            read = cli._read_table(argv)
+            assert read is not None, argv
+            assert vars(read) == vars(cli.build_parser().parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv", INVALID + DECLINED + [[], ["--help"], ["nope"]], ids=" ".join)
+    def test_table_reader_declines(self, argv):
+        assert cli._read_table(argv) is None
+
+    def test_full_flags_import_no_parser(self, workspace):
+        # A fresh process that runs estimate, cv and query with full flag
+        # names never imports argparse, nor the gettext and locale it uses.
+        tmp, data = workspace
+        estimate_cfg, cv_cfg, fit = tmp / "estimate.json", tmp / "cv.json", tmp / "fit.json"
+        _write_json(estimate_cfg, {"estimator": UNIFORM_ESTIMATOR})
+        _write_json(cv_cfg, {"cv": {"search": {"kind": "aa_lambda", "lambdas": [0.6, 0.8]}}})
+        argvs = [
+            ["estimate", "--data", str(data), "--config", str(estimate_cfg), "--out", str(fit)],
+            ["cv", f"--data={data}", "--header", "--config", str(cv_cfg), "--out", str(tmp / "cv.out"), "--loss=se"],
+            ["query", "--fit", str(fit), "--cells", "1,+-", "--out", str(tmp / "query.out")],
+        ]
+        script = (
+            "import json, sys\nfrom bindens import cli\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]]))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], []]
 
     @pytest.mark.parametrize("argv", [[], ["--help"], ["nope"]], ids=repr)
     def test_other_arguments_get_the_full_parser(self, argv, capsys, monkeypatch):

@@ -925,6 +925,31 @@ class TestSummedNormalizer:
         with pytest.raises(DegenerateNormalizerError):
             cfg._row
 
+    def test_rounding_error_sum_is_not_positive(self):
+        # b_1 = 0, so the identity's row sums to exactly 0; the summed row
+        # leaves up to 0.38 * eps * sum(|f|), positive for 18 of these pairs.
+        accepted = []
+        for n in range(2, 15):
+            counts = counts_from_observations(np.ones((1, n), dtype=np.int8))
+            for w in (0.1, 0.2, 0.3, 0.7, 0.9):
+                cfg = EstimatorConfig.transformed(ShrinkageSpec.single_interaction(np.full(n, w)), Transform.identity())
+                try:
+                    estimate_at([1], cfg, counts)
+                    accepted.append((n, w))
+                except DegenerateNormalizerError:
+                    pass
+        assert accepted == []
+
+    def test_small_genuine_sum_is_kept(self):
+        # Z is about 9006 * eps * sum(|f|), far outside the band of 12.
+        spec = ShrinkageSpec.sparse(12, {1: 1e-12, 2: 0.5, 5: 0.3})
+        norm = normalizer(Transform.identity(), spec)
+        values = fwht(spec.to_dense())
+        assert norm.value == float(np.sum(values)) > 0
+        assert norm.value > 9000 * math.ulp(1.0) * np.sum(np.abs(values))
+        cfg = EstimatorConfig.transformed(spec, Transform.identity())
+        assert np.isfinite(estimate_at([1, 2], cfg, _random_counts(np.random.default_rng(3), 12)).values).all()
+
 
 # ---------------------------------------------------------------------------
 # estimates
