@@ -48,17 +48,10 @@ from .estimators import (
     EstimatorConfig,
     clamp_and_renormalize,
     counts_from_observations,
-    element_linear,
-    element_mixture,
-    element_transformed,
-    element_waak,
     estimate_at,
     estimate_full,
     matrix_element,
     shrinkage_optimal,
-    squared_element_general,
-    squared_element_linear,
-    squared_element_waak,
     squared_matrix_element,
 )
 from .shrinkage import ShrinkageSpec
@@ -75,7 +68,7 @@ from .walsh import (
     walsh_entry,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "KINDS",
@@ -106,10 +99,6 @@ __all__ = [
     "clamp_and_renormalize",
     "coordinate_descent_w",
     "counts_from_observations",
-    "element_linear",
-    "element_mixture",
-    "element_transformed",
-    "element_waak",
     "estimate_at",
     "estimate_full",
     "evaluate_space",
@@ -125,9 +114,6 @@ __all__ = [
     "product_index",
     "se_risk",
     "shrinkage_optimal",
-    "squared_element_general",
-    "squared_element_linear",
-    "squared_element_waak",
     "squared_matrix_element",
     "walsh_entry",
 ]

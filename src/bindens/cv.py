@@ -332,6 +332,7 @@ def coordinate_descent_w(initial_w, gamma, loss, counts, sweeps, grid):
     """
     sweeps = _integer(sweeps, "sweeps", 1, ConfigError)
     _check_loss(loss)
+    grid = _items(grid, "weight grid", ConfigError)
     grid_values = [_real(v, "weight grid value", ConfigError) for v in grid]
     if not grid_values:
         raise ConfigError("weight grid is empty")

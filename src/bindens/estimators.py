@@ -17,7 +17,7 @@ cell indexes, applied to the empirical cell weights. The families are
 Kernel entries are filled a block at a time: one batched core returns Q
 (or Q @ Q) on two lists of cells as a matrix product over their points,
 their parity features, or a gather from a dense profile, and every
-estimate, leave-one-out risk and scalar element goes through it. A
+estimate, leave-one-out risk and matrix_element goes through it. A
 kernel whose Z has no closed form sums its dense row for Z (n <= 30) and
 reads every entry from that row, as a dense-shrinkage kernel does, so
 its Z, full estimate and single entries are one set of numbers; other
@@ -55,7 +55,7 @@ work on K observed cells, and every estimate reuses the packed support.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -78,17 +78,10 @@ __all__ = [
     "EstimatorConfig",
     "clamp_and_renormalize",
     "counts_from_observations",
-    "element_linear",
-    "element_mixture",
-    "element_transformed",
-    "element_waak",
     "estimate_at",
     "estimate_full",
     "matrix_element",
     "shrinkage_optimal",
-    "squared_element_general",
-    "squared_element_linear",
-    "squared_element_waak",
     "squared_matrix_element",
 ]
 
@@ -273,27 +266,6 @@ def _as_weight_vector(w):
         raise ConfigError(str(exc)) from exc
 
 
-def _validate_linear_shrinkage(shrinkage):
-    if not isinstance(shrinkage, ShrinkageSpec):
-        raise ConfigError("linear estimator needs a ShrinkageSpec")
-    if shrinkage.form == SINGLE_INTERACTION:
-        raise ConfigError(
-            "single-interaction shrinkage has leading coefficient 0; the linear estimator requires it to be 1"
-        )
-    if shrinkage.first_coefficient() != 1.0:
-        raise ConfigError("linear estimator requires the leading shrinkage coefficient to equal 1")
-    if shrinkage.form == DENSE:
-        # On the stored array: no Python pair per coefficient of a dense b.
-        values = shrinkage.values
-        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
-        outside = [(int(p) + 1, float(values[p])) for p in bad[:1]]
-    else:
-        outside = [(idx, val) for idx, val in shrinkage.entries if not 0.0 <= val <= 1.0]
-    if outside:
-        idx, val = outside[0]
-        raise ConfigError(f"linear shrinkage coefficient {val} at index {idx} lies outside [0, 1]")
-
-
 def _validate_components(components):
     comps = []
     for item in _items(components, "mixture components", ConfigError):
@@ -320,13 +292,6 @@ def _validate_components(components):
     return tuple(comps)
 
 
-def _validate_transformed(shrinkage, transform):
-    if not isinstance(shrinkage, ShrinkageSpec):
-        raise ConfigError("transformed estimator needs a ShrinkageSpec")
-    if not isinstance(transform, Transform):
-        raise ConfigError("transformed estimator needs a Transform")
-
-
 # Variants evaluated by the log-space product-form kernel.
 _WAAK = ("waak", "aa_classic")
 
@@ -344,7 +309,7 @@ class EstimatorConfig:
     first use and kept by the instance, so it lives exactly as long as
     the configuration. The private _gram and _squared_gram fill Q and
     Q @ Q on two lists of cells, either of which may be a CountsVector's
-    packed support; every estimate, risk and scalar element goes through
+    packed support; every estimate, risk and matrix_element goes through
     them, and _quadratic gives the SE risk its p' Q^2 p for a
     CountsVector's weights p. A kernel that sums its dense row for Z
     reads its Q entries from that row.
@@ -359,12 +324,32 @@ class EstimatorConfig:
 
     @classmethod
     def linear(cls, shrinkage):
-        _validate_linear_shrinkage(shrinkage)
+        if not isinstance(shrinkage, ShrinkageSpec):
+            raise ConfigError("linear estimator needs a ShrinkageSpec")
+        if shrinkage.form == SINGLE_INTERACTION:
+            raise ConfigError(
+                "single-interaction shrinkage has leading coefficient 0; the linear estimator requires it to be 1"
+            )
+        if shrinkage.first_coefficient() != 1.0:
+            raise ConfigError("linear estimator requires the leading shrinkage coefficient to equal 1")
+        if shrinkage.form == DENSE:
+            # On the stored array: no Python pair per coefficient of a dense b.
+            values = shrinkage.values
+            bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+            outside = [(int(p) + 1, float(values[p])) for p in bad[:1]]
+        else:
+            outside = [(idx, val) for idx, val in shrinkage.entries if not 0.0 <= val <= 1.0]
+        if outside:
+            idx, val = outside[0]
+            raise ConfigError(f"linear shrinkage coefficient {val} at index {idx} lies outside [0, 1]")
         return cls(variant="linear", shrinkage=shrinkage)
 
     @classmethod
     def transformed(cls, shrinkage, transform):
-        _validate_transformed(shrinkage, transform)
+        if not isinstance(shrinkage, ShrinkageSpec):
+            raise ConfigError("transformed estimator needs a ShrinkageSpec")
+        if not isinstance(transform, Transform):
+            raise ConfigError("transformed estimator needs a Transform")
         return cls(variant="transformed", shrinkage=shrinkage, transform=transform)
 
     @classmethod
@@ -804,98 +789,7 @@ def _divide_by_normalizer(values, norm):
 
 
 # ---------------------------------------------------------------------------
-# element-level evaluation: single entries of the batched core
-
-
-@lru_cache(maxsize=64)
-def _element_config(variant, *args):
-    """The config an element function builds from its arguments.
-
-    The one cache kept across calls: each element_* call names its
-    configuration by arguments, and a caller timing repeated entries of
-    one configuration must not rebuild its normalizer, features or dense
-    row every time; the cached config keeps them. Callers validate their
-    arguments first, so an invalid one raises what the config's
-    constructor raises, not a TypeError from hashing.
-    """
-    if variant == "waak":
-        w_bytes, gamma = args
-        return EstimatorConfig.waak(np.frombuffer(w_bytes), gamma)
-    return getattr(EstimatorConfig, variant)(*args)
-
-
-def _waak_element_config(w, gamma):
-    """_element_config of a waak config; invalid arguments raise ValueError."""
-    try:
-        config = EstimatorConfig.waak(w, gamma)
-    except ConfigError as exc:
-        raise ValueError(str(exc)) from exc
-    return _element_config("waak", config.shrinkage.w.tobytes(), config.gamma)
-
-
-def element_linear(i, j, shrinkage):
-    """Entry (i, j) of (1/2^n) W diag(b) W in O(#nonzero(b)).
-
-    With b = e_1 this is the uniform estimator (constant 1/2^n); with
-    b = 1 it is the identity, i.e. the raw frequency estimator.
-    """
-    _validate_linear_shrinkage(shrinkage)
-    return _entry(_element_config("linear", shrinkage), i, j)
-
-
-def squared_element_linear(i, j, shrinkage):
-    """Entry (i, j) of the squared linear kernel: shares b's support,
-    with each coefficient squared."""
-    _validate_linear_shrinkage(shrinkage)
-    return _entry(_element_config("linear", shrinkage), i, j, squared=True)
-
-
-def element_transformed(i, j, shrinkage, transform):
-    """Entry (i, j) of f(W diag(b) W) / Z.
-
-    Z is resolved once per (transform, shrinkage) pair through the
-    cheapest available dispatch route. With a closed-form Z the numerator
-    costs O(#nonzero(b)); a kernel that sums its dense row for Z (n <= 30)
-    reads the entry from that row in O(1).
-    """
-    _validate_transformed(shrinkage, transform)
-    return _entry(_element_config("transformed", shrinkage, transform), i, j)
-
-
-def element_waak(i, j, w, gamma):
-    """Weighted product-form kernel entry in O(n), log-space stable.
-
-    Equals gamma^(sum of +-w_d) / prod_d (gamma^w_d + gamma^-w_d), the
-    sign positive exactly on coordinates where cells i and j agree. At
-    w = 1 and gamma = sqrt(lam/(1-lam)) this reproduces the classic
-    categorical kernel lam^(n-d) (1-lam)^d at Hamming distance d.
-    """
-    return _entry(_waak_element_config(w, gamma), i, j)
-
-
-def squared_element_waak(i, j, w, gamma):
-    """Entry (i, j) of the squared weighted kernel, O(n) in log space.
-
-    Coordinate factors become gamma^2w_d + gamma^-2w_d on agreement and
-    2 on disagreement, over the squared normalizer.
-    """
-    return _entry(_waak_element_config(w, gamma), i, j, squared=True)
-
-
-def squared_element_general(i, j, shrinkage, transform):
-    """Entry (i, j) of the squared transformed kernel via one dense pass.
-
-    Precomputes g = f(fwht(b))/Z once per configuration, then each entry
-    is sum_m g[m] g[m ^ x] with x the XOR of the zero-based indexes:
-    O(2^n) per element after an O(n 2^n) setup, dense-capacity guarded.
-    """
-    _validate_transformed(shrinkage, transform)
-    return _entry(_element_config("transformed", shrinkage, transform), i, j, squared=True)
-
-
-def element_mixture(i, j, components):
-    """Convex combination of component kernel entries."""
-    return _entry(EstimatorConfig.mixture(components), i, j)
+# single entries of the batched core
 
 
 def _check_config(config):
@@ -962,7 +856,7 @@ def estimate_at(cells, config, counts):
     support order makes results deterministic.
     """
     _match_dimensions(config, counts)
-    cell_list = list(cells)
+    cell_list = _items(cells, "query cells")
     if not cell_list:
         raise ValueError("at least one query cell is required")
     support = counts._packed

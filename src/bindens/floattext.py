@@ -14,8 +14,6 @@ cli.write_report imports this module only for long arrays, so that a
 command that writes none does not compile it.
 """
 
-import functools
-
 import numpy as np
 
 U = np.uint64
@@ -79,7 +77,6 @@ def _digit_rows(width):
     return rows.reshape(-1, width)
 
 
-@functools.lru_cache(maxsize=None)
 def _powers_of_ten():
     """g1 and g0 for k in [K_MIN, K_MAX]: g = g1 2^63 + g0 = floor(10^-k 2^-r) + 1,
     where r = floor(log2(10^-k)) - 125 puts g in [2^125, 2^126)."""
@@ -96,11 +93,16 @@ def _powers_of_ten():
     return np.array([x >> 63 for x in g], dtype=U), np.array([x & (2**63 - 1) for x in g], dtype=U)
 
 
-@functools.lru_cache(maxsize=None)
 def _digit_text():
     """The four ASCII digits of 0 .. 9999 as one uint32 each, and the three
     of 0 .. 999 as a row each."""
     return _digit_rows(4).view(np.uint32).ravel(), _digit_rows(3)
+
+
+# Built when the module loads, which cli does only for a report with a
+# long array.
+_G1_TABLE, _G0_TABLE = _powers_of_ten()
+_QUAD_TEXT, _EXPONENT_TEXT = _digit_text()
 
 
 def _halves(x):
@@ -152,8 +154,7 @@ def _shortest(values):
 
     k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
     h = q + _flog2pow10(-k) + 2
-    g1_table, g0_table = _powers_of_ten()
-    g1, g0 = g1_table[k - _K_MIN], g0_table[k - _K_MIN]
+    g1, g0 = _G1_TABLE[k - _K_MIN], _G0_TABLE[k - _K_MIN]
 
     # vb, vbl and vbr are 4 v 10^-k and the rounding interval's ends (cb + 2
     # and cb - 2, or cb - 1 when irregular, in units of 2^(q-2)) on the same
@@ -255,7 +256,6 @@ class _Writer:
         """The text of values, each followed by the separator unless last."""
         rows = values.size
         chars, mask, quads = self.chars[:rows], self.mask[:rows], self.quads[:rows]
-        quad_text, exponent_text = _digit_text()
 
         finite = np.isfinite(values)
         nonzero = finite & (values != 0)
@@ -279,14 +279,14 @@ class _Writer:
         first = (top // U(10**8)).astype(np.uint32)
         high = top.astype(np.uint32) - first * np.uint32(10**8)
         for column, part in enumerate((first, high // 10_000, high % 10_000, low // 10_000, low % 10_000)):
-            quads[:, column] = quad_text[part]
+            quads[:, column] = _QUAD_TEXT[part]
         ascii_digits = quads.view(np.uint8)[:, 3:]
         chars[:, _HEAD:_POINT] = ascii_digits
         chars[:, _TAIL:_EXP] = ascii_digits
 
         power = decpt - 1
         chars[:, _EXP + 1] = np.where(power < 0, ord("-"), ord("+"))
-        chars[:, _EXP + 2 : _SEP] = exponent_text[np.abs(power)]
+        chars[:, _EXP + 2 : _SEP] = _EXPONENT_TEXT[np.abs(power)]
 
         positional = (decpt > -4) & (decpt <= 16)
         shape = np.where(

@@ -24,8 +24,6 @@ from bindens import (
     EstimatorConfig,
     ShrinkageSpec,
     Transform,
-    element_linear,
-    element_waak,
     estimate_at,
     estimate_full,
     fwht,
@@ -208,26 +206,26 @@ def test_04_aa_closed_form_equivalence():
             ones = np.ones(n)
             for lam in rng.uniform(0.5, 1.0, size=20):
                 lam = float(lam)
-                gamma = math.sqrt(lam / (1.0 - lam))
+                cfg = EstimatorConfig.waak(ones, math.sqrt(lam / (1.0 - lam)))
                 want = lam ** (n - dist_to_first) * (1.0 - lam) ** dist_to_first
                 if n <= 6:
                     # literally every pair
                     for i in range(1, size + 1):
-                        row = np.array([element_waak(i, j, ones, gamma) for j in range(1, size + 1)])
+                        row = np.array([matrix_element(i, j, cfg) for j in range(1, size + 1)])
                         d_row = np.bitwise_count(np.uint64(i - 1) ^ np.arange(size, dtype=np.uint64))
                         ref = lam ** (n - d_row.astype(np.int64)) * (1.0 - lam) ** d_row.astype(np.int64)
                         assert np.max(np.abs(row / ref - 1.0)) <= 1e-10
                 else:
                     # one full sweep covers every distance class; sampled pairs
                     # confirm the value depends on the pair only through it
-                    got = np.array([element_waak(1, j, ones, gamma) for j in range(1, size + 1)])
+                    got = np.array([matrix_element(1, j, cfg) for j in range(1, size + 1)])
                     assert np.max(np.abs(got / want - 1.0)) <= 1e-10
                     for _ in range(40):
                         i = int(rng.integers(1, size + 1))
                         j = int(rng.integers(1, size + 1))
                         d = int(np.bitwise_count(np.uint64((i - 1) ^ (j - 1))))
                         ref = lam ** (n - d) * (1.0 - lam) ** d
-                        assert abs(element_waak(i, j, ones, gamma) / ref - 1.0) <= 1e-10
+                        assert abs(matrix_element(i, j, cfg) / ref - 1.0) <= 1e-10
         ok = True
     finally:
         _verdict(4, "aa-equivalence", ok)
@@ -281,9 +279,10 @@ def test_06_weighted_kernel_positive_definite():
             w = rng.uniform(0.05, 1.0, size=n)
             gamma = float(rng.uniform(1.01, 5.0))
             dense = oracles.waak_matrix_dense(w, gamma)
+            cfg = EstimatorConfig.waak(w, gamma)
             if n <= 5:
                 built = np.array(
-                    [[element_waak(i, j, w, gamma) for j in range(1, size + 1)] for i in range(1, size + 1)]
+                    [[matrix_element(i, j, cfg) for j in range(1, size + 1)] for i in range(1, size + 1)]
                 )
                 assert np.max(np.abs(built / dense - 1.0)) <= 1e-12
                 dense = built
@@ -291,7 +290,7 @@ def test_06_weighted_kernel_positive_definite():
                 for _ in range(60):
                     i = int(rng.integers(1, size + 1))
                     j = int(rng.integers(1, size + 1))
-                    assert element_waak(i, j, w, gamma) == pytest.approx(dense[i - 1, j - 1], rel=1e-12)
+                    assert matrix_element(i, j, cfg) == pytest.approx(dense[i - 1, j - 1], rel=1e-12)
             np.linalg.cholesky(dense)  # raises LinAlgError if not positive definite
         ok = True
     finally:
@@ -457,9 +456,10 @@ def test_10_scales_to_ten_thousand_dimensions():
         pairs = [
             (pyrng.getrandbits(n_big) + 1, pyrng.getrandbits(n_big) + 1) for _ in range(16)
         ]
-        element_waak(pairs[0][0], pairs[0][1], w, gamma)  # warmup, fills caches
+        waak = EstimatorConfig.waak(w, gamma)
+        matrix_element(pairs[0][0], pairs[0][1], waak)  # warmup, fills the config's state
         it = iter(pairs * 4)
-        waak_ms = _median_ms(lambda: element_waak(*next(it), w, gamma))
+        waak_ms = _median_ms(lambda: matrix_element(*next(it), waak))
         assert waak_ms < 10.0, f"weighted element took {waak_ms:.3f} ms"
 
         spec_big = ShrinkageSpec.single_interaction(w)
@@ -476,11 +476,11 @@ def test_10_scales_to_ten_thousand_dimensions():
             entries = {1: 1.0}
             while len(entries) < 8:
                 entries[pyrng.getrandbits(n) + 1] = pyrng.uniform(0.05, 1.0)
-            spec = ShrinkageSpec.sparse(n, entries)
+            cfg = EstimatorConfig.linear(ShrinkageSpec.sparse(n, entries))
             cells = [(pyrng.getrandbits(n) + 1, pyrng.getrandbits(n) + 1) for _ in range(64)]
-            element_linear(cells[0][0], cells[0][1], spec)  # warmup
+            matrix_element(cells[0][0], cells[0][1], cfg)  # warmup
             seq = itertools.cycle(cells)
-            calls[n] = lambda seq=seq, spec=spec: element_linear(*next(seq), spec)
+            calls[n] = lambda seq=seq, cfg=cfg: matrix_element(*next(seq), cfg)
         medians = {n: math.inf for n in calls}
         for _ in range(25):
             for n, call in calls.items():

@@ -3,8 +3,8 @@ and one real-number check: a bool is never read as 0 or 1, a string is
 never parsed as a number, an integer argument never truncates a fraction,
 and a value (or a container argument) of the wrong type raises
 the error type of its layer (ValueError for walsh, shrinkage, transforms,
-shrinkage_optimal and loo_term; DataError for counts; ConfigError for
-configurations and searches)."""
+shrinkage_optimal, loo_term and estimate_at; DataError for counts;
+ConfigError for configurations and searches)."""
 
 import ast
 import pathlib
@@ -19,6 +19,7 @@ from bindens import (
     ShrinkageSpec,
     Transform,
     coordinate_descent_w,
+    estimate_at,
     interaction_indexes,
     loo_term,
     point_of_index,
@@ -117,6 +118,8 @@ CONTAINER_ARGUMENTS = [
     ("linear_sparse_grid indexes", lambda: SearchSpace.linear_sparse_grid(3, 2, [0.5]), ConfigError),
     ("linear_sparse_grid values", lambda: SearchSpace.linear_sparse_grid(3, [2], 0.5), ConfigError),
     ("mixture_weight_grid components", lambda: SearchSpace.mixture_weight_grid(AA, 2), ConfigError),
+    ("descent grid", lambda: coordinate_descent_w(np.ones(3), 2.0, "kl", COUNTS, 1, 0.5), ConfigError),
+    ("estimate_at cells", lambda: estimate_at(5, UNIFORM, COUNTS), ValueError),
 ]
 
 

@@ -1529,14 +1529,39 @@ class TestBenchCommand:
         # per-call overhead outweighs the O(n 2^n) work they assert on.
         code = main(["bench", "--out", str(out), "--max-n", "16"])
         report = _read_json(out)
-        regimes = [row["regime"] for row in report["rows"]]
-        assert regimes == [
-            "linear_sparse",
-            "waak",
-            "logistic_single_interaction",
-            "general_no_closed_form",
-        ]
+        # Per regime: its expected (normalization, element, squared_element)
+        # costs and its check names, in report order.
+        schema = {
+            "linear_sparse": (
+                ("O(1)", "O(nonzeros)", "O(nonzeros)"),
+                [
+                    "normalization_constant_time",
+                    "element_time_independent_of_n",
+                    "squared_element_time_independent_of_n",
+                ],
+            ),
+            "waak": (
+                ("O(n)", "O(n)", "O(n)"),
+                [
+                    "normalization_under_10ms_at_n10000",
+                    "element_under_10ms_at_n10000",
+                    "squared_element_under_10ms_at_n10000",
+                ],
+            ),
+            "logistic_single_interaction": (
+                ("O(1)", "O(n)", "O(n 2^n)"),
+                ["normalization_constant_time", "squared_element_dense_growth"],
+            ),
+            "general_no_closed_form": (
+                ("O(n 2^n)", "O(1)", "O(n 2^n)"),
+                ["element_time_fixed_support", "normalization_dense_growth", "squared_element_dense_growth"],
+            ),
+        }
+        assert [row["regime"] for row in report["rows"]] == list(schema)
         for row in report["rows"]:
+            expected, names = schema[row["regime"]]
+            assert row["expected"] == dict(zip(("normalization", "element", "squared_element"), expected))
+            assert [check["name"] for check in row["checks"]] == names
             for check in row["checks"]:
                 assert "skipped" not in check, (row["regime"], check)
                 assert check["pass"], (row["regime"], check)

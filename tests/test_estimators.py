@@ -15,10 +15,6 @@ from bindens import (
     Transform,
     clamp_and_renormalize,
     counts_from_observations,
-    element_linear,
-    element_mixture,
-    element_transformed,
-    element_waak,
     estimate_at,
     estimate_full,
     fwht,
@@ -26,9 +22,6 @@ from bindens import (
     matrix_element,
     normalizer,
     shrinkage_optimal,
-    squared_element_general,
-    squared_element_linear,
-    squared_element_waak,
     squared_matrix_element,
 )
 from bindens import estimators, transforms
@@ -241,11 +234,11 @@ class TestElementLinear:
         for n in (2, 3, 5):
             b = _unit_lead_dense(rng, n)
             q = oracles.linear_matrix_dense(b)
-            spec = ShrinkageSpec.dense(b)
+            cfg = EstimatorConfig.linear(ShrinkageSpec.dense(b))
             size = 1 << n
             for i in range(1, size + 1):
                 for j in range(1, size + 1):
-                    got = element_linear(i, j, spec)
+                    got = matrix_element(i, j, cfg)
                     assert got == pytest.approx(q[i - 1, j - 1], rel=1e-12, abs=1e-15)
 
     def test_sparse_and_dense_forms_agree(self):
@@ -253,64 +246,65 @@ class TestElementLinear:
         n = 8
         entries = {1: 1.0, 2: 0.5, 7: 0.25, 130: 0.8}
         sparse = ShrinkageSpec.sparse(n, entries)
-        dense = ShrinkageSpec.dense(sparse.to_dense())
+        sparse_cfg = EstimatorConfig.linear(sparse)
+        dense_cfg = EstimatorConfig.linear(ShrinkageSpec.dense(sparse.to_dense()))
         for _ in range(100):
             i, j = (int(v) for v in rng.integers(1, (1 << n) + 1, size=2))
-            assert element_linear(i, j, sparse) == pytest.approx(
-                element_linear(i, j, dense), rel=1e-12
+            assert matrix_element(i, j, sparse_cfg) == pytest.approx(
+                matrix_element(i, j, dense_cfg), rel=1e-12
             )
 
     def test_uniform_special_case_exact(self):
-        spec = ShrinkageSpec.sparse(6, {1: 1.0})
+        cfg = EstimatorConfig.linear(ShrinkageSpec.sparse(6, {1: 1.0}))
         for i, j in ((1, 1), (5, 40), (64, 64), (17, 3)):
-            assert element_linear(i, j, spec) == 1.0 / 64.0
+            assert matrix_element(i, j, cfg) == 1.0 / 64.0
 
     def test_frequency_special_case_exact(self):
-        spec = ShrinkageSpec.dense(np.ones(16))
+        cfg = EstimatorConfig.linear(ShrinkageSpec.dense(np.ones(16)))
         for i in (1, 7, 16):
-            assert element_linear(i, i, spec) == 1.0
-            assert element_linear(i, (i % 16) + 1, spec) == 0.0
+            assert matrix_element(i, i, cfg) == 1.0
+            assert matrix_element(i, (i % 16) + 1, cfg) == 0.0
 
     def test_symmetric(self):
         rng = np.random.default_rng(32)
-        spec = ShrinkageSpec.sparse(12, {1: 1.0, 3: 0.5, 9: 0.2, 1000: 0.9})
+        cfg = EstimatorConfig.linear(ShrinkageSpec.sparse(12, {1: 1.0, 3: 0.5, 9: 0.2, 1000: 0.9}))
         for _ in range(50):
             i, j = (int(v) for v in rng.integers(1, (1 << 12) + 1, size=2))
-            assert element_linear(i, j, spec) == element_linear(j, i, spec)
+            assert matrix_element(i, j, cfg) == matrix_element(j, i, cfg)
 
     def test_depends_only_on_xor(self):
-        spec = ShrinkageSpec.sparse(10, {1: 1.0, 4: 0.7})
-        a = element_linear(3, 9, spec)
+        cfg = EstimatorConfig.linear(ShrinkageSpec.sparse(10, {1: 1.0, 4: 0.7}))
+        a = matrix_element(3, 9, cfg)
         mask = (3 - 1) ^ (9 - 1)
         for shift in (5, 100, 1023):
             i = (3 - 1) ^ shift
             j = i ^ mask
-            assert element_linear(i + 1, j + 1, spec) == pytest.approx(a, rel=1e-13)
+            assert matrix_element(i + 1, j + 1, cfg) == pytest.approx(a, rel=1e-13)
 
     def test_huge_dimension_sparse(self):
         n = 300
-        spec = ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.5, 1 << 299: 0.25})
-        v = element_linear(1, 1, spec)
+        cfg = EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.5, 1 << 299: 0.25}))
+        v = matrix_element(1, 1, cfg)
         assert v == pytest.approx(1.75 * math.ldexp(1.0, -n), rel=1e-13)
 
     def test_shrinkage_validation(self):
         with pytest.raises(ConfigError):
-            element_linear(1, 1, ShrinkageSpec.sparse(2, {2: 0.5}))
+            EstimatorConfig.linear(ShrinkageSpec.sparse(2, {2: 0.5}))
         with pytest.raises(ConfigError):
-            element_linear(1, 1, ShrinkageSpec.sparse(2, {1: 0.5}))
+            EstimatorConfig.linear(ShrinkageSpec.sparse(2, {1: 0.5}))
         with pytest.raises(ConfigError):
-            element_linear(1, 1, ShrinkageSpec.sparse(2, {1: 1.0, 2: 1.5}))
+            EstimatorConfig.linear(ShrinkageSpec.sparse(2, {1: 1.0, 2: 1.5}))
         with pytest.raises(ConfigError):
-            element_linear(1, 1, ShrinkageSpec.single_interaction([0.5, 0.5]))
+            EstimatorConfig.linear(ShrinkageSpec.single_interaction([0.5, 0.5]))
 
     def test_cell_validation(self):
-        spec = ShrinkageSpec.sparse(3, {1: 1.0})
+        cfg = EstimatorConfig.linear(ShrinkageSpec.sparse(3, {1: 1.0}))
         with pytest.raises(ValueError):
-            element_linear(0, 1, spec)
+            matrix_element(0, 1, cfg)
         with pytest.raises(ValueError):
-            element_linear(1, 9, spec)
+            matrix_element(1, 9, cfg)
         with pytest.raises(ValueError):
-            element_linear(True, 1, spec)
+            matrix_element(True, 1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +317,12 @@ class TestElementTransformed:
         n = 6
         b = _unit_lead_dense(rng, n)
         dense = ShrinkageSpec.dense(b)
-        ident = Transform.identity()
+        transformed = EstimatorConfig.transformed(dense, Transform.identity())
+        linear = EstimatorConfig.linear(dense)
         for _ in range(50):
             i, j = (int(v) for v in rng.integers(1, (1 << n) + 1, size=2))
-            assert element_transformed(i, j, dense, ident) == pytest.approx(
-                element_linear(i, j, dense), rel=1e-13
+            assert matrix_element(i, j, transformed) == pytest.approx(
+                matrix_element(i, j, linear), rel=1e-13
             )
 
     def test_matches_dense_oracle_per_kind(self):
@@ -346,10 +341,10 @@ class TestElementTransformed:
                 b = rng.uniform(0.0, 1.0, size=1 << n)
                 b[0] = 1.0
                 q = oracles.transformed_matrix_dense(b, f)
-                spec = ShrinkageSpec.dense(b)
+                cfg = EstimatorConfig.transformed(ShrinkageSpec.dense(b), t)
                 for _ in range(40):
                     i, j = (int(v) for v in rng.integers(1, (1 << n) + 1, size=2))
-                    got = element_transformed(i, j, spec, t)
+                    got = matrix_element(i, j, cfg)
                     assert got == pytest.approx(q[i - 1, j - 1], rel=1e-10, abs=1e-14)
 
     def test_sparse_route_matches_dense_route(self):
@@ -357,12 +352,13 @@ class TestElementTransformed:
         n = 9
         entries = {1: 1.0, 3: 0.6, 17: 0.4, 260: 0.9}
         sparse = ShrinkageSpec.sparse(n, entries)
-        dense = ShrinkageSpec.dense(sparse.to_dense())
         t = Transform.relu()
+        sparse_cfg = EstimatorConfig.transformed(sparse, t)
+        dense_cfg = EstimatorConfig.transformed(ShrinkageSpec.dense(sparse.to_dense()), t)
         for _ in range(80):
             i, j = (int(v) for v in rng.integers(1, (1 << n) + 1, size=2))
-            assert element_transformed(i, j, sparse, t) == pytest.approx(
-                element_transformed(i, j, dense, t), rel=1e-12
+            assert matrix_element(i, j, sparse_cfg) == pytest.approx(
+                matrix_element(i, j, dense_cfg), rel=1e-12
             )
 
     def test_exponential_single_interaction_equals_weighted_kernel(self):
@@ -370,35 +366,35 @@ class TestElementTransformed:
         for n in (2, 5, 10, 200):
             w = rng.uniform(0.0, 1.0, size=n)
             g = 1.0 + float(rng.uniform(0.2, 2.0))
-            spec = ShrinkageSpec.single_interaction(w)
-            t = Transform.exponential(g)
+            transformed = EstimatorConfig.transformed(ShrinkageSpec.single_interaction(w), Transform.exponential(g))
+            waak = EstimatorConfig.waak(w, g)
             for _ in range(20):
                 i, j = (int(v) for v in rng.integers(1, min(1 << n, 1 << 60) + 1, size=2))
-                assert element_transformed(i, j, spec, t) == pytest.approx(
-                    element_waak(i, j, w, g), rel=1e-12
+                assert matrix_element(i, j, transformed) == pytest.approx(
+                    matrix_element(i, j, waak), rel=1e-12
                 )
 
     def test_degenerate_normalizer_raises(self):
-        spec = ShrinkageSpec.sparse(3, {2: 0.7})
+        cfg = EstimatorConfig.transformed(ShrinkageSpec.sparse(3, {2: 0.7}), Transform.tanh(1.0))
         with pytest.raises(DegenerateNormalizerError):
-            element_transformed(1, 2, spec, Transform.tanh(1.0))
+            matrix_element(1, 2, cfg)
 
     def test_negative_normalizer_raises(self):
-        spec = ShrinkageSpec.sparse(3, {1: -0.5, 2: 0.8})
+        cfg = EstimatorConfig.transformed(ShrinkageSpec.sparse(3, {1: -0.5, 2: 0.8}), Transform.tanh(1.0))
         with pytest.raises(DegenerateNormalizerError):
-            element_transformed(1, 2, spec, Transform.tanh(1.0))
+            matrix_element(1, 2, cfg)
 
     def test_overflow_propagates(self):
-        spec = ShrinkageSpec.dense(np.full(16, 300.0))
+        cfg = EstimatorConfig.transformed(ShrinkageSpec.dense(np.full(16, 300.0)), Transform.exponential(10.0))
         with pytest.raises(TransformOverflowError):
-            element_transformed(1, 2, spec, Transform.exponential(10.0))
+            matrix_element(1, 2, cfg)
 
     def test_argument_validation(self):
         spec = ShrinkageSpec.sparse(2, {1: 1.0})
         with pytest.raises(ConfigError):
-            element_transformed(1, 1, spec, "relu")
+            EstimatorConfig.transformed(spec, "relu")
         with pytest.raises(ConfigError):
-            element_transformed(1, 1, {1: 1.0}, Transform.relu())
+            EstimatorConfig.transformed({1: 1.0}, Transform.relu())
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +408,7 @@ class TestElementWaak:
             for g in (1.0, 1.5, 3.0):
                 w = rng.uniform(0.0, 1.0, size=n)
                 q = oracles.waak_matrix_dense(w, g)
+                cfg = EstimatorConfig.waak(w, g)
                 size = 1 << n
                 if n <= 3:
                     pairs = [(i, j) for i in range(1, size + 1) for j in range(1, size + 1)]
@@ -421,7 +418,7 @@ class TestElementWaak:
                         for a, b in rng.integers(0, size, size=(60, 2))
                     ]
                 for i, j in pairs:
-                    assert element_waak(i, j, w, g) == pytest.approx(
+                    assert matrix_element(i, j, cfg) == pytest.approx(
                         q[i - 1, j - 1], rel=1e-12
                     )
 
@@ -430,7 +427,7 @@ class TestElementWaak:
         g = math.sqrt(lam / (1.0 - lam))
         assert g == pytest.approx(2.0, rel=1e-15)
         # Hamming distance 1 at n = 3
-        got = element_waak(1, 2, np.ones(3), g)
+        got = matrix_element(1, 2, EstimatorConfig.waak(np.ones(3), g))
         assert got == pytest.approx(0.128, rel=1e-12)
 
     def test_classic_closed_form_all_distances(self):
@@ -438,67 +435,66 @@ class TestElementWaak:
         for n in (2, 5, 9):
             lam = float(rng.uniform(0.55, 0.95))
             g = math.sqrt(lam / (1.0 - lam))
-            w = np.ones(n)
+            cfg = EstimatorConfig.waak(np.ones(n), g)
             for _ in range(30):
                 i, j = (int(v) for v in rng.integers(1, (1 << n) + 1, size=2))
                 d = ((i - 1) ^ (j - 1)).bit_count()
                 want = lam ** (n - d) * (1.0 - lam) ** d
-                assert element_waak(i, j, w, g) == pytest.approx(want, rel=1e-10)
+                assert matrix_element(i, j, cfg) == pytest.approx(want, rel=1e-10)
 
     def test_unit_base_is_uniform(self):
-        w = np.array([0.3, 0.9, 0.1, 0.7])
+        cfg = EstimatorConfig.waak(np.array([0.3, 0.9, 0.1, 0.7]), 1.0)
         for i, j in ((1, 1), (4, 13), (16, 2)):
-            assert element_waak(i, j, w, 1.0) == pytest.approx(1.0 / 16.0, rel=1e-14)
+            assert matrix_element(i, j, cfg) == pytest.approx(1.0 / 16.0, rel=1e-14)
 
     def test_zero_weights_are_uniform(self):
-        assert element_waak(3, 6, np.zeros(3), 4.0) == pytest.approx(0.125, rel=1e-14)
+        assert matrix_element(3, 6, EstimatorConfig.waak(np.zeros(3), 4.0)) == pytest.approx(0.125, rel=1e-14)
 
     def test_zero_weight_coordinate_is_ignored(self):
-        w = np.array([0.6, 0.0, 0.4])
-        g = 2.5
+        cfg = EstimatorConfig.waak(np.array([0.6, 0.0, 0.4]), 2.5)
         # flipping coordinate 2 does not change the value
-        assert element_waak(1, 3, w, g) == pytest.approx(element_waak(1, 1, w, g), rel=1e-13)
+        assert matrix_element(1, 3, cfg) == pytest.approx(matrix_element(1, 1, cfg), rel=1e-13)
 
     def test_symmetry_and_translation_invariance(self):
         rng = np.random.default_rng(39)
-        w = rng.uniform(0.0, 1.0, size=11)
-        g = 1.9
+        cfg = EstimatorConfig.waak(rng.uniform(0.0, 1.0, size=11), 1.9)
         size = 1 << 11
         for _ in range(60):
             i, j, s = (int(v) for v in rng.integers(0, size, size=3))
-            a = element_waak(i + 1, j + 1, w, g)
-            assert a == element_waak(j + 1, i + 1, w, g)
+            a = matrix_element(i + 1, j + 1, cfg)
+            assert a == matrix_element(j + 1, i + 1, cfg)
             assert a == pytest.approx(
-                element_waak((i ^ s) + 1, (j ^ s) + 1, w, g), rel=1e-13
+                matrix_element((i ^ s) + 1, (j ^ s) + 1, cfg), rel=1e-13
             )
 
     def test_row_sums_to_one(self):
         rng = np.random.default_rng(40)
         n = 7
-        w = rng.uniform(0.0, 1.0, size=n)
-        g = 2.2
-        total = sum(element_waak(5, j, w, g) for j in range(1, (1 << n) + 1))
+        cfg = EstimatorConfig.waak(rng.uniform(0.0, 1.0, size=n), 2.2)
+        total = sum(matrix_element(5, j, cfg) for j in range(1, (1 << n) + 1))
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_huge_dimension(self):
         n = 10_000
         rng = np.random.default_rng(41)
-        w = rng.uniform(0.0, 1.0, size=n)
+        cfg = EstimatorConfig.waak(rng.uniform(0.0, 1.0, size=n), 3.0)
         i = int(rng.integers(1, 1 << 60))
         j = int(rng.integers(1, 1 << 60))
-        v = element_waak(i, j, w, 3.0)
+        v = matrix_element(i, j, cfg)
         assert v >= 0.0
-        assert v == element_waak(j, i, w, 3.0)
+        assert v == matrix_element(j, i, cfg)
 
     def test_validation(self):
+        # A bad base or weight is the configuration's error; a cell out of
+        # range is the entry's.
+        with pytest.raises(ConfigError):
+            EstimatorConfig.waak(np.ones(3), 0.5)
+        with pytest.raises(ConfigError):
+            EstimatorConfig.waak(np.array([1.5, 0.5]), 2.0)
+        with pytest.raises(ConfigError):
+            EstimatorConfig.waak(np.array([-0.2, 0.5]), 2.0)
         with pytest.raises(ValueError):
-            element_waak(1, 1, np.ones(3), 0.5)
-        with pytest.raises(ValueError):
-            element_waak(1, 1, np.array([1.5, 0.5]), 2.0)
-        with pytest.raises(ValueError):
-            element_waak(1, 1, np.array([-0.2, 0.5]), 2.0)
-        with pytest.raises(ValueError):
-            element_waak(9, 1, np.ones(3), 2.0)
+            matrix_element(9, 1, EstimatorConfig.waak(np.ones(3), 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -519,25 +515,27 @@ class TestSquaredElements:
             b = _unit_lead_dense(rng, n)
             q = oracles.linear_matrix_dense(b)
             q2 = q @ q
-            spec = ShrinkageSpec.dense(b)
-            sparse = ShrinkageSpec.sparse(n, dict(ShrinkageSpec.dense(b).nonzero_items()))
+            dense_cfg = EstimatorConfig.linear(ShrinkageSpec.dense(b))
+            sparse_cfg = EstimatorConfig.linear(
+                ShrinkageSpec.sparse(n, dict(ShrinkageSpec.dense(b).nonzero_items()))
+            )
             size = 1 << n
             for _ in range(60):
                 i, j = (int(v) for v in rng.integers(1, size + 1, size=2))
                 want = q2[i - 1, j - 1]
-                assert squared_element_linear(i, j, spec) == pytest.approx(
+                assert squared_matrix_element(i, j, dense_cfg) == pytest.approx(
                     want, rel=1e-9, abs=1e-14
                 )
-                assert squared_element_linear(i, j, sparse) == pytest.approx(
+                assert squared_matrix_element(i, j, sparse_cfg) == pytest.approx(
                     want, rel=1e-9, abs=1e-14
                 )
 
     def test_linear_special_cases(self):
-        uniform = ShrinkageSpec.sparse(5, {1: 1.0})
-        assert squared_element_linear(3, 17, uniform) == 1.0 / 32.0
-        freq = ShrinkageSpec.dense(np.ones(8))
-        assert squared_element_linear(4, 4, freq) == 1.0
-        assert squared_element_linear(4, 5, freq) == 0.0
+        uniform = EstimatorConfig.linear(ShrinkageSpec.sparse(5, {1: 1.0}))
+        assert squared_matrix_element(3, 17, uniform) == 1.0 / 32.0
+        freq = EstimatorConfig.linear(ShrinkageSpec.dense(np.ones(8)))
+        assert squared_matrix_element(4, 4, freq) == 1.0
+        assert squared_matrix_element(4, 5, freq) == 0.0
 
     def test_waak_matches_dense_squaring(self):
         rng = np.random.default_rng(43)
@@ -546,15 +544,17 @@ class TestSquaredElements:
             g = 1.0 + float(rng.uniform(0.1, 2.5))
             q = oracles.waak_matrix_dense(w, g)
             q2 = q @ q
+            cfg = EstimatorConfig.waak(w, g)
             size = 1 << n
             for _ in range(60):
                 i, j = (int(v) for v in rng.integers(1, size + 1, size=2))
-                assert squared_element_waak(i, j, w, g) == pytest.approx(
+                assert squared_matrix_element(i, j, cfg) == pytest.approx(
                     q2[i - 1, j - 1], rel=1e-9
                 )
 
     def test_waak_squared_uniform_base(self):
-        assert squared_element_waak(2, 7, np.ones(4), 1.0) == pytest.approx(1.0 / 16.0, rel=1e-13)
+        cfg = EstimatorConfig.waak(np.ones(4), 1.0)
+        assert squared_matrix_element(2, 7, cfg) == pytest.approx(1.0 / 16.0, rel=1e-13)
 
     def test_general_matches_dense_squaring(self):
         rng = np.random.default_rng(44)
@@ -570,11 +570,11 @@ class TestSquaredElements:
                 b[0] = 1.0
                 q = oracles.transformed_matrix_dense(b, f)
                 q2 = q @ q
-                spec = ShrinkageSpec.dense(b)
+                cfg = EstimatorConfig.transformed(ShrinkageSpec.dense(b), t)
                 size = 1 << n
                 for _ in range(40):
                     i, j = (int(v) for v in rng.integers(1, size + 1, size=2))
-                    assert squared_element_general(i, j, spec, t) == pytest.approx(
+                    assert squared_matrix_element(i, j, cfg) == pytest.approx(
                         q2[i - 1, j - 1], rel=1e-9, abs=1e-14
                     )
 
@@ -583,12 +583,12 @@ class TestSquaredElements:
         for n in (3, 6, 8):
             w = rng.uniform(0.05, 1.0, size=n)
             g = 1.0 + float(rng.uniform(0.2, 2.0))
-            spec = ShrinkageSpec.single_interaction(w)
-            t = Transform.exponential(g)
+            transformed = EstimatorConfig.transformed(ShrinkageSpec.single_interaction(w), Transform.exponential(g))
+            waak = EstimatorConfig.waak(w, g)
             for _ in range(30):
                 i, j = (int(v) for v in rng.integers(1, (1 << n) + 1, size=2))
-                assert squared_element_general(i, j, spec, t) == pytest.approx(
-                    squared_element_waak(i, j, w, g), rel=1e-12
+                assert squared_matrix_element(i, j, transformed) == pytest.approx(
+                    squared_matrix_element(i, j, waak), rel=1e-12
                 )
 
     def test_general_identity_agrees_with_linear_shortcut(self):
@@ -596,17 +596,18 @@ class TestSquaredElements:
         n = 6
         b = _unit_lead_dense(rng, n)
         spec = ShrinkageSpec.dense(b)
-        ident = Transform.identity()
+        transformed = EstimatorConfig.transformed(spec, Transform.identity())
+        linear = EstimatorConfig.linear(spec)
         for _ in range(30):
             i, j = (int(v) for v in rng.integers(1, (1 << n) + 1, size=2))
-            assert squared_element_general(i, j, spec, ident) == pytest.approx(
-                squared_element_linear(i, j, spec), rel=1e-11
+            assert squared_matrix_element(i, j, transformed) == pytest.approx(
+                squared_matrix_element(i, j, linear), rel=1e-11
             )
 
     def test_general_capacity_guard(self):
-        spec = ShrinkageSpec.sparse(40, {1: 1.0, 2: 0.5})
+        cfg = EstimatorConfig.transformed(ShrinkageSpec.sparse(40, {1: 1.0, 2: 0.5}), Transform.relu())
         with pytest.raises(CapacityError):
-            squared_element_general(1, 1, spec, Transform.relu())
+            squared_matrix_element(1, 1, cfg)
 
     def test_config_level_dispatch(self):
         rng = np.random.default_rng(47)
@@ -657,12 +658,12 @@ class TestMixture:
             want = 0.3 * matrix_element(i, j, a) + 0.7 * matrix_element(i, j, b)
             assert matrix_element(i, j, mix) == pytest.approx(want, rel=1e-13)
 
-    def test_element_mixture_function(self):
+    def test_mixture_of_classic_and_uniform(self):
         comps = [
             (0.5, EstimatorConfig.aa_classic(3, 0.9)),
             (0.5, EstimatorConfig.linear(ShrinkageSpec.sparse(3, {1: 1.0}))),
         ]
-        got = element_mixture(2, 6, comps)
+        got = matrix_element(2, 6, EstimatorConfig.mixture(comps))
         want = 0.5 * matrix_element(2, 6, comps[0][1]) + 0.5 / 8.0
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -721,12 +722,12 @@ class TestEstimatorConfig:
     def test_aa_classic_equals_unit_weight_kernel(self):
         lam = 0.85
         cfg = EstimatorConfig.aa_classic(5, lam)
-        g = math.sqrt(lam / (1.0 - lam))
+        unit = EstimatorConfig.waak(np.ones(5), math.sqrt(lam / (1.0 - lam)))
         rng = np.random.default_rng(50)
         for _ in range(30):
             i, j = (int(v) for v in rng.integers(1, 33, size=2))
             assert matrix_element(i, j, cfg) == pytest.approx(
-                element_waak(i, j, np.ones(5), g), rel=1e-13
+                matrix_element(i, j, unit), rel=1e-13
             )
 
     def test_dimension_property(self):
