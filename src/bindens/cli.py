@@ -545,38 +545,56 @@ def estimator_to_dict(config):
 # query cell parsing
 
 
-# Only +, - and ?; a regex scans a 10^4-character pattern far faster than
-# set(text) or text.strip("+-?").
-_PATTERN = re.compile(r"[+?-]+")
+# Sign patterns are decoded a block at a time: about this many characters.
+_PATTERN_BLOCK = 1 << 16
 
 
-def _parse_pattern(item, n):
-    """Sign pattern like '+-+', optionally with one '?' marking the
-    coordinate whose conditional expectation is requested."""
-    if len(item) != n:
-        raise ConfigError(f"pattern {item!r} has {len(item)} coordinates, data has n={n}")
-    holes = item.count("?")
-    if holes > 1:
-        raise ConfigError(f"pattern {item!r} has {holes} '?' marks; at most one is supported")
-    # Bit k of the zero-based index is set where coordinate k + 1 is '-'
-    # (walsh.index_of_point); a '?' leaves its bit clear, at the '+' cell.
-    minus = np.frombuffer(item.encode("ascii"), dtype=np.uint8) == ord("-")
-    cell = 1 + int.from_bytes(np.packbits(minus, bitorder="little").tobytes(), "little")
-    if not holes:
-        return {"kind": "cell", "cell": cell, "label": item}
-    pos = item.index("?")
-    return {
-        "kind": "conditional",
-        "pattern": item,
-        "coordinate": pos + 1,
-        "cell_plus": cell,
-        "cell_minus": cell + (1 << pos),
-    }
+def _is_pattern(text):
+    """True for a nonempty text of only '+', '-' and '?'; a bytes
+    translate scans a 10^4-character pattern faster than a regex."""
+    return text.isascii() and not text.encode("ascii").translate(None, b"+-?")
+
+
+def _pattern_items(patterns, n):
+    """The parsed item of each sign pattern of length n, decoded a block
+    of patterns at a time.
+
+    Bit k of the zero-based index is set where coordinate k + 1 is '-'
+    (walsh.index_of_point); a '?' leaves its bit clear, at the '+' cell.
+    """
+    items = []
+    step = max(1, _PATTERN_BLOCK // n)
+    for start in range(0, len(patterns), step):
+        block = patterns[start : start + step]
+        signs = np.frombuffer("".join(block).encode("ascii"), dtype=np.uint8).reshape(len(block), n)
+        raw = np.packbits(signs == ord("-"), axis=1, bitorder="little").tobytes()
+        width = len(raw) // len(block)
+        for k, item in enumerate(block):
+            cell = 1 + int.from_bytes(raw[k * width : (k + 1) * width], "little")
+            pos = item.find("?")
+            if pos < 0:
+                items.append({"kind": "cell", "cell": cell, "label": item})
+            else:
+                items.append({
+                    "kind": "conditional",
+                    "pattern": item,
+                    "coordinate": pos + 1,
+                    "cell_plus": cell,
+                    "cell_minus": cell + (1 << pos),
+                })
+    return items
 
 
 def parse_cells_spec(items, n):
-    """Parse query cell specifiers: integer indexes and sign patterns."""
+    """Parse query cell specifiers: integer indexes and sign patterns like
+    '+-+', each with at most one '?' marking the coordinate whose
+    conditional expectation is requested.
+
+    Items are checked in input order, so the first bad one raises; the
+    sign patterns are then decoded together (_pattern_items).
+    """
     parsed = []
+    patterns = []
     for item in items:
         if isinstance(item, (int, np.integer)) and not isinstance(item, bool):
             parsed.append({"kind": "cell", "cell": int(item), "label": None})
@@ -586,8 +604,14 @@ def parse_cells_spec(items, n):
         text = item.strip()
         if not text:
             continue
-        if _PATTERN.fullmatch(text):
-            parsed.append(_parse_pattern(text, n))
+        if _is_pattern(text):
+            if len(text) != n:
+                raise ConfigError(f"pattern {text!r} has {len(text)} coordinates, data has n={n}")
+            hole = text.find("?")
+            if hole >= 0 and text.find("?", hole + 1) >= 0:
+                raise ConfigError(f"pattern {text!r} has {text.count('?')} '?' marks; at most one is supported")
+            patterns.append(text)
+            parsed.append(None)  # decoded below, in input order
             continue
         try:
             cell = _parse_decimal(text)
@@ -596,7 +620,8 @@ def parse_cells_spec(items, n):
         parsed.append({"kind": "cell", "cell": cell, "label": None})
     if not parsed:
         raise ConfigError("no query cells given")
-    return parsed
+    decoded = iter(_pattern_items(patterns, n))
+    return [next(decoded) if item is None else item for item in parsed]
 
 
 def _point_label(cell, n):
@@ -985,6 +1010,8 @@ def cmd_query(args):
             needed.extend([item["cell_plus"], item["cell_minus"]])
     estimate = estimate_at(needed, config, counts)
     value_of = dict(zip(needed, (float(v) for v in estimate.values)))
+    logs = estimate._log_values
+    log_of = None if logs is None else dict(zip(needed, logs.tolist()))
 
     results = []
     for item in parsed:
@@ -998,20 +1025,22 @@ def cmd_query(args):
         else:
             p_plus = value_of[item["cell_plus"]]
             p_minus = value_of[item["cell_minus"]]
-            denom = p_plus + p_minus
-            entry = {
+            if log_of is not None:
+                # (p+ - p-) / (p+ + p-) from the logs: defined unless both are -inf.
+                log_plus, log_minus = log_of[item["cell_plus"]], log_of[item["cell_minus"]]
+                defined = max(log_plus, log_minus) > -math.inf
+                ce = math.tanh((log_plus - log_minus) / 2.0) if defined else None
+            else:
+                defined = p_plus + p_minus > 0
+                ce = (p_plus - p_minus) / (p_plus + p_minus) if defined else None
+            results.append({
                 "pattern": item["pattern"],
                 "coordinate": item["coordinate"],
                 "cells": [_json_int(item["cell_plus"]), _json_int(item["cell_minus"])],
                 "values": [p_plus, p_minus],
-            }
-            if denom > 0:
-                entry["conditional_expectation"] = (p_plus - p_minus) / denom
-                entry["undefined"] = False
-            else:
-                entry["conditional_expectation"] = None
-                entry["undefined"] = True
-            results.append(entry)
+                "conditional_expectation": ce,
+                "undefined": not defined,
+            })
 
     report = _common_header("query", n, _number(fit.get("seed", 0), "fit report seed", int))
     report["fit"] = str(args.fit)

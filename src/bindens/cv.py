@@ -5,11 +5,14 @@ observation counts, so neither ever rebuilds an estimate per held-out
 point: leaving out one observation only shifts one count. A risk takes
 one support x support block of Q from the batched kernel core over the
 K distinct observed cells, and SE adds the quadratic form p' Q^2 p of
-the empirical weights: a support x support block of Q @ Q for linear,
-waak and aa_classic kernels, and for transformed and mixture kernels a
+the empirical weights: a support x support block of Q @ Q for linear
+and non-uniform waak kernels, and for transformed and mixture kernels a
 Parseval sum of the kernel's Walsh diagonal times fwht(p), which the
-counts keep for every candidate. Every reduction runs in a fixed
-ascending-cell order so repeated runs are bitwise identical.
+counts keep for every candidate. A uniform-weight kernel (aa_classic,
+waak with one t on every coordinate) instead reads both from the
+counts' Hamming lookup in log space, with n + 1 exp calls per candidate.
+Every reduction runs in a fixed ascending-cell order so repeated runs
+are bitwise identical.
 """
 
 import itertools
@@ -71,19 +74,31 @@ def _check_inputs(config, counts):
         raise InsufficientDataError("leave-one-out needs at least two observations")
 
 
-def _held_out(gram, cnt, own, total):
-    """Held-out estimate at each row cell with one of its observations removed.
+def _held_out(config, counts, own=None):
+    """Held-out estimate at the support positions own (every one when
+    None), each with one of its observations removed, as (scale, ratio):
+    the estimate is exp(scale) * ratio and its log is scale + log(ratio).
 
-    gram holds Q between the row cells and the support (it is
-    overwritten); row k's own cell sits in column own[k]. That entry is
-    weighted by its count minus one rather than subtracted after the
-    product: it dominates its row at large n, and the difference would
-    cancel to 0.
+    A uniform-weight kernel computes both in log space from the counts'
+    Hamming lookup (_WaakState.held_out). Other kernels take a block of
+    Q between those cells and the support, with scale 0 and ratio the
+    estimate itself. There the own cell's entry is weighted by its count
+    minus one rather than subtracted after the product: it dominates its
+    row at large n, and the difference would cancel to 0.
     """
+    if config._hamming_route:
+        return config._waak.held_out(counts, own)
+    cnt = counts._counts
+    support = counts._packed
+    if own is None:
+        own, cells = np.arange(cnt.size), support
+    else:
+        cells = [counts.cells[k][0] for k in own]
+    gram = config._gram(cells, support)
     rows = np.arange(gram.shape[0])
     own_entries = gram[rows, own]
     gram[rows, own] = 0.0
-    return (gram @ cnt + own_entries * (cnt[own] - 1.0)) / (total - 1)
+    return 0.0, (gram @ cnt + own_entries * (cnt[own] - 1.0)) / (counts.total - 1)
 
 
 def loo_term(k, config, counts):
@@ -96,26 +111,26 @@ def loo_term(k, config, counts):
     k = _integer(k, "observation index", 0)
     if k >= counts.total:
         raise ValueError(f"observation index {k} out of range [0, {counts.total - 1}]")
-    cnt = counts._counts
     # Observations run in support order, so k falls in the first support
     # cell whose running count passes it.
-    own = int(np.searchsorted(np.cumsum(cnt), k, side="right"))
-    gram = config._gram([counts.cells[own][0]], counts._packed)
-    return float(_held_out(gram, cnt, [own], counts.total)[0])
+    own = int(np.searchsorted(np.cumsum(counts._counts), k, side="right"))
+    scale, ratio = _held_out(config, counts, [own])
+    return float((np.exp(scale) * ratio)[0])
 
 
 def _loo_risk(loss, config, counts):
     """The RiskReport of either loss from the held-out term at each
-    support cell, read off one support x support block of Q."""
+    support cell. KL sums the terms' logs, so a term below the float64
+    range still counts with its true log when its kernel has one."""
     _check_inputs(config, counts)
     cnt = counts._counts
-    support = counts._packed
-    terms = _held_out(config._gram(support, support), cnt, np.arange(cnt.size), counts.total)
+    scale, ratio = _held_out(config, counts)
+    terms = np.exp(scale) * ratio
     k = cnt.size
     dominated = False
     if loss == "kl":
-        dominated = not bool(np.all(terms > 0.0))
-        value = -math.inf if dominated else math.fsum((cnt * np.log(terms)).tolist())
+        dominated = not bool(np.all(ratio > 0.0))
+        value = -math.inf if dominated else math.fsum((cnt * (scale + np.log(ratio))).tolist())
     else:
         value = config._quadratic(counts) - (2.0 / counts.total) * math.fsum((cnt * terms).tolist())
     return RiskReport(

@@ -33,11 +33,16 @@ fwht(p) is kept by the counts, so an SE search pays its transforms per
 component and per counts, not per candidate.
 
 Product-form kernels (waak, aa_classic) see two cells only through a
-weighted distance D_w, the sum of w_d over the coordinates where they
-differ. The core takes it by one of two routes, chosen from w alone.
-When every weight equals one value c, D_w = c H with H the exact
-integer Hamming matrix, a popcount over the packed cells; otherwise D_w
-is a float product over the cells' bits.
+weighted distance D_t, the sum of t_d = w_d log(gamma) over the
+coordinates where they differ, and take one of two routes, chosen from t
+alone. When every t_d equals one value s, D_t = s H with H the exact
+integer Hamming matrix, a popcount over the packed cells, and the kernel
+takes its values from a lookup over the n + 1 Hamming levels: log Q =
+log_diag - 2 s H. Its risks and estimates stay in log space, each row
+shifted by its nearest cell, so a held-out term or estimate far below
+the float64 range keeps its logarithm, and a candidate costs n + 1 exp
+calls plus a gather. Otherwise D_t is a float product over the cells'
+bits and Q is exponentiated entrywise.
 
 Everything a configuration derives (parity features, the normalizer Z,
 the dense row, its Walsh diagonal, the waak log state) is a function of
@@ -48,13 +53,15 @@ components and keeps no dense row or diagonal: it sums its components'
 whenever one is asked for. In the same way, what the observed cells
 derive (their packed bits, their Hamming matrix H, their counts and the
 transform fwht(p) of their weights) is a private attribute of the
-CountsVector. Every uniform-weight candidate of a search (aa_lambda,
-waak shared_grid) scales the one H and pays only O(K^2) elementwise
-work on K observed cells, and every estimate reuses the packed support.
+CountsVector, with the lookup state that every uniform-weight
+candidate of a search (aa_lambda, waak shared_grid) reads from H, so
+each such candidate pays only a gather over K^2 entries on K observed
+cells, and every estimate reuses the packed support.
 """
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -92,6 +99,10 @@ MAX_FULL_N = 20
 
 _LOG2 = math.log(2.0)
 
+# Below this exponent exp() leaves the float64 normal range, where numpy
+# takes a slow path of about 20-130 ns per call.
+_LOG_TINY = math.log(sys.float_info.min)
+
 
 # ---------------------------------------------------------------------------
 # observation counts
@@ -106,7 +117,9 @@ class CountsVector:
     counts, built on first use: _packed holds the support cells packed to
     bits, and its hamming attribute the exact support x support Hamming
     matrix, which every uniform-weight kernel (aa_classic, waak with all
-    weights equal) scales instead of computing its own distances.
+    t_d equal) reads instead of computing its own distances, and
+    _hamming_lookup and _pair_histogram what their leave-one-out risks
+    derive from it.
     _spectrum holds fwht(p) of the empirical weights, which the SE
     quadratic of every transformed or mixture kernel multiplies by that
     kernel's Walsh diagonal (n <= 30), and _counts the support's counts
@@ -157,6 +170,38 @@ class CountsVector:
         out = np.array([cnt for _, cnt in self.cells], dtype=np.float64)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def _hamming_lookup(self):
+        """(nearest, shifted) from the support's Hamming matrix H, for the
+        held-out terms of uniform-weight kernels (_WaakState.held_out).
+
+        A held-out term at cell r weights every other cell with its count
+        and r itself with its count minus one. nearest[r] is the smallest
+        H[r, c] with positive weight: 0 for a cell seen more than once,
+        the distance to the nearest other cell for a cell seen once.
+        shifted = H - nearest as int32, except on the own cell: there it
+        is 0 for a cell seen more than once and n + 1, a level whose
+        kernel value is 0 (_decay), for a cell seen once.
+        """
+        hamming = self._packed.hamming
+        repeated = self._counts > 1.0
+        own = np.arange(repeated.size)
+        shifted = hamming.copy()
+        shifted[own, own] = self.n + 1
+        nearest = np.where(repeated, 0, shifted.min(axis=1))
+        shifted -= nearest[:, None]
+        shifted[own, own] = np.where(repeated, 0, self.n + 1)
+        return nearest, shifted
+
+    @cached_property
+    def _pair_histogram(self):
+        """P[h], the sum of count r * count c over the support pairs with
+        H[r, c] = h, for h = 0..n + 1 (P[n + 1] = 0): the SE quadratic of
+        every uniform-weight kernel reads it (_WaakState.quadratic)."""
+        cnt = self._counts
+        weights = np.outer(cnt, cnt).ravel()
+        return np.bincount(self._packed.hamming.ravel(), weights=weights, minlength=self.n + 2)
 
     @cached_property
     def _spectrum(self):
@@ -393,6 +438,12 @@ class EstimatorConfig:
     def _waak(self):
         return _WaakState(self.shrinkage.w, self.gamma)
 
+    @property
+    def _hamming_route(self):
+        """True for a product-form kernel whose t is one value on every
+        coordinate: its risks and estimates take the Hamming lookup."""
+        return self.variant in _WAAK and self._waak.shared_t is not None
+
     @cached_property
     def _norm(self):
         """Z of a single kernel: the identity's closed form for linear and
@@ -457,9 +508,12 @@ class EstimatorConfig:
         each kernel keeps or rebuilds its s, with no transform per
         candidate. A norm keeps full relative accuracy, which single
         Q @ Q entries built by transforms would not on the far entries of
-        a peaked kernel. Other kernels sum a support x support block of
-        Q @ Q.
+        a peaked kernel. A uniform-weight kernel reads the counts' pair
+        histogram (_WaakState.quadratic); other kernels sum a support x
+        support block of Q @ Q.
         """
+        if self._hamming_route:
+            return self._waak.quadratic(counts)
         if self.variant in _PROFILE_SQUARED:
             # _spectrum refuses n > MAX_DENSE_N before any 2^n buffer.
             terms = self._spectrum() * counts._spectrum
@@ -569,6 +623,10 @@ class _Cells:
         """The cells' Hamming matrix among themselves, built on first use."""
         return _hamming(self, self)
 
+    def hamming_to(self, cols):
+        """Hamming matrix to the cells cols: the one kept when cols is self."""
+        return self.hamming if cols is self else _hamming(self, cols)
+
     def bits(self, start, stop, pivot):
         """Bits start..stop-1 (start a multiple of 8) of each zero-based
         index XOR the pivot's bytes, as 0/1 floats."""
@@ -589,22 +647,22 @@ def _cell_pair(rows, cols, n):
 
 
 def _weighted_distance(rows, cols, weights):
-    """sum_d weights[d] [x_r[d] != x_c[d]] for every row cell r and column cell c.
+    """sum_d weights[d] [x_r[d] != x_c[d]] for every row cell r and column
+    cell c, for the single-interaction features of a transformed kernel.
 
-    Two routes, chosen from the weights alone. When every weight equals
-    one value c, the distance is c times the exact Hamming matrix
-    (_hamming); a list of cells keeps its own (_Cells.hamming), so every
-    uniform-weight candidate scored on one support shares one matrix.
-    Other weights take _float_distance.
+    When every weight equals one value c, the distance is c times the
+    exact Hamming matrix (_Cells.hamming_to); other weights take
+    _float_distance.
     """
     c = weights[0]
     if np.all(weights == c):
-        return c * (rows.hamming if cols is rows else _hamming(rows, cols))
+        return c * rows.hamming_to(cols)
     return _float_distance(rows, cols, weights)
 
 
 def _float_distance(rows, cols, weights):
-    """_weighted_distance as float products over the unpacked bits.
+    """sum_d weights[d] [x_r[d] != x_c[d]] as float products over the
+    unpacked bits.
 
     Bits are taken relative to the first row cell, which leaves the
     distance unchanged; [b_r != b_c] = b_r + b_c - 2 b_r b_c then sums
@@ -737,11 +795,19 @@ class _WaakState:
     Q @ Q has coordinate factor e^(2t) + e^(-2t) on agreement and 2 on
     disagreement over Z^2, so log Q^2 = sum_d log((e^(2t) + e^(-2t)) /
     (e^t + e^-t)^2) - D_v with v = log(e^(2t) + e^(-2t)) - log 2.
+
+    When t is one value s on every coordinate (shared_t), D_t = s H and D_v =
+    v_1 H for the exact Hamming matrix H, and every entry is one of n + 1
+    levels: entries are looked up from their levels (_exp_levels), and
+    held-out terms, the SE quadratic and estimates are computed from the
+    decay e^(-2 s j) over j = 0..n in log space (held_out, quadratic,
+    estimate). Otherwise D_t is a float distance (_float_distance).
     """
 
     def __init__(self, w, gamma):
         t = w * math.log(gamma)
         self.t = t
+        self.shared_t = float(t[0]) if np.all(t == t[0]) else None
         lost = np.log1p(np.exp(-2.0 * t))
         lost_sq = np.log1p(np.exp(-4.0 * t))
         self.log_diagonal = -float(lost.sum())
@@ -749,11 +815,51 @@ class _WaakState:
         self.log_squared_diagonal = float((lost_sq - 2.0 * lost).sum())
 
     def gram(self, rows, cols):
-        return np.exp(self.log_diagonal - 2.0 * _weighted_distance(rows, cols, self.t))
+        if self.shared_t is not None:
+            return _exp_levels(self.log_diagonal, 2.0 * self.shared_t, rows.hamming_to(cols))
+        return np.exp(self.log_diagonal - 2.0 * _float_distance(rows, cols, self.t))
 
     def squared_gram(self, rows, cols):
-        distance = _weighted_distance(rows, cols, self.squared_weights)
-        return np.exp(self.log_squared_diagonal - distance)
+        if self.shared_t is not None:
+            return _exp_levels(self.log_squared_diagonal, self.squared_weights[0], rows.hamming_to(cols))
+        return np.exp(self.log_squared_diagonal - _float_distance(rows, cols, self.squared_weights))
+
+    def held_out(self, counts, own):
+        """(scale, ratio) of the held-out estimates at the support positions
+        own (every one when None): the term is exp(scale) * ratio, and its
+        log is scale + log(ratio).
+
+        Row r is shifted by its nearest weighted cell (_hamming_lookup):
+        scale = log_diag - 2 s nearest[r], and ratio = (sum_c count c
+        e^(-2 s shifted[r, c]) - [count r > 1]) / (N - 1), where the own
+        cell of a repeated cell, counted once too often in the sum, is
+        subtracted from a sum of at least its count. The sum holds a term
+        1 with weight >= 1, so it neither underflows nor overflows,
+        whatever the scale.
+        """
+        nearest, shifted = counts._hamming_lookup
+        cnt = counts._counts
+        repeated = cnt > 1.0
+        if own is not None:
+            nearest, shifted, repeated = nearest[own], shifted[own], repeated[own]
+        decay = _decay(2.0 * self.shared_t, counts.n)
+        ratio = (decay[shifted] @ cnt - repeated) / (counts.total - 1)
+        return self.log_diagonal - 2.0 * (self.shared_t * nearest), ratio
+
+    def quadratic(self, counts):
+        """p' Q^2 p from the counts' pair histogram P: exp(log_sq_diag) *
+        sum_h P_h e^(-v_1 h) / N^2, whose sum holds P_0 >= N at h = 0."""
+        decay = _decay(float(self.squared_weights[0]), counts.n)
+        return math.exp(self.log_squared_diagonal) * (float(counts._pair_histogram @ decay) / counts.total**2)
+
+    def estimate(self, cells, counts):
+        """(scale, ratio) of the estimate at packed cells, as held_out does
+        it, each cell shifted by its nearest support cell."""
+        hamming = cells.hamming_to(counts._packed)
+        nearest = hamming.min(axis=1)
+        decay = _decay(2.0 * self.shared_t, counts.n)
+        ratio = (decay[hamming - nearest[:, None]] @ counts._counts) / counts.total
+        return self.log_diagonal - 2.0 * (self.shared_t * nearest), ratio
 
     def profile(self):
         """Q[1, m + 1] at every zero-based index m; 2^n entries."""
@@ -771,6 +877,27 @@ class _WaakState:
         for factor in np.tanh(self.t):  # index bit d is coordinate d
             out = np.concatenate([out, out * factor])
         return out
+
+
+def _exp_levels(base, rate, hamming):
+    """exp(base - rate * H) for an integer matrix H, from one exp per
+    level between its smallest and largest entry."""
+    if not hamming.size:
+        return np.zeros(hamming.shape)
+    low = int(hamming.min())
+    levels = np.exp(base - rate * np.arange(low, int(hamming.max()) + 1))
+    return levels[hamming - low]
+
+
+def _decay(rate, n):
+    """exp(-rate * j) at the Hamming levels j = 0..n and 0 at level n + 1,
+    which marks a cell that carries no weight. A value below the float64
+    normal range is set to 0 too: next to a term 1 it is below float64
+    resolution, and exp would take its slow path on it."""
+    out = np.zeros(n + 2)
+    count = n + 1 if rate * n <= -_LOG_TINY else int(-_LOG_TINY / rate) + 1
+    out[:count] = np.exp(np.arange(count) * -rate)
+    return out
 
 
 def _positive(norm):
@@ -826,6 +953,8 @@ class DensityEstimate:
     order. negativity flags any negative entry, which only
     sign-indefinite transforms or inadmissible shrinkage can produce;
     values are reported exactly as computed, never clipped silently.
+    estimate_at on a uniform-weight kernel also keeps the log of each
+    value (_log_values), which query turns into conditionals.
     """
 
     n: int
@@ -833,6 +962,7 @@ class DensityEstimate:
     values: np.ndarray
     normalizers: tuple
     negativity: bool
+    _log_values: np.ndarray = field(default=None, repr=False)
 
 
 def _match_dimensions(config, counts):
@@ -850,10 +980,13 @@ def _match_dimensions(config, counts):
 def estimate_at(cells, config, counts):
     """Estimated probability of each queried cell, sparse in n.
 
-    Each chunk of query cells is one query x support block of Q times
-    the counts, against the support the counts keep packed; chunks keep
-    the block near _BLOCK_ENTRIES entries, and the fixed (ascending)
-    support order makes results deterministic.
+    Each chunk of query cells is one query x support block against the
+    support the counts keep packed; chunks keep the block near
+    _BLOCK_ENTRIES entries, and the fixed (ascending) support order makes
+    results deterministic. A uniform-weight kernel looks its block up
+    from the Hamming levels in log space (_WaakState.estimate) and keeps
+    the log of every value, which stays exact where the value itself
+    underflows; other kernels multiply a block of Q by the counts.
     """
     _match_dimensions(config, counts)
     cell_list = _items(cells, "query cells")
@@ -861,17 +994,24 @@ def estimate_at(cells, config, counts):
         raise ValueError("at least one query cell is required")
     support = counts._packed
     step = max(1, _BLOCK_ENTRIES // support.size)
-    sums = [
-        config._gram(cell_list[start : start + step], support) @ counts._counts
-        for start in range(0, len(cell_list), step)
-    ]
-    values = np.concatenate(sums) / counts.total
+    chunks = [cell_list[start : start + step] for start in range(0, len(cell_list), step)]
+    logs = None
+    if config._hamming_route:
+        parts = [config._waak.estimate(_Cells(chunk, config.n), counts) for chunk in chunks]
+        scale = np.concatenate([part[0] for part in parts])
+        ratio = np.concatenate([part[1] for part in parts])
+        values = np.exp(scale) * ratio
+        logs = scale + np.log(ratio)
+    else:
+        sums = [config._gram(chunk, support) @ counts._counts for chunk in chunks]
+        values = np.concatenate(sums) / counts.total
     return DensityEstimate(
         n=config.n,
         cells=tuple(int(c) for c in cell_list),
         values=values,
         normalizers=config._normalizers(),
         negativity=bool(np.any(values < 0.0)),
+        _log_values=logs,
     )
 
 

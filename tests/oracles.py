@@ -493,6 +493,130 @@ def held_out_from_row(g, counts):
 
 
 # ---------------------------------------------------------------------------
+# uniform-weight kernels: the linear-space route and a log-space reference
+#
+# A waak kernel whose t = w log(gamma) is one value s on every coordinate
+# (aa_classic among them) has Q[r, c] = exp(log_diag - 2 s H[r, c]) with H
+# the Hamming distance of the two cells. The package looks these entries up
+# from their Hamming levels in log space. Before that, its risks and
+# estimates exponentiated a whole block of entries in linear space, where
+# they underflow; LinearSpaceUniform and the two functions after it are
+# that route as it was, kept as the reference it must match wherever its
+# values are finite and nonzero. H comes from the cell indexes here.
+
+
+def hamming_matrix(rows, cols):
+    """Hamming distance between every pair of 1-based cell indexes."""
+    return np.array([[((a - 1) ^ (b - 1)).bit_count() for b in cols] for a in rows], dtype=np.int32)
+
+
+class LinearSpaceUniform:
+    """Q and Q @ Q of a uniform-weight waak or aa_classic config, each
+    entry exponentiated on its own."""
+
+    def __init__(self, config):
+        t = config.shrinkage.w * math.log(config.gamma)
+        lost = np.log1p(np.exp(-2.0 * t))
+        lost_sq = np.log1p(np.exp(-4.0 * t))
+        self.log_diagonal = -float(lost.sum())
+        self.squared_weights = 2.0 * t + lost_sq - math.log(2.0)
+        self.log_squared_diagonal = float((lost_sq - 2.0 * lost).sum())
+        self.t = t
+
+    def gram(self, rows, cols):
+        return np.exp(self.log_diagonal - 2.0 * (self.t[0] * hamming_matrix(rows, cols)))
+
+    def squared_gram(self, rows, cols):
+        return np.exp(self.log_squared_diagonal - self.squared_weights[0] * hamming_matrix(rows, cols))
+
+
+def linear_space_risk(loss, config, counts):
+    """(value, held-out terms) of the KL or SE risk on the linear-space route."""
+    kernel = LinearSpaceUniform(config)
+    support = [idx for idx, _ in counts.cells]
+    cnt = np.array([c for _, c in counts.cells], dtype=np.float64)
+    gram = kernel.gram(support, support)
+    rows = np.arange(gram.shape[0])
+    own_entries = gram[rows, rows]
+    gram[rows, rows] = 0.0
+    terms = (gram @ cnt + own_entries * (cnt - 1.0)) / (counts.total - 1)
+    if loss == "kl":
+        dominated = not bool(np.all(terms > 0.0))
+        value = -math.inf if dominated else math.fsum((cnt * np.log(terms)).tolist())
+    else:
+        p = cnt / counts.total
+        quad = float(p @ kernel.squared_gram(support, support) @ p)
+        value = quad - (2.0 / counts.total) * math.fsum((cnt * terms).tolist())
+    return value, terms
+
+
+def linear_space_estimate(cells, config, counts):
+    """Estimated probability at each cell on the linear-space route."""
+    support = [idx for idx, _ in counts.cells]
+    cnt = np.array([c for _, c in counts.cells], dtype=np.float64)
+    return LinearSpaceUniform(config).gram(cells, support) @ cnt / counts.total
+
+
+class UniformKernelMp:
+    """log Q and log (Q @ Q) of a waak kernel with weight w on each of n
+    coordinates and base gamma, at Hamming distance d, in mpmath: per
+    coordinate gamma^w on agreement and gamma^-w on disagreement over
+    their sum, and gamma^2w + gamma^-2w and 2 over its square in Q @ Q."""
+
+    @mp.workdps(_DPS)
+    def __init__(self, n, w, gamma):
+        t = mp.mpf(float(w)) * mp.log(mp.mpf(float(gamma)))
+        self.n, self.t = n, t
+        self.log_z = n * mp.log(mp.exp(t) + mp.exp(-t))
+        self.log_agree_sq = mp.log(mp.exp(2 * t) + mp.exp(-2 * t))
+
+    def log_entry(self, d):
+        return (self.n - 2 * d) * self.t - self.log_z
+
+    def log_squared(self, d):
+        return (self.n - d) * self.log_agree_sq + d * mp.log(2) - 2 * self.log_z
+
+
+def sign_hamming(rows_a, rows_b):
+    """Hamming distance between every pair of sign rows."""
+    return np.array([[int(np.count_nonzero(a != b)) for b in rows_b] for a in rows_a])
+
+
+@mp.workdps(_DPS)
+def uniform_loo_reference(kernel, hamming, cnt, total):
+    """Held-out log terms, KL, SE quadratic and SE risk of a UniformKernelMp
+    on a support with pairwise distances hamming and counts cnt."""
+    entry = {d: mp.exp(kernel.log_entry(d)) for d in set(hamming.ravel().tolist())}
+    size = len(cnt)
+    log_terms = [
+        mp.log(mp.fsum((cnt[c] - (r == c)) * entry[int(hamming[r, c])] for c in range(size)) / (total - 1))
+        for r in range(size)
+    ]
+    squared = {d: mp.exp(kernel.log_squared(d)) for d in entry}
+    quad = mp.fsum(
+        cnt[r] * cnt[c] * squared[int(hamming[r, c])] for r in range(size) for c in range(size)
+    ) / total**2
+    mean = mp.fsum(c * mp.exp(lt) for c, lt in zip(cnt, log_terms)) / total
+    return {
+        "log_terms": log_terms,
+        "kl": mp.fsum(c * lt for c, lt in zip(cnt, log_terms)),
+        "quad": quad,
+        "se": quad - 2 * mean,
+        "se_scale": quad + 2 * mean,
+    }
+
+
+@mp.workdps(_DPS)
+def uniform_log_estimate(kernel, hamming, cnt, total):
+    """log of (1/N) sum_c cnt_c Q[q, c] for each row q of hamming (queries
+    x support)."""
+    return [
+        mp.log(mp.fsum(c * mp.exp(kernel.log_entry(int(d))) for c, d in zip(cnt, row)) / total)
+        for row in hamming
+    ]
+
+
+# ---------------------------------------------------------------------------
 # observation files
 
 

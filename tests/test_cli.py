@@ -462,6 +462,27 @@ class TestParseCellsSpec:
             }
 
 
+    def test_first_bad_item_raises_in_input_order(self):
+        # Items are checked one by one before any pattern is decoded.
+        with pytest.raises(ConfigError, match="query cell '12a' is neither"):
+            parse_cells_spec(["+-+", "12a", "++", "??+"], 3)
+        with pytest.raises(ConfigError, match="pattern '\\+\\+' has 2 coordinates"):
+            parse_cells_spec(["+-+", 5, "++", "12a"], 3)
+        with pytest.raises(ConfigError, match="has 2 '\\?' marks"):
+            parse_cells_spec(["??+", "++"], 3)
+
+    def test_patterns_across_decode_blocks(self):
+        # More patterns than one decode block holds, mixed with indexes.
+        n = 9
+        rng = np.random.default_rng(9)
+        signs = rng.choice([-1, 1], size=(20_000, n))
+        texts = ["".join("+" if v > 0 else "-" for v in row) for row in signs]
+        parsed = parse_cells_spec([7] + texts + ["12"], n)
+        assert parsed[0]["cell"] == 7 and parsed[-1]["cell"] == 12
+        assert [p["cell"] for p in parsed[1:-1]] == [index_of_point(row) for row in signs]
+        assert [p["label"] for p in parsed[1:-1]] == texts
+
+
 class TestParseDecimal:
     @pytest.mark.parametrize("digits", [4300, 4301])
     @pytest.mark.parametrize("sign", ["", "+", "-"])
