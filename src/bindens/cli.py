@@ -545,10 +545,6 @@ def estimator_to_dict(config):
 # query cell parsing
 
 
-# Sign patterns are decoded a block at a time: about this many characters.
-_PATTERN_BLOCK = 1 << 16
-
-
 def _is_pattern(text):
     """True for a nonempty text of only '+', '-' and '?'; a bytes
     translate scans a 10^4-character pattern faster than a regex."""
@@ -556,32 +552,31 @@ def _is_pattern(text):
 
 
 def _pattern_items(patterns, n):
-    """The parsed item of each sign pattern of length n, decoded a block
-    of patterns at a time.
+    """The parsed item of each sign pattern of length n, all decoded in
+    one frombuffer and packbits.
 
     Bit k of the zero-based index is set where coordinate k + 1 is '-'
     (walsh.index_of_point); a '?' leaves its bit clear, at the '+' cell.
     """
+    if not patterns:
+        return []
+    signs = np.frombuffer("".join(patterns).encode("ascii"), dtype=np.uint8).reshape(len(patterns), n)
+    raw = np.packbits(signs == ord("-"), axis=1, bitorder="little").tobytes()
+    width = len(raw) // len(patterns)
     items = []
-    step = max(1, _PATTERN_BLOCK // n)
-    for start in range(0, len(patterns), step):
-        block = patterns[start : start + step]
-        signs = np.frombuffer("".join(block).encode("ascii"), dtype=np.uint8).reshape(len(block), n)
-        raw = np.packbits(signs == ord("-"), axis=1, bitorder="little").tobytes()
-        width = len(raw) // len(block)
-        for k, item in enumerate(block):
-            cell = 1 + int.from_bytes(raw[k * width : (k + 1) * width], "little")
-            pos = item.find("?")
-            if pos < 0:
-                items.append({"kind": "cell", "cell": cell, "label": item})
-            else:
-                items.append({
-                    "kind": "conditional",
-                    "pattern": item,
-                    "coordinate": pos + 1,
-                    "cell_plus": cell,
-                    "cell_minus": cell + (1 << pos),
-                })
+    for k, item in enumerate(patterns):
+        cell = 1 + int.from_bytes(raw[k * width : (k + 1) * width], "little")
+        pos = item.find("?")
+        if pos < 0:
+            items.append({"kind": "cell", "cell": cell, "label": item})
+        else:
+            items.append({
+                "kind": "conditional",
+                "pattern": item,
+                "coordinate": pos + 1,
+                "cell_plus": cell,
+                "cell_minus": cell + (1 << pos),
+            })
     return items
 
 

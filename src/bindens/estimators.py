@@ -36,13 +36,13 @@ Product-form kernels (waak, aa_classic) see two cells only through a
 weighted distance D_t, the sum of t_d = w_d log(gamma) over the
 coordinates where they differ, and take one of two routes, chosen from t
 alone. When every t_d equals one value s, D_t = s H with H the exact
-integer Hamming matrix, a popcount over the packed cells, and the kernel
-takes its values from a lookup over the n + 1 Hamming levels: log Q =
-log_diag - 2 s H. Its risks and estimates stay in log space, each row
-shifted by its nearest cell, so a held-out term or estimate far below
-the float64 range keeps its logarithm, and a candidate costs n + 1 exp
-calls plus a gather. Otherwise D_t is a float product over the cells'
-bits and Q is exponentiated entrywise.
+integer Hamming matrix, a popcount over the packed cells, and log Q =
+log_diag - 2 s H takes one of n + 1 levels. The kernel's risks and
+estimates then stay in log space, each row shifted by its nearest cell,
+so a held-out term or estimate far below the float64 range keeps its
+logarithm, and a candidate costs n + 1 exp calls plus a gather.
+Otherwise D_t is a float product over the cells' bits. Blocks of Q
+itself (mixture components) are exponentiated entrywise on either route.
 
 Everything a configuration derives (parity features, the normalizer Z,
 the dense row, its Walsh diagonal, the waak log state) is a function of
@@ -118,8 +118,8 @@ class CountsVector:
     bits, and its hamming attribute the exact support x support Hamming
     matrix, which every uniform-weight kernel (aa_classic, waak with all
     t_d equal) reads instead of computing its own distances, and
-    _hamming_lookup and _pair_histogram what their leave-one-out risks
-    derive from it.
+    _nearest and _pair_histogram what their leave-one-out risks derive
+    from it.
     _spectrum holds fwht(p) of the empirical weights, which the SE
     quadratic of every transformed or mixture kernel multiplies by that
     kernel's Walsh diagonal (n <= 30), and _counts the support's counts
@@ -172,36 +172,25 @@ class CountsVector:
         return out
 
     @cached_property
-    def _hamming_lookup(self):
-        """(nearest, shifted) from the support's Hamming matrix H, for the
-        held-out terms of uniform-weight kernels (_WaakState.held_out).
-
-        A held-out term at cell r weights every other cell with its count
-        and r itself with its count minus one. nearest[r] is the smallest
-        H[r, c] with positive weight: 0 for a cell seen more than once,
-        the distance to the nearest other cell for a cell seen once.
-        shifted = H - nearest as int32, except on the own cell: there it
-        is 0 for a cell seen more than once and n + 1, a level whose
-        kernel value is 0 (_decay), for a cell seen once.
-        """
-        hamming = self._packed.hamming
-        repeated = self._counts > 1.0
-        own = np.arange(repeated.size)
-        shifted = hamming.copy()
-        shifted[own, own] = self.n + 1
-        nearest = np.where(repeated, 0, shifted.min(axis=1))
-        shifted -= nearest[:, None]
-        shifted[own, own] = np.where(repeated, 0, self.n + 1)
-        return nearest, shifted
+    def _nearest(self):
+        """For each support cell r, the smallest Hamming distance H[r, c]
+        to a cell c that the held-out term at r weights: 0 for a cell seen
+        more than once, whose own cell keeps its count minus one, and the
+        distance to the nearest other cell for a cell seen once. The
+        held-out terms of uniform-weight kernels shift by it
+        (_WaakState.held_out)."""
+        others = self._packed.hamming.copy()
+        np.fill_diagonal(others, self.n + 1)
+        return np.where(self._counts > 1.0, 0, others.min(axis=1))
 
     @cached_property
     def _pair_histogram(self):
         """P[h], the sum of count r * count c over the support pairs with
-        H[r, c] = h, for h = 0..n + 1 (P[n + 1] = 0): the SE quadratic of
-        every uniform-weight kernel reads it (_WaakState.quadratic)."""
+        H[r, c] = h, for h = 0..n: the SE quadratic of every
+        uniform-weight kernel reads it (_WaakState.quadratic)."""
         cnt = self._counts
         weights = np.outer(cnt, cnt).ravel()
-        return np.bincount(self._packed.hamming.ravel(), weights=weights, minlength=self.n + 2)
+        return np.bincount(self._packed.hamming.ravel(), weights=weights, minlength=self.n + 1)
 
     @cached_property
     def _spectrum(self):
@@ -623,10 +612,6 @@ class _Cells:
         """The cells' Hamming matrix among themselves, built on first use."""
         return _hamming(self, self)
 
-    def hamming_to(self, cols):
-        """Hamming matrix to the cells cols: the one kept when cols is self."""
-        return self.hamming if cols is self else _hamming(self, cols)
-
     def bits(self, start, stop, pivot):
         """Bits start..stop-1 (start a multiple of 8) of each zero-based
         index XOR the pivot's bytes, as 0/1 floats."""
@@ -647,22 +632,22 @@ def _cell_pair(rows, cols, n):
 
 
 def _weighted_distance(rows, cols, weights):
-    """sum_d weights[d] [x_r[d] != x_c[d]] for every row cell r and column
-    cell c, for the single-interaction features of a transformed kernel.
+    """sum_d weights[d] [x_r[d] != x_c[d]] for every row cell r and column cell c.
 
-    When every weight equals one value c, the distance is c times the
-    exact Hamming matrix (_Cells.hamming_to); other weights take
-    _float_distance.
+    Two routes, chosen from the weights alone. When every weight equals
+    one value c, the distance is c times the exact Hamming matrix
+    (_hamming); a list of cells keeps its own (_Cells.hamming), so every
+    uniform-weight candidate scored on one support shares one matrix.
+    Other weights take _float_distance.
     """
     c = weights[0]
     if np.all(weights == c):
-        return c * rows.hamming_to(cols)
+        return c * (rows.hamming if cols is rows else _hamming(rows, cols))
     return _float_distance(rows, cols, weights)
 
 
 def _float_distance(rows, cols, weights):
-    """sum_d weights[d] [x_r[d] != x_c[d]] as float products over the
-    unpacked bits.
+    """_weighted_distance as float products over the unpacked bits.
 
     Bits are taken relative to the first row cell, which leaves the
     distance unchanged; [b_r != b_c] = b_r + b_c - 2 b_r b_c then sums
@@ -796,12 +781,11 @@ class _WaakState:
     disagreement over Z^2, so log Q^2 = sum_d log((e^(2t) + e^(-2t)) /
     (e^t + e^-t)^2) - D_v with v = log(e^(2t) + e^(-2t)) - log 2.
 
-    When t is one value s on every coordinate (shared_t), D_t = s H and D_v =
-    v_1 H for the exact Hamming matrix H, and every entry is one of n + 1
-    levels: entries are looked up from their levels (_exp_levels), and
-    held-out terms, the SE quadratic and estimates are computed from the
-    decay e^(-2 s j) over j = 0..n in log space (held_out, quadratic,
-    estimate). Otherwise D_t is a float distance (_float_distance).
+    When t is one value s on every coordinate (shared_t), D_t = s H and
+    D_v = v_1 H for the exact Hamming matrix H, and held-out terms, the
+    SE quadratic and estimates are computed in log space from the decay
+    e^(-2 s j) over the n + 1 levels j = 0..n (held_out, quadratic,
+    estimate). gram and squared_gram exponentiate every entry.
     """
 
     def __init__(self, w, gamma):
@@ -815,36 +799,41 @@ class _WaakState:
         self.log_squared_diagonal = float((lost_sq - 2.0 * lost).sum())
 
     def gram(self, rows, cols):
-        if self.shared_t is not None:
-            return _exp_levels(self.log_diagonal, 2.0 * self.shared_t, rows.hamming_to(cols))
-        return np.exp(self.log_diagonal - 2.0 * _float_distance(rows, cols, self.t))
+        return np.exp(self.log_diagonal - 2.0 * _weighted_distance(rows, cols, self.t))
 
     def squared_gram(self, rows, cols):
-        if self.shared_t is not None:
-            return _exp_levels(self.log_squared_diagonal, self.squared_weights[0], rows.hamming_to(cols))
-        return np.exp(self.log_squared_diagonal - _float_distance(rows, cols, self.squared_weights))
+        distance = _weighted_distance(rows, cols, self.squared_weights)
+        return np.exp(self.log_squared_diagonal - distance)
+
+    def _shifted(self, hamming, nearest, n):
+        """(scale, levels) of rows of Hamming distances H, each shifted by
+        its nearest weighted cell: scale = log_diag - 2 s nearest and
+        levels = e^(-2 s (H - nearest)), so an entry of Q is
+        exp(scale) * levels. A row's nearest cell has level 1."""
+        decay = _decay(2.0 * self.shared_t, n)
+        return self.log_diagonal - 2.0 * (self.shared_t * nearest), decay[hamming - nearest[:, None]]
 
     def held_out(self, counts, own):
         """(scale, ratio) of the held-out estimates at the support positions
         own (every one when None): the term is exp(scale) * ratio, and its
         log is scale + log(ratio).
 
-        Row r is shifted by its nearest weighted cell (_hamming_lookup):
-        scale = log_diag - 2 s nearest[r], and ratio = (sum_c count c
-        e^(-2 s shifted[r, c]) - [count r > 1]) / (N - 1), where the own
-        cell of a repeated cell, counted once too often in the sum, is
-        subtracted from a sum of at least its count. The sum holds a term
-        1 with weight >= 1, so it neither underflows nor overflows,
-        whatever the scale.
+        Row r is shifted by its nearest weighted cell (CountsVector._nearest),
+        and ratio = (sum_{c != r} count c levels[r, c] + count r - 1) /
+        (N - 1): the own cell has level 1 when it is seen more than once
+        and weight 0 otherwise. The sum holds a term 1 with weight >= 1,
+        so it neither underflows nor overflows, whatever the scale.
         """
-        nearest, shifted = counts._hamming_lookup
+        hamming, nearest = counts._packed.hamming, counts._nearest
         cnt = counts._counts
-        repeated = cnt > 1.0
-        if own is not None:
-            nearest, shifted, repeated = nearest[own], shifted[own], repeated[own]
-        decay = _decay(2.0 * self.shared_t, counts.n)
-        ratio = (decay[shifted] @ cnt - repeated) / (counts.total - 1)
-        return self.log_diagonal - 2.0 * (self.shared_t * nearest), ratio
+        if own is None:
+            own = np.arange(cnt.size)
+        else:
+            hamming, nearest = hamming[own], nearest[own]
+        scale, levels = self._shifted(hamming, nearest, counts.n)
+        # A cell seen once indexed its own entry from the end of the decay.
+        levels[np.arange(len(own)), own] = 0.0
+        return scale, (levels @ cnt + (cnt[own] - 1.0)) / (counts.total - 1)
 
     def quadratic(self, counts):
         """p' Q^2 p from the counts' pair histogram P: exp(log_sq_diag) *
@@ -855,11 +844,9 @@ class _WaakState:
     def estimate(self, cells, counts):
         """(scale, ratio) of the estimate at packed cells, as held_out does
         it, each cell shifted by its nearest support cell."""
-        hamming = cells.hamming_to(counts._packed)
-        nearest = hamming.min(axis=1)
-        decay = _decay(2.0 * self.shared_t, counts.n)
-        ratio = (decay[hamming - nearest[:, None]] @ counts._counts) / counts.total
-        return self.log_diagonal - 2.0 * (self.shared_t * nearest), ratio
+        hamming = _hamming(cells, counts._packed)
+        scale, levels = self._shifted(hamming, hamming.min(axis=1), counts.n)
+        return scale, (levels @ counts._counts) / counts.total
 
     def profile(self):
         """Q[1, m + 1] at every zero-based index m; 2^n entries."""
@@ -879,22 +866,11 @@ class _WaakState:
         return out
 
 
-def _exp_levels(base, rate, hamming):
-    """exp(base - rate * H) for an integer matrix H, from one exp per
-    level between its smallest and largest entry."""
-    if not hamming.size:
-        return np.zeros(hamming.shape)
-    low = int(hamming.min())
-    levels = np.exp(base - rate * np.arange(low, int(hamming.max()) + 1))
-    return levels[hamming - low]
-
-
 def _decay(rate, n):
-    """exp(-rate * j) at the Hamming levels j = 0..n and 0 at level n + 1,
-    which marks a cell that carries no weight. A value below the float64
-    normal range is set to 0 too: next to a term 1 it is below float64
-    resolution, and exp would take its slow path on it."""
-    out = np.zeros(n + 2)
+    """exp(-rate * j) at the Hamming levels j = 0..n. A value below the
+    float64 normal range is set to 0: next to a term 1 it is below
+    float64 resolution, and exp would take its slow path on it."""
+    out = np.zeros(n + 1)
     count = n + 1 if rate * n <= -_LOG_TINY else int(-_LOG_TINY / rate) + 1
     out[:count] = np.exp(np.arange(count) * -rate)
     return out
