@@ -32,6 +32,7 @@ from .estimators import (
     MAX_FULL_N,
     CountsVector,
     EstimatorConfig,
+    _PackedRows,
     counts_from_observations,
     estimate_at,
     estimate_full,
@@ -52,21 +53,23 @@ __all__ = ["main"]
 
 
 def _decode_token(token, encoding, where):
+    """A token's sign bit: False for +1, True for -1."""
     if encoding == "signs":
         if token in ("1", "+1"):
-            return 1
+            return False
         if token == "-1":
-            return -1
+            return True
         raise DataError(f"{where}: expected -1/+1 tokens, got {token!r}")
     if token == "0":
-        return 1
+        return False
     if token == "1":
-        return -1
+        return True
     raise DataError(f"{where}: expected 0/1 tokens, got {token!r}")
 
 
 def _decode_tokens(text, encoding, delimiter, where):
-    """Signs of a stripped line, token by token; None when it holds no token."""
+    """Sign bits of a stripped line, token by token (True for -1); None
+    when it holds no token."""
     if delimiter == "ws":
         tokens = text.split()
     else:
@@ -74,7 +77,7 @@ def _decode_tokens(text, encoding, delimiter, where):
     tokens = [t for t in tokens if t]
     if not tokens:
         return None
-    return np.array([_decode_token(t, encoding, where) for t in tokens], dtype=np.int8)
+    return np.array([_decode_token(t, encoding, where) for t in tokens], dtype=bool)
 
 
 # Bytes read at a time. A block holds the whole lines these bytes finish,
@@ -107,40 +110,39 @@ def _line_blocks(handle, size):
 
 
 class _Observations:
-    """The rows of an observation file as its blocks are read: their signs
-    flat in one int8 array, and the set of row widths.
+    """The rows of an observation file as its blocks are read: their sign
+    bits packed a block at a time (1 for -1, coordinate 1 in the lowest
+    bit of byte 0), and the set of row widths.
+
+    Rows are packed while every row seen has one width; once two widths
+    disagree, packing stops and the rest of the file is only decoded, so
+    its first bad token is still reported before the ragged rows are.
 
     A block of signs lines is decoded by a fixed number of array operations
     into work arrays kept from block to block; in a fresh process a page
     touched for the first time costs more than the arithmetic on it.
     """
 
-    def __init__(self, size, delimiter):
-        # A token and the byte that ends it take two bytes, so a file of
-        # `size` bytes holds at most (size + 1) // 2 tokens; pages of the
-        # array that no sign reaches are never touched.
-        self.signs = np.empty((size + 1) // 2, dtype=np.int8)
-        self.filled = 0
+    def __init__(self, delimiter):
+        self.packed = []
         self.widths = set()
         self.delimiter = delimiter  # a byte, or None when no block can take the array pass
         self.work = np.empty((6, 0), dtype=bool)
 
-    def _room(self, count):
-        """The next `count` entries of the signs array, grown if the file grew."""
-        end = self.filled + count
-        if end > len(self.signs):
-            grown = np.empty(max(end, 2 * len(self.signs)), dtype=np.int8)
-            grown[: self.filled] = self.signs[: self.filled]
-            self.signs = grown
-        return self.signs[self.filled : end]
+    def _pack(self, bits):
+        """Pack a flat run of sign bits, whole rows of the one width seen;
+        drop everything once widths disagree."""
+        if len(self.widths) > 1:
+            self.packed = None
+        elif self.packed is not None and len(bits):
+            (width,) = self.widths
+            self.packed.append(np.packbits(bits.reshape(-1, width), axis=1, bitorder="little"))
 
     def add_rows(self, rows):
         """Append rows decoded token by token."""
         self.widths.update(len(r) for r in rows)
         if rows:
-            flat = np.concatenate(rows)
-            self._room(len(flat))[:] = flat
-            self.filled += len(flat)
+            self._pack(np.concatenate(rows))
 
     def add_block(self, block):
         """Append the rows of a block of whole signs lines; returns its number
@@ -203,20 +205,11 @@ class _Observations:
         cuts = np.append(values.searchsorted(breaks), len(values))
         widths = cuts - np.concatenate(([0], cuts[:-1]))
         self.widths.update(widths[widths > 0].tolist())
-        # Each token's sign from the byte before its '1'; before position
-        # 0, index -1 wraps to the block's last byte, never a sign.
-        signs = self._room(len(values))
+        # Each token's sign bit from the byte before its '1'; before
+        # position 0, index -1 wraps to the block's last byte, never a sign.
         values -= 1
-        np.take(minus.view(np.int8), values, out=signs, mode="wrap")
-        signs *= -2
-        signs += 1
-        self.filled += len(values)
+        self._pack(minus.take(values, mode="wrap"))
         return len(breaks) - crlf + (not ends[-1])
-
-    def matrix(self):
-        """The rows as one int8 matrix; the widths must agree."""
-        (width,) = self.widths
-        return self.signs[: self.filled].reshape(-1, width)
 
 
 def _token_rows(block, lineno, encoding, delimiter, path):
@@ -230,9 +223,9 @@ def _token_rows(block, lineno, encoding, delimiter, path):
         except UnicodeDecodeError as bad:
             raise DataError(f"{path}:{lineno}: not valid UTF-8: {bad}") from bad
         if text:
-            signs = _decode_tokens(text, encoding, delimiter, f"{path}:{lineno}")
-            if signs is not None:
-                rows.append(signs)
+            bits = _decode_tokens(text, encoding, delimiter, f"{path}:{lineno}")
+            if bits is not None:
+                rows.append(bits)
     return rows, len(lines)
 
 
@@ -250,10 +243,11 @@ def load_observations(path, encoding="signs", delimiter=",", header=False):
     delimiter, the bits encoding) is read line by line: each line is
     decoded from UTF-8, split into tokens, and each token stripped and
     decoded in turn. Results and error messages are the same either way.
-    The first bad token or non-UTF-8 line in file order raises a DataError
-    naming ``path:line``; rows of unequal length are reported after the
-    whole file is read. The rows are then counted by
-    counts_from_observations.
+    Either route packs a block's rows to sign bits as it decodes them, so
+    no sign matrix of the whole file is built. The first bad token or
+    non-UTF-8 line in file order raises a DataError naming ``path:line``;
+    rows of unequal length are reported after the whole file is read. The
+    packed rows are then counted by counts_from_observations.
     """
     # The array pass splits signs lines on one byte that is neither a line
     # end nor a byte of a token.
@@ -265,7 +259,7 @@ def load_observations(path, encoding="signs", delimiter=",", header=False):
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
     with handle:
-        rows = _Observations(os.fstat(handle.fileno()).st_size, byte)
+        rows = _Observations(byte)
         lineno = 1
         for block in _line_blocks(handle, _READ_BLOCK):
             if header and lineno == 1:
@@ -287,7 +281,8 @@ def load_observations(path, encoding="signs", delimiter=",", header=False):
         raise DataError(f"{path}: no observations found")
     if len(rows.widths) > 1:
         raise DataError(f"{path}: rows have inconsistent lengths {sorted(rows.widths)}")
-    return counts_from_observations(rows.matrix())
+    (width,) = rows.widths
+    return counts_from_observations(_PackedRows(width, np.concatenate(rows.packed)))
 
 
 def load_config(path):
@@ -978,6 +973,20 @@ def _fit_counts(fit, path):
     return n, CountsVector.from_cells(n, cells)
 
 
+def _cells_text(value):
+    """The --cells spec: the value itself, or for @path the text of that
+    file stripped of surrounding whitespace, so a spec may pass the
+    system's limit on one argument. No cell or pattern begins with '@'."""
+    if not value.startswith("@"):
+        return value
+    path = value[1:]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read().strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read cells file {path}: {exc}") from exc
+
+
 def cmd_query(args):
     started = time.perf_counter()
     try:
@@ -996,7 +1005,8 @@ def cmd_query(args):
             raise DataError(f"fit report {args.fit} is missing key {key!r}")
     n, counts = _fit_counts(fit, args.fit)
     config = estimator_from_dict(fit["estimator"], n)
-    parsed = parse_cells_spec([s for s in args.cells.split(",")], n)
+    spec = _cells_text(args.cells)
+    parsed = parse_cells_spec(spec.split(","), n)
 
     plain = [item["cell"] for item in parsed if item["kind"] == "cell"]
     needed = list(plain)
@@ -1040,7 +1050,7 @@ def cmd_query(args):
     report = _common_header("query", n, _number(fit.get("seed", 0), "fit report seed", int))
     report["fit"] = str(args.fit)
     report["estimator"] = estimator_to_dict(config)
-    report["query"] = {"cells": args.cells, "results": results}
+    report["query"] = {"cells": spec, "results": results}
     report["negativity"] = bool(estimate.negativity)
     report["timing"] = {"elapsed_ms": (time.perf_counter() - started) * 1000.0}
     write_report(args.out, report)
@@ -1256,7 +1266,7 @@ _COMMANDS = {
     "query": ("evaluate a fitted report at new cells", cmd_query, (
         ("--fit", {"required": True, "help": "report written by the estimate command"}),
         ("--cells", {"required": True, "help": "comma-separated cell indexes or +/- patterns; "
-                     "one '?' asks for a conditional expectation"}),
+                     "one '?' asks for a conditional expectation; @path reads them from a file"}),
         _OUT)),
     "bench": ("measure element/normalization scaling", cmd_bench, (
         _OUT,

@@ -61,6 +61,7 @@ cells, and every estimate reuses the packed support.
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -211,27 +212,40 @@ class CountsVector:
         return out
 
 
+# Observation rows already packed to sign bits: n coordinates, and a
+# C-contiguous uint8 matrix with one row of (n + 7) // 8 bytes per
+# observation whose little-endian reading is its cell index minus one (bit
+# k set where coordinate k + 1 is -1). load_observations decodes a file
+# straight into this form.
+_PackedRows = namedtuple("_PackedRows", "n rows")
+
+
 def counts_from_observations(points):
     """Aggregate raw {-1,+1} observation rows into a CountsVector.
 
     A 2-D numeric array is validated and packed to bits a block of rows at
     a time, so no temporary as large as the array is made; any other
     sequence of rows is validated row by row, as is an array with a bad
-    entry, to raise a DataError naming the first bad observation. The
-    distinct packed rows are counted by one np.unique.
+    entry, to raise a DataError naming the first bad observation. Rows
+    given as _PackedRows are taken as they are. The distinct packed rows
+    are counted by one np.unique.
     """
-    arr, packed = points, None
-    if isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.size and arr.dtype.kind in "iuf":
-        packed = _packed_rows(arr)
-    if packed is None:
-        arr = _checked_rows(points)
-        packed = _packed_rows(arr)
-    # Rows compared as whole byte strings (one void item each) sort in
-    # ascending cell order, as their bytes read big-endian.
+    if isinstance(points, _PackedRows):
+        n, packed = points
+    else:
+        arr, packed = points, None
+        if isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.size and arr.dtype.kind in "iuf":
+            packed = _packed_rows(arr)
+        if packed is None:
+            arr = _checked_rows(points)
+            packed = _packed_rows(arr)
+        n = arr.shape[1]
+    # Rows compared as whole byte strings (one void item each); from_cells
+    # puts the distinct cells in ascending order.
     keys, counts = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_counts=True)
     return CountsVector.from_cells(
-        arr.shape[1],
-        {1 + int.from_bytes(key.tobytes(), "big"): int(cnt) for key, cnt in zip(keys, counts)},
+        n,
+        {1 + int.from_bytes(key.tobytes(), "little"): int(cnt) for key, cnt in zip(keys, counts)},
     )
 
 
@@ -240,8 +254,8 @@ _PACK_BLOCK_ENTRIES = 1 << 20
 
 
 def _packed_rows(arr):
-    """Each row of a 2-D array of +-1 as bytes whose big-endian reading is
-    its cell index minus one; None when an entry is not +-1."""
+    """A 2-D array of +-1 as the rows of _PackedRows; None when an entry
+    is not +-1."""
     n_rows, n = arr.shape
     packed = np.empty((n_rows, (n + 7) // 8), dtype=np.uint8)
     step = max(1, _PACK_BLOCK_ENTRIES // n)
@@ -249,9 +263,8 @@ def _packed_rows(arr):
         block = arr[start : start + step]
         if not np.all(np.abs(block) == 1):
             return None
-        # Little-endian bits put coordinate 1 in the lowest bit of byte 0;
-        # reversing the bytes makes the row read big-endian.
-        packed[start : start + step] = np.packbits(block < 0, axis=1, bitorder="little")[:, ::-1]
+        # Little-endian bits put coordinate 1 in the lowest bit of byte 0.
+        packed[start : start + step] = np.packbits(block < 0, axis=1, bitorder="little")
     return packed
 
 
@@ -1015,7 +1028,9 @@ def estimate_full(config, counts):
         values = np.zeros(size)
         for cell, cnt in counts.cells:
             np.bitwise_xor(idx, cell - 1, out=shifted)
-            np.take(g, shifted, out=term)
+            # Every shifted index is in range; "wrap" spares the copy of
+            # out that the default "raise" makes.
+            np.take(g, shifted, out=term, mode="wrap")
             term *= cnt / counts.total
             values += term
     return DensityEstimate(

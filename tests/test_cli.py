@@ -25,7 +25,7 @@ from bindens import (
     index_of_point,
     kl_risk,
 )
-from bindens import cli, cv
+from bindens import cli, cv, estimators
 from bindens.cli import _parse_decimal, load_observations, main, parse_cells_spec
 from bindens.errors import ConfigError, DataError
 
@@ -76,6 +76,15 @@ def workspace(tmp_path):
     data = tmp_path / "obs.csv"
     _write_signs(data, [(1, 1), (1, -1), (-1, 1)])
     return tmp_path, data
+
+
+@pytest.fixture(params=["byte pass", "token loop"])
+def route(request, monkeypatch):
+    """Blocks take the byte pass where it reads them; "token loop" sends
+    every block line by line through the token decoder, so both see each
+    case."""
+    if request.param == "token loop":
+        monkeypatch.setattr(cli._Observations, "add_block", lambda self, block: None)
 
 
 class TestLoadObservations:
@@ -140,14 +149,6 @@ class TestLoadObservations:
         with pytest.raises(DataError) as info:
             load_observations(p)
         assert str(info.value) == f"{p}: rows have inconsistent lengths [2, 3]"
-
-    @pytest.fixture(params=["byte pass", "token loop"])
-    def route(self, request, monkeypatch):
-        """Blocks take the byte pass where it reads them; "token loop" sends
-        every block line by line through the token decoder, so both see
-        each case."""
-        if request.param == "token loop":
-            monkeypatch.setattr(cli._Observations, "add_block", lambda self, block: None)
 
     SIGNS, PLUS, BITS = ("1", "-1"), ("+1", "-1"), ("0", "1")
     # name -> (encoding, delimiter, header, tokens for +1 and -1, file text from token rows)
@@ -385,20 +386,138 @@ class TestLoadObservations:
     def test_counts_are_taken_once_through_cli(self, tmp_path, monkeypatch, text):
         # e2ebench times estimators.counts_from_observations by rebinding
         # bindens.cli's global: every file, whichever decoder read it, is
-        # counted by one call through that name.
+        # counted by one call through that name, on rows already packed.
         monkeypatch.setattr(cli, "_READ_BLOCK", 16)
         calls = []
         real = cli.counts_from_observations
 
         def counted(points):
-            calls.append((type(points), points.dtype, points.shape))
+            calls.append((type(points), points.n, points.rows.dtype, points.rows.shape))
             return real(points)
 
         monkeypatch.setattr(cli, "counts_from_observations", counted)
         p = tmp_path / "d.csv"
         p.write_text(text)
         counts = load_observations(p)
-        assert calls == [(np.ndarray, np.int8, (counts.total, 2))]
+        assert calls == [(estimators._PackedRows, 2, np.uint8, (counts.total, 1))]
+
+
+def _token_loop_counts(path, encoding="signs", delimiter=",", header=False):
+    """counts_from_observations of the -1/+1 rows that the token loop
+    decodes from the whole file: the unpacked reference for the packed
+    ingest."""
+    lines = path.read_bytes().splitlines()[1 if header else 0 :]
+    rows, _ = cli._token_rows(b"\n".join(lines), 1, encoding, delimiter, path)
+    return counts_from_observations([1 - 2 * bits.astype(np.int8) for bits in rows])
+
+
+class TestPackedIngest:
+    """load_observations packs each block's rows as it decodes them; at
+    small read blocks its counts match the token loop's unpacked rows, and
+    a width change stops the packing but not the decoding."""
+
+    @staticmethod
+    def _rows(n, count, seed, tokens=("1", "-1")):
+        rng = np.random.default_rng(seed)
+        rows = [[tokens[v] for v in rng.integers(0, 2, size=n)] for _ in range(count)]
+        return rows + rows[: count // 3]  # repeated cells
+
+    def _check(self, p, **options):
+        counts = load_observations(p, **options)
+        want = _token_loop_counts(p, **options)
+        assert (counts.n, counts.total, counts.cells) == (want.n, want.total, want.cells)
+        return counts
+
+    @pytest.mark.parametrize("size", [1, 7, 32, 100])
+    def test_rows_of_two_widths_in_one_block(self, tmp_path, monkeypatch, route, size):
+        monkeypatch.setattr(cli, "_READ_BLOCK", size)
+        p = tmp_path / "d.csv"
+        # Rows of width 3 before and after a width-4 row: packing stops at
+        # the first disagreement, so the later rows of the first width are
+        # still decoded, and the last line's bad token is reported first.
+        p.write_text("1,-1,1\n-1,-1,1\n1,1,1,1\n-1,1,1\n1,2,1\n")
+        with pytest.raises(DataError) as info:
+            load_observations(p)
+        assert str(info.value) == f"{p}:5: expected -1/+1 tokens, got '2'"
+        p.write_text("1,-1,1\n-1,-1,1\n1,1,1,1\n-1,1,1\n1,1\n")
+        with pytest.raises(DataError) as info:
+            load_observations(p)
+        assert str(info.value) == f"{p}: rows have inconsistent lengths [2, 3, 4]"
+
+    @pytest.mark.parametrize("tail", ["", "1,2\n", "1,-1,1,1\n"], ids=["ragged", "bad token", "third width"])
+    def test_width_change_at_a_block_boundary(self, tmp_path, monkeypatch, route, tail):
+        # 10-byte reads cut after every second 5-byte line, so the first
+        # 3-wide row opens a block.
+        monkeypatch.setattr(cli, "_READ_BLOCK", 10)
+        p = tmp_path / "d.csv"
+        p.write_text("1,-1\n" * 4 + "1,-1,1\n" * 4 + tail)
+        with pytest.raises(DataError) as info:
+            load_observations(p)
+        message = {
+            "": "rows have inconsistent lengths [2, 3]",
+            "1,2\n": ":9: expected -1/+1 tokens, got '2'",
+            "1,-1,1,1\n": "rows have inconsistent lengths [2, 3, 4]",
+        }[tail]
+        assert str(info.value) == f"{p}{'' if message[0] == ':' else ': '}{message}"
+
+    @pytest.mark.parametrize("size", [1, 9, 64, 1 << 16])
+    @pytest.mark.parametrize("n", [1, 8, 13, 200])
+    def test_blank_lines_inside_blocks(self, tmp_path, monkeypatch, route, size, n):
+        monkeypatch.setattr(cli, "_READ_BLOCK", size)
+        lines = [",".join(row) for row in self._rows(n, 12, n)]
+        for k in (0, 3, 4, 9):
+            lines.insert(k, ["", "  ", ",,", "\t"][k % 4])
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(lines) + "\n\n\n")
+        assert self._check(p).total == 16
+
+    @pytest.mark.parametrize("size", [8, 30, 60])
+    def test_token_loop_blocks_between_array_blocks(self, tmp_path, monkeypatch, size):
+        rows = self._rows(9, 30, size)
+        # Every eleventh line pads a token, which only the token loop reads.
+        lines = [" , ".join(row) if k % 11 == 2 else ",".join(row) for k, row in enumerate(rows)]
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(lines) + "\n")
+        want = _token_loop_counts(p)
+        monkeypatch.setattr(cli, "_READ_BLOCK", size)
+        seen = []
+        real = cli._token_rows
+        monkeypatch.setattr(cli, "_token_rows", lambda block, *args: seen.append(block) or real(block, *args))
+        counts = load_observations(p)
+        assert (counts.n, counts.total, counts.cells) == (want.n, want.total, want.cells) == (9, len(rows), want.cells)
+        # Both decoders read some of the blocks.
+        assert 0 < sum(len(block.splitlines()) for block in seen) < len(rows)
+
+    @pytest.mark.parametrize("size", [1, 6, 50, 1 << 16])
+    @pytest.mark.parametrize(
+        "encoding, eol, header",
+        [("signs", "\r\n", False), ("signs", "\r\n", True), ("signs", "\n", True), ("bits", "\n", False), ("bits", "\r\n", True)],
+    )
+    def test_header_crlf_and_bits(self, tmp_path, monkeypatch, route, size, encoding, eol, header):
+        monkeypatch.setattr(cli, "_READ_BLOCK", size)
+        tokens = ("1", "-1") if encoding == "signs" else ("0", "1")
+        rows = self._rows(11, 15, size, tokens)
+        text = ("c1,c2" + eol if header else "") + eol.join(",".join(row) for row in rows) + eol
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("ascii"))
+        assert self._check(p, encoding=encoding, header=header).total == len(rows)
+
+    def test_peak_memory_of_a_wide_file(self, tmp_path):
+        # 100 rows of 10^4 signs, about 2.5 MB: the loader holds one read
+        # block's work arrays and the packed rows (125 KB), not a byte per
+        # sign of the whole file.
+        p = tmp_path / "wide.csv"
+        rng = np.random.default_rng(10000)
+        np.savetxt(p, rng.choice([-1, 1], size=(100, 10000)), fmt="%d", delimiter=",")
+        load_observations(p)  # first-call allocations (imports, caches) stay outside the count
+        tracemalloc.start()
+        try:
+            counts = load_observations(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (counts.n, counts.total, len(counts.cells)) == (10000, 100, 100)
+        assert peak <= 1.5e6, f"load_observations peaked at {peak / 1e6:.2f} MB"
 
 
 class TestParseCellsSpec:
@@ -1352,6 +1471,54 @@ class TestQueryCommand:
         assert main(["query", "--fit", str(fit), f"--cells={spec}", "--out", str(tmp_path / "q.json")]) == 2
         assert capsys.readouterr().err == f"error: query cell {spec!r} is neither an index nor a +/-/? pattern\n"
         assert not (tmp_path / "q.json").exists()
+
+    def test_cells_file_reads_as_inline_text(self, tmp_path):
+        fit = self._fit(tmp_path, [(1, -1, 1, 1, -1), (-1, -1, 1, 1, 1), (1, 1, 1, -1, -1)], {"variant": "waak", "gamma": 2.0, "w": 0.7})
+        spec = "7, +-++-,3,?-+-+"
+        listed = tmp_path / "cells.txt"
+        listed.write_text(f"\n  {spec}\t\n\n", encoding="utf-8")
+        inline, from_file = tmp_path / "inline.json", tmp_path / "file.json"
+        assert main(["query", "--fit", str(fit), f"--cells={spec}", "--out", str(inline)]) == 0
+        assert main(["query", "--fit", str(fit), "--cells", f"@{listed}", "--out", str(from_file)]) == 0
+        # Surrounding whitespace is stripped, and the report records the
+        # file's text: the two reports match byte for byte but for timing.
+        assert _read_json(from_file)["query"]["cells"] == spec
+        texts = [path.read_text().split('\n  "timing"')[0] for path in (inline, from_file)]
+        assert texts[0] == texts[1]
+
+    def test_cells_file_past_the_argument_limit(self, tmp_path):
+        # Linux refuses one argument past 128 KiB; 15 patterns of 10^4
+        # signs are 150 KB, which only a cells file can carry.
+        n = 10_000
+        rng = np.random.default_rng(n)
+        data, cfg, fit = tmp_path / "obs.csv", tmp_path / "cfg.json", tmp_path / "fit.json"
+        _write_signs(data, rng.choice([-1, 1], size=(6, n)))
+        _write_json(cfg, {"estimator": {"variant": "aa_classic", "lambda": 0.9}, "query": {"cells": [1]}})
+        assert main(["estimate", "--data", str(data), "--config", str(cfg), "--out", str(fit)]) == 0
+        patterns = ["".join("+" if v > 0 else "-" for v in rng.choice([-1, 1], size=n)) for _ in range(15)]
+        listed = tmp_path / "cells.txt"
+        listed.write_text(",".join(patterns) + "\n", encoding="ascii")
+        assert listed.stat().st_size > 128 * 1024
+        out = tmp_path / "q.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bindens", "query", "--fit", str(fit), f"--cells=@{listed}", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = _read_json(out)["query"]["results"]
+        assert [r["cell"] for r in results] == [cli._decimal(index_of_point([1 if c == "+" else -1 for c in p])) for p in patterns]
+
+    @pytest.mark.parametrize("content", [None, b"1,\xff\n"], ids=["missing", "not utf-8"])
+    def test_unreadable_cells_file_exits_2(self, tmp_path, capsys, content):
+        fit = self._fit(tmp_path, [(1, 1), (-1, 1)], UNIFORM_ESTIMATOR)
+        listed = tmp_path / "cells.txt"
+        if content is not None:
+            listed.write_bytes(content)
+        out = tmp_path / "q.json"
+        assert main(["query", "--fit", str(fit), f"--cells=@{listed}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read cells file {listed}: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_fit_report_exits_2(self, tmp_path):
         code = main(
