@@ -454,11 +454,11 @@ class TestPackedIngest:
         with pytest.raises(DataError) as info:
             load_observations(p)
         message = {
-            "": "rows have inconsistent lengths [2, 3]",
+            "": ": rows have inconsistent lengths [2, 3]",
             "1,2\n": ":9: expected -1/+1 tokens, got '2'",
-            "1,-1,1,1\n": "rows have inconsistent lengths [2, 3, 4]",
+            "1,-1,1,1\n": ": rows have inconsistent lengths [2, 3, 4]",
         }[tail]
-        assert str(info.value) == f"{p}{'' if message[0] == ':' else ': '}{message}"
+        assert str(info.value) == f"{p}{message}"
 
     @pytest.mark.parametrize("size", [1, 9, 64, 1 << 16])
     @pytest.mark.parametrize("n", [1, 8, 13, 200])
