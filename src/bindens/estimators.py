@@ -30,7 +30,11 @@ s is b for a linear kernel and a product of tanh(t_d) for waak and
 aa_classic, both in closed form; a transformed kernel keeps one
 transform of its row, and a mixture sums its components' diagonals.
 fwht(p) is kept by the counts, so an SE search pays its transforms per
-component and per counts, not per candidate.
+component and per counts, not per candidate. A full 2^n estimate reads
+the same diagonal: fwht(s * fwht(p)) / 2^n, kept for a non-linear
+kernel only when an a-priori error bound certifies it, and otherwise
+one positive pass per coordinate for waak and aa_classic, and a gather
+of the dense row per observed cell for a transformed kernel.
 
 Product-form kernels (waak, aa_classic) see two cells only through a
 weighted distance D_t, the sum of t_d = w_d log(gamma) over the
@@ -76,7 +80,7 @@ from .errors import (
 )
 from .shrinkage import DENSE, SINGLE_INTERACTION, ShrinkageSpec
 from .transforms import FWHT_GENERAL, Transform, _dense_values, _route, _summed_normalizer, apply, normalizer
-from .walsh import MAX_DENSE_N, _check_index, _integer, _items, _pairs, _real, as_point, fwht
+from .walsh import MAX_DENSE_N, _butterfly, _check_index, _integer, _items, _pairs, _real, as_point, fwht
 
 __all__ = [
     "MAX_FULL_N",
@@ -122,9 +126,10 @@ class CountsVector:
     _nearest and _pair_histogram what their leave-one-out risks derive
     from it.
     _spectrum holds fwht(p) of the empirical weights, which the SE
-    quadratic of every transformed or mixture kernel multiplies by that
-    kernel's Walsh diagonal (n <= 30), and _counts the support's counts
-    as floats, which every risk and estimate multiplies kernel blocks by.
+    quadratic of every transformed or mixture kernel and every full
+    estimate multiply by the kernel's Walsh diagonal (n <= 30), and
+    _counts the support's counts as floats, which every risk and
+    estimate multiplies kernel blocks by.
     """
 
     n: int
@@ -196,8 +201,8 @@ class CountsVector:
     @cached_property
     def _spectrum(self):
         """fwht(p) of the empirical weights p: the one transform of the
-        data that the SE quadratic of every profile kernel and the full
-        linear estimate read."""
+        data that the SE quadratic of every profile kernel and every full
+        estimate's Walsh-diagonal route read."""
         return fwht(self.to_dense())
 
     def to_dense(self):
@@ -207,8 +212,9 @@ class CountsVector:
                 f"cannot materialize 2^{self.n} cell weights (limit n={MAX_DENSE_N})"
             )
         out = np.zeros(1 << self.n)
-        for idx, cnt in self.cells:
-            out[idx - 1] = cnt / self.total
+        # Word 0 is the whole zero-based index at n <= MAX_DENSE_N; the
+        # division is the IEEE one that cnt / total makes per cell.
+        out[self._packed.words[:, 0]] = self._counts / self.total
         return out
 
 
@@ -798,7 +804,10 @@ class _WaakState:
     D_v = v_1 H for the exact Hamming matrix H, and held-out terms, the
     SE quadratic and estimates are computed in log space from the decay
     e^(-2 s j) over the n + 1 levels j = 0..n (held_out, quadratic,
-    estimate). gram and squared_gram exponentiate every entry.
+    estimate). gram and squared_gram exponentiate every entry. Q is the
+    Kronecker product of one positive 2x2 factor per coordinate, so Q p
+    for a dense p takes one pass per coordinate (smooth), and its Walsh
+    diagonal is a product of tanh(t_d) (spectrum).
     """
 
     def __init__(self, w, gamma):
@@ -878,6 +887,28 @@ class _WaakState:
             out = np.concatenate([out, out * factor])
         return out
 
+    def smooth(self, p):
+        """Q p for a dense 2^n vector p: one positive pass per coordinate.
+
+        Q is the Kronecker product of the factors [[alpha_d, beta_d],
+        [beta_d, alpha_d]], alpha_d = 1 / (1 + r_d) and beta_d = r_d
+        alpha_d with r_d = e^(-2 t_d). The pass over index bit d forms
+        a + r_d b and r_d a + b from the pairs (a, b) that differ in that
+        bit (walsh._butterfly), and the product of the alpha_d,
+        exp(log_diagonal), scales once at the end. Every term is
+        nonnegative, so each entry is within O(n eps) relative of exact,
+        however far below the largest it lies.
+        """
+        rates = np.exp(-2.0 * self.t)
+
+        def stage(bit, a, b, low, high):
+            np.multiply(b, rates[bit], out=low)
+            low += a
+            np.multiply(a, rates[bit], out=high)
+            high += b
+
+        return _butterfly(p, stage) * math.exp(self.log_diagonal)
+
 
 def _decay(rate, n):
     """exp(-rate * j) at the Hamming levels j = 0..n. A value below the
@@ -944,6 +975,9 @@ class DensityEstimate:
     values are reported exactly as computed, never clipped silently.
     estimate_at on a uniform-weight kernel also keeps the log of each
     value (_log_values), which query turns into conditionals.
+    estimate_full keeps _bound, the a-priori bound on every entry's
+    absolute error, when it kept the Walsh-diagonal route's values, and
+    None after the product-form butterfly or the per-cell gather.
     """
 
     n: int
@@ -952,6 +986,7 @@ class DensityEstimate:
     normalizers: tuple
     negativity: bool
     _log_values: np.ndarray = field(default=None, repr=False)
+    _bound: float = field(default=None, repr=False)
 
 
 def _match_dimensions(config, counts):
@@ -1005,41 +1040,140 @@ def estimate_at(cells, config, counts):
 
 
 def estimate_full(config, counts):
-    """Full 2^n estimate vector (n <= 20).
+    """Full 2^n estimate vector (n <= 20), in O(n 2^n) for every kernel
+    whose Walsh route certifies or whose kernel is a product of 2x2
+    factors.
 
-    Linear configurations run through the double transform
-    (1/2^n) fwht(b * fwht(p)). Every other variant gathers the dense kernel
-    row g at XOR-shifted positions, one support cell at a time, into two
-    buffers reused across cells: each cell adds (count / N) * g[idx ^ (cell-1)]
-    rounded and summed in support order, with no temporaries per cell.
+    Q = W diag(s) W / 2^n for the kernel's Walsh diagonal s, so the
+    estimate is the Walsh-diagonal route fwht(s * fwht(p)) / 2^n, two
+    transforms of the empirical weights p. A linear kernel takes it as
+    its double transform, as it always has. Every other kernel, a
+    mixture as a whole included, takes it too, but keeps its values only
+    when the route's a-priori bound B on every entry's absolute error
+    (_walsh_estimate) is at most 2^-30 times the smallest entry's
+    magnitude: each entry's sign is then exact and its relative error
+    below 1e-9. The estimate keeps that B (_bound). When B is larger, a
+    mixture sums its components' full estimates, each taking these
+    routes on its own; waak and aa_classic apply their 2x2 factors to p,
+    one positive pass per coordinate (_WaakState.smooth), exact to
+    O(n eps) relative with no certificate; and a transformed kernel
+    gathers its dense row once per support cell (_gather), O(K 2^n) for
+    K support cells.
     """
     _match_dimensions(config, counts)
     n = config.n
     if n > MAX_FULL_N:
         raise CapacityError(f"full estimate limited to n <= {MAX_FULL_N}, got n={n}")
-    size = 1 << n
-    if config.variant == "linear":
-        values = fwht(counts._spectrum * config._spectrum()) * math.ldexp(1.0, -n)
-    else:
-        g = config._profile()
-        idx = np.arange(size, dtype=np.int64)
-        shifted = np.empty(size, dtype=np.int64)
-        term = np.empty(size)
-        values = np.zeros(size)
-        for cell, cnt in counts.cells:
-            np.bitwise_xor(idx, cell - 1, out=shifted)
-            # Every shifted index is in range; "wrap" spares the copy of
-            # out that the default "raise" makes.
-            np.take(g, shifted, out=term, mode="wrap")
-            term *= cnt / counts.total
-            values += term
+    values, bound = _full_values(config, counts)
     return DensityEstimate(
         n=n,
         cells=None,
         values=values,
         normalizers=config._normalizers(),
         negativity=bool(np.any(values < 0.0)),
+        _bound=bound,
     )
+
+
+# Largest error bound, relative to the smallest entry, at which the
+# Walsh-diagonal route's values are kept.
+_CERTIFIED = 2.0**-30
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(m):
+    """gamma_m = m u / (1 - m u): (1 + d_1)...(1 + d_m) with every
+    |d_i| <= u lies within gamma_m of 1."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
+def _full_values(config, counts):
+    """(values, B) of the full estimate by the routes of estimate_full; B
+    is None unless the Walsh-diagonal route's values were kept."""
+    values, bound = _walsh_estimate(config, counts)
+    if config.variant == "linear" or bound <= _CERTIFIED * float(np.min(np.abs(values))):
+        return values, bound
+    if config.variant == "mixture":
+        return sum(c * _full_values(cfg, counts)[0] for c, cfg in config.components), None
+    if config.variant in _WAAK:
+        return config._waak.smooth(counts.to_dense()), None
+    return _gather(config._row, counts), None
+
+
+def _walsh_estimate(config, counts):
+    """(v, B): v = fwht(s * fwht(p)) / 2^n for the kernel's Walsh diagonal
+    s, and B >= |v_j - (Q p)_j| for every j, Q p in exact arithmetic.
+
+    With u = 2^-53 and gamma_m = m u / (1 - m u), every output of the
+    m-stage transform of x is within gamma_m ||x||_1 of W x, and
+    gamma_a + gamma_b <= gamma_(a+b). Hats are computed values. p^ =
+    count / N has |p^ - p| <= u p and ||p||_1 = 1, so q^ = fwht(p^) has
+    |q^_k - q_k| <= gamma_n (1 + u) + u <= gamma_(n+1). _walsh_diagonal
+    bounds |s^_k - s_k| by e_k. x = s^ * q^ is rounded once, and
+    v = fwht(x) / 2^n is scaled exactly; then
+
+      2^n |v - Q p| <= gamma_(n+1) ||x||_1       (last transform, product)
+                     + gamma_(n+1) ||s^||_1      (error of q^)
+                     + sum_k (|q^_k| + gamma_(n+1)) e_k   (error of s^).
+
+    B takes gamma_(n+2) for gamma_(n+1), which covers the rounding of B's
+    own sums of nonnegative terms.
+    """
+    n = config.n
+    spectrum = counts._spectrum
+    g = _gamma(n + 2)
+    diagonal, error = _walsh_diagonal(config, np.abs(spectrum) + g)
+    terms = spectrum * diagonal
+    values = fwht(terms) * math.ldexp(1.0, -n)
+    bound = g * float(np.abs(terms).sum() + np.abs(diagonal).sum()) + error
+    return values, math.ldexp(bound, -n)
+
+
+def _walsh_diagonal(config, weights):
+    """(s^, sum_k weights_k e_k): the Walsh diagonal as computed (n <= 30)
+    and its error bound e_k >= |s^_k - s_k| summed against weights >= 0.
+
+    A linear kernel's s is its shrinkage b, exact. A product-form
+    kernel's is a product of at most n values tanh(t_d) with n - 1
+    roundings; taking numpy's tanh within 2 ulps (4u relative, the
+    tolerance of numpy's own accuracy tests), e = gamma_(5n) s^, as
+    s^ >= 0. A transformed kernel's is one transform of its dense row g,
+    so e_k = gamma_n ||g||_1, with g taken as the kernel. A mixture adds
+    c_i s^_i over its m components: e = sum_i c_i (e_i + gamma_m |s^_i|).
+    The sums against weights are einsum's, which no BLAS thread can
+    delay.
+    """
+    if config.variant == "mixture":
+        parts = [(c, *_walsh_diagonal(cfg, weights)) for c, cfg in config.components]
+        g = _gamma(len(parts))
+        diagonal = sum(c * part for c, part, _ in parts)
+        error = sum(c * (err + g * float(np.einsum("i,i->", weights, np.abs(part)))) for c, part, err in parts)
+        return diagonal, error
+    diagonal = config._spectrum()
+    if config.variant == "linear":
+        return diagonal, 0.0
+    if config.variant in _WAAK:
+        return diagonal, _gamma(5 * config.n) * float(np.einsum("i,i->", weights, diagonal))
+    return diagonal, _gamma(config.n) * float(np.abs(config._row).sum()) * float(weights.sum())
+
+
+def _gather(g, counts):
+    """sum over support cells of (count / N) g[m XOR (cell - 1)] at every m,
+    in support order, into two buffers reused across cells."""
+    size = g.shape[0]
+    idx = np.arange(size, dtype=np.int64)
+    shifted = np.empty(size, dtype=np.int64)
+    term = np.empty(size)
+    values = np.zeros(size)
+    for cell, cnt in counts.cells:
+        np.bitwise_xor(idx, cell - 1, out=shifted)
+        # Every shifted index is in range; "wrap" spares the copy of out
+        # that the default "raise" makes.
+        np.take(g, shifted, out=term, mode="wrap")
+        term *= cnt / counts.total
+        values += term
+    return values
 
 
 def clamp_and_renormalize(estimate):

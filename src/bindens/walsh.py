@@ -141,15 +141,10 @@ def fwht(v):
     Out of place: the input is never modified. Applying twice scales by
     2^n, since the matrix squares to 2^n times the identity.
 
-    The butterfly takes index bit 0 first, as a plain in-place butterfly
-    does, and forms every output as the same sums in the same order, so
-    the result is bit-identical to it. Viewed as a (2^ceil(n/2),
-    2^floor(n/2)) matrix, the low floor(n/2) index bits number columns:
-    their stages run on the transposed layout, where each pairs whole
-    contiguous rows of 2^ceil(n/2) values rather than strided runs of 1,
-    2, 4, ...; the high bits number rows of the natural layout. Each stage
-    writes through np.add and np.subtract into one of two buffers, which
-    take turns, so no stage copies: the peak is 2 * 2^n floats.
+    Each stage forms a + b and a - b over the pairs of one index bit
+    (_butterfly), index bit 0 first, as a plain in-place butterfly does,
+    so every output is the same sums in the same order and the result is
+    bit-identical to it.
     """
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
@@ -159,9 +154,31 @@ def fwht(v):
         raise ValueError(f"fwht length must be a power of two, got {size}")
     if size > (1 << MAX_DENSE_N):
         raise CapacityError(f"fwht supports at most 2^{MAX_DENSE_N} elements, got {size}")
-    n = size.bit_length() - 1
-    if n == 0:
+    if size == 1:
         return arr.copy()
+    return _butterfly(arr, _walsh_stage)
+
+
+def _walsh_stage(bit, a, b, low, high):
+    np.add(a, b, out=low)
+    np.subtract(a, b, out=high)
+
+
+def _butterfly(arr, stage):
+    """Run stage(bit, a, b, low, high) over index bits 0..n-1 of a float64
+    vector of length 2^n >= 2: a and b are the entries whose index has the
+    bit clear and set, and the stage writes the new values at those
+    positions into low and high.
+
+    Viewed as a (2^ceil(n/2), 2^floor(n/2)) matrix, the low floor(n/2)
+    index bits number columns: their stages run on the transposed layout,
+    where each pairs whole contiguous rows of 2^ceil(n/2) values rather
+    than strided runs of 1, 2, 4, ...; the high bits number rows of the
+    natural layout. Each stage writes into one of two buffers, which take
+    turns, so no stage copies: the peak is 2 * 2^n floats.
+    """
+    size = arr.shape[0]
+    n = size.bit_length() - 1
     low = n // 2
     buffers = np.empty(size), np.empty(size)
     # The first stage reads the input through the transposed view, so the
@@ -174,8 +191,7 @@ def fwht(v):
         half = 1 << (bit if bit < low else bit - low)
         pairs = src.reshape(-1, 2, half, src.shape[1])
         out = buffers[bit & 1].reshape(pairs.shape)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        stage(bit, pairs[:, 0], pairs[:, 1], out[:, 0], out[:, 1])
         src = out.reshape(src.shape)
     return buffers[(n - 1) & 1]
 

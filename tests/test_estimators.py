@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -1103,23 +1104,18 @@ class TestEstimateFull:
 
     @pytest.mark.parametrize("n", [10, 16])
     def test_gather_is_bit_identical_to_reference(self, n):
+        """A transformed kernel whose Walsh route does not certify gathers
+        its row per support cell, as the reference does: here a peaked
+        exponential over pairwise shrinkage, whose far entries fall below
+        the transforms' rounding."""
         rng = np.random.default_rng(61 + n)
         counts = _random_counts(rng, n, size=60)
-        configs = [
-            EstimatorConfig.waak(rng.uniform(0, 1, size=n), 2.7),
-            EstimatorConfig.transformed(
-                ShrinkageSpec.sparse(n, {1: 1.0, 3: 0.5, 6: 0.25}), Transform.relu()
-            ),
-            EstimatorConfig.mixture(
-                [
-                    (0.25, EstimatorConfig.aa_classic(n, 0.8)),
-                    (0.75, EstimatorConfig.linear(ShrinkageSpec.dense(_unit_lead_dense(rng, n)))),
-                ]
-            ),
-        ]
-        for cfg in configs:
-            g = cfg._profile()
-            assert np.array_equal(estimate_full(cfg, counts).values, oracles.gather_estimate(g, counts))
+        chain = ShrinkageSpec.sparse(n, {1: 1.0, **{(1 << d) + (1 << (d + 1)) + 1: 1.0 for d in range(n - 1)}})
+        for gamma in (10.0, 20.0):
+            cfg = EstimatorConfig.transformed(chain, Transform.exponential(gamma))
+            full = estimate_full(cfg, counts)
+            assert full._bound is None
+            assert np.array_equal(full.values, oracles.gather_estimate(cfg._profile(), counts))
 
     def test_linear_is_the_double_transform_bit_for_bit(self):
         rng = np.random.default_rng(62)
@@ -1160,6 +1156,225 @@ class TestEstimateFull:
         cfg = EstimatorConfig.waak(np.ones(n) * 0.5, 2.0)
         with pytest.raises(CapacityError):
             estimate_full(cfg, counts)
+
+
+def _clustered_counts(rng, n, k, flip=0.15, prototypes=4):
+    """k distinct cells drawn around a few prototype points, seen once or twice."""
+    protos = rng.choice([-1, 1], size=(prototypes, n))
+    rows = {}
+    while len(rows) < k:
+        proto = protos[len(rows) % prototypes]
+        row = np.where(rng.random(n) < flip, -proto, proto)
+        rows[row.tobytes()] = row
+    rows = np.array(list(rows.values()))
+    return counts_from_observations(np.repeat(rows, rng.integers(1, 3, k), axis=0))
+
+
+def _walsh_cases(n):
+    """Smooth kernels of every non-linear variant, and mixtures of them."""
+    rng = np.random.default_rng(n + 200)
+    single = ShrinkageSpec.single_interaction(rng.uniform(0.1, 0.4, n))
+    waak = EstimatorConfig.waak(rng.uniform(0.2, 0.8, n), 2.0)
+    logistic = EstimatorConfig.transformed(single, Transform.logistic(2.0))
+    exponential = EstimatorConfig.transformed(single, Transform.exponential(2.0))
+    aa = EstimatorConfig.aa_classic(n, 0.7)
+    linear = EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 3: 0.12, (1 << n) - 5: 0.12}))
+    pairs = {1: 1.0, **{(1 << d) + (1 << (d + 1)) + 1: 0.2 for d in range(0, n - 1, 3)}}
+    pairwise = EstimatorConfig.transformed(ShrinkageSpec.sparse(n, pairs), Transform.logistic(3.0))
+    return [
+        ("waak", waak),
+        ("aa_classic", aa),
+        ("logistic", logistic),
+        ("exponential", exponential),
+        ("mixture-logistic-linear-waak", EstimatorConfig.mixture([(0.25, pairwise), (0.25, linear), (0.5, waak)])),
+        ("mixture-aa-exponential", EstimatorConfig.mixture([(0.5, aa), (0.5, exponential)])),
+    ]
+
+
+class TestWalshRoute:
+    """Non-linear full estimates as fwht(s * fwht(p)) / 2^n, kept when the
+    a-priori error bound certifies them."""
+
+    @pytest.mark.parametrize(
+        "n, index",
+        [(n, i) for n in (8, 12, 16) for i in range(len(_walsh_cases(n)))],
+        ids=[f"n{n}-{name}" for n in (8, 12, 16) for name, _ in _walsh_cases(n)],
+    )
+    def test_smooth_kernels_certify_and_match_the_gather(self, n, index):
+        _, cfg = _walsh_cases(n)[index]
+        counts = _clustered_counts(np.random.default_rng(n), n, 60)
+        full = estimate_full(cfg, counts)
+        assert full._bound is not None
+        want = oracles.gather_estimate(cfg._profile(), counts)
+        # The gather's own rounding: K + 1 roundings of a sum of positive terms.
+        slack = full._bound + (len(counts.cells) + 1) * np.finfo(float).eps * np.abs(want)
+        assert np.all(np.abs(full.values - want) <= slack)
+        assert np.all(np.abs(full.values - want) <= 2.0**-30 * np.abs(want))
+        assert abs(math.fsum(full.values) - 1.0) <= 1e-12
+        assert not full.negativity
+
+    def test_bound_holds_against_mpmath(self):
+        """B bounds every entry's error against Q p at 200 bits, on random
+        kernels of every variant, sign-indefinite transforms and mixtures
+        included, and random counts at n <= 10."""
+        rng = np.random.default_rng(24)
+        checked = 0
+        while checked < 200:
+            n = int(rng.integers(1, 11))
+            cfg = _random_kernel(rng, n)
+            counts = _random_counts(rng, n, size=int(rng.integers(1, 16)))
+            try:
+                values, bound = estimators._walsh_estimate(cfg, counts)
+            except (DegenerateNormalizerError, TransformOverflowError):
+                continue
+            with mp.workprec(200):
+                exact = _exact_estimate(cfg, counts)
+                error = max(abs(mp.mpf(float(v)) - e) for v, e in zip(values, exact))
+            assert error <= bound, (cfg, counts)
+            checked += 1
+
+
+def _random_kernel(rng, n, mixed=True):
+    """A random configuration of any variant, with any transform kind."""
+    variant = rng.choice(["linear", "waak", "aa_classic", "transformed", "mixture" if mixed else "waak"])
+    if variant == "linear":
+        return EstimatorConfig.linear(ShrinkageSpec.dense(_unit_lead_dense(rng, n)))
+    if variant == "waak":
+        return EstimatorConfig.waak(rng.uniform(0.0, 1.0, n), float(rng.uniform(1.0, 8.0)))
+    if variant == "aa_classic":
+        return EstimatorConfig.aa_classic(n, float(rng.uniform(0.5, 0.99)))
+    if variant == "mixture":
+        weights = rng.dirichlet(np.ones(int(rng.integers(2, 4))))
+        weights[-1] = 1.0 - weights[:-1].sum()
+        return EstimatorConfig.mixture([(float(c), _random_kernel(rng, n, mixed=False)) for c in weights])
+    shrinkage = [
+        ShrinkageSpec.single_interaction(rng.uniform(0.0, 1.0, n)),
+        ShrinkageSpec.sparse(n, {1: 1.0, int(rng.integers(2, (1 << n) + 1)): float(rng.uniform(-1, 1))}),
+        ShrinkageSpec.dense(rng.uniform(-1.0, 1.0, 1 << n)),
+    ][int(rng.integers(3))]
+    transform = _parity_transforms(float(rng.uniform(-0.5, 0.5)))[int(rng.integers(7))]
+    return EstimatorConfig.transformed(shrinkage, transform)
+
+
+def _exact_row(cfg):
+    """The kernel row Q[1, m + 1] in mpmath: W b / 2^n for a linear kernel,
+    the product of e^(+-t_d) over Z for a product-form one, and a
+    transformed kernel's dense row as computed, taken as the kernel."""
+    n = cfg.n
+    if cfg.variant == "mixture":
+        rows = [(c, _exact_row(part)) for c, part in cfg.components]
+        return [mp.fsum(c * row[m] for c, row in rows) for m in range(1 << n)]
+    if cfg.variant == "transformed":
+        return [mp.mpf(float(v)) for v in cfg._row]
+    if cfg.variant == "linear":
+        row = [mp.mpf(float(v)) for v in cfg.shrinkage.to_dense()]
+        h = 1
+        while h < len(row):
+            for start in range(0, len(row), 2 * h):
+                for j in range(start, start + h):
+                    row[j], row[j + h] = row[j] + row[j + h], row[j] - row[j + h]
+            h *= 2
+        return [v / 2**n for v in row]
+    t = [mp.mpf(float(v)) for v in cfg._waak.t]
+    log_z = mp.fsum(mp.log(mp.exp(td) + mp.exp(-td)) for td in t)
+    return [mp.exp(mp.fsum(-td if m >> d & 1 else td for d, td in enumerate(t)) - log_z) for m in range(1 << n)]
+
+
+def _exact_estimate(cfg, counts):
+    """(Q p)_m for every cell in mpmath, from the exact kernel row."""
+    row = _exact_row(cfg)
+    weights = [(idx - 1, mp.mpf(cnt) / counts.total) for idx, cnt in counts.cells]
+    return [mp.fsum(p * row[m ^ c] for c, p in weights) for m in range(1 << cfg.n)]
+
+
+class TestProductButterfly:
+    """waak and aa_classic full estimates apply their 2x2 factors to p."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_sharp_kernels_match_mpmath(self, n):
+        """Within 4 n eps relative of mpmath at every entry at n = 8, and at
+        512 sampled entries plus the smallest and largest at n = 12 and 16.
+        The data sit near one point, so the gamma = 12 kernel's entries
+        reach 1e-31 at n = 16."""
+        rng = np.random.default_rng(n + 300)
+        counts = _clustered_counts(rng, n, 10, flip=0.02, prototypes=1)
+        sharp = EstimatorConfig.waak(np.ones(n), 12.0)
+        for cfg in (sharp, EstimatorConfig.aa_classic(n, 0.95), EstimatorConfig.waak(rng.uniform(0.5, 1.0, n), 12.0)):
+            got = cfg._waak.smooth(counts.to_dense())
+            full = estimate_full(cfg, counts)
+            if n == 16:
+                assert full._bound is None
+            if full._bound is None:
+                assert np.array_equal(full.values, got)
+            at = np.arange(got.size)
+            if n > 8:
+                at = np.concatenate([rng.choice(got.size, 512, replace=False), [got.argmin(), got.argmax()]])
+            with mp.workprec(200):
+                t = [mp.mpf(float(v)) for v in cfg._waak.t]
+                log_z = mp.fsum(mp.log(mp.exp(td) + mp.exp(-td)) for td in t)
+                support = [(idx - 1, mp.mpf(cnt) / counts.total) for idx, cnt in counts.cells]
+                for m in at:
+                    exact = mp.fsum(
+                        p * mp.exp(mp.fsum(-td if (int(m) ^ c) >> d & 1 else td for d, td in enumerate(t)) - log_z)
+                        for c, p in support
+                    )
+                    assert abs(mp.mpf(float(got[m])) - exact) <= 4 * n * np.finfo(float).eps * exact
+            if n == 16 and cfg is sharp:
+                assert got.min() < 1e-30
+
+
+class TestFullEstimateWork:
+    """Transforms and gathers that one n = 20 full estimate makes."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"fwht": 0, "gather": 0}
+
+        def fwht_counted(v):
+            calls["fwht"] += 1
+            return fwht(v)
+
+        def gather_counted(g, counts):
+            calls["gather"] += 1
+            return gather(g, counts)
+
+        gather = estimators._gather
+        monkeypatch.setattr(estimators, "fwht", fwht_counted)
+        monkeypatch.setattr(transforms, "fwht", fwht_counted)
+        monkeypatch.setattr(estimators, "_gather", gather_counted)
+        return calls
+
+    @pytest.fixture
+    def counts(self):
+        # Fresh per test: the counts keep fwht(p) once computed.
+        counts = _clustered_counts(np.random.default_rng(20), 20, 1500, flip=0.1, prototypes=8)
+        assert len(counts.cells) == 1500
+        return counts
+
+    def test_certified_mixture_makes_four_transforms_and_no_gather(self, counted, counts):
+        n = 20
+        rng = np.random.default_rng(21)
+        exponential = EstimatorConfig.transformed(
+            ShrinkageSpec.single_interaction(rng.uniform(0.1, 0.4, n)), Transform.exponential(2.0)
+        )
+        cfg = EstimatorConfig.mixture(
+            [
+                (0.25, exponential),
+                (0.25, EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 6: 0.1}))),
+                (0.5, EstimatorConfig.waak(rng.uniform(0.2, 0.6, n), 2.0)),
+            ]
+        )
+        full = estimate_full(cfg, counts)
+        assert full._bound is not None
+        # fwht(p), the transformed row and its transform, and the last one.
+        assert (counted["fwht"], counted["gather"]) == (4, 0)
+        assert abs(math.fsum(full.values) - 1.0) <= 1e-12
+
+    def test_sharp_classic_kernel_makes_no_gather(self, counted, counts):
+        full = estimate_full(EstimatorConfig.aa_classic(20, 0.9), counts)
+        assert full._bound is None
+        assert counted["gather"] == 0
+        assert np.all(full.values > 0.0)
 
 
 class TestClampAndRenormalize:
