@@ -2,15 +2,13 @@
 
 Both losses reduce to inner products between kernel elements and the
 observation counts, so neither ever rebuilds an estimate per held-out
-point: leaving out one observation only shifts one count. A risk takes
-one support x support block of Q from the batched kernel core over the
-K distinct observed cells, and SE adds the quadratic form p' Q^2 p of
-the empirical weights: a support x support block of Q @ Q for linear
-and non-uniform waak kernels, and for transformed and mixture kernels a
-Parseval sum of the kernel's Walsh diagonal times fwht(p), which the
-counts keep for every candidate. A uniform-weight kernel (aa_classic,
-waak with one t on every coordinate) instead reads both from the
-counts' Hamming lookup in log space, with n + 1 exp calls per candidate.
+point: leaving out one observation only shifts one count. The kernel
+core returns the held-out term at every support cell at once, as
+(scale, ratio) with the term exp(scale) * ratio (estimators._smoothed),
+and this module only reduces those terms. KL sums each count times the
+term's log, scale + log(ratio), so a term below the float64 range keeps
+its true log. SE subtracts twice the terms' mean from the quadratic
+form p' Q^2 p of the empirical weights (EstimatorConfig._quadratic).
 Every reduction runs in a fixed ascending-cell order so repeated runs
 are bitwise identical.
 """
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, InsufficientDataError
-from .estimators import EstimatorConfig, _match_dimensions
+from .estimators import EstimatorConfig, _match_dimensions, _smoothed
 from .shrinkage import ShrinkageSpec
 from .walsh import _check_index, _integer, _items, _real
 
@@ -74,33 +72,6 @@ def _check_inputs(config, counts):
         raise InsufficientDataError("leave-one-out needs at least two observations")
 
 
-def _held_out(config, counts, own=None):
-    """Held-out estimate at the support positions own (every one when
-    None), each with one of its observations removed, as (scale, ratio):
-    the estimate is exp(scale) * ratio and its log is scale + log(ratio).
-
-    A uniform-weight kernel computes both in log space from the counts'
-    Hamming lookup (_WaakState.held_out). Other kernels take a block of
-    Q between those cells and the support, with scale 0 and ratio the
-    estimate itself. There the own cell's entry is weighted by its count
-    minus one rather than subtracted after the product: it dominates its
-    row at large n, and the difference would cancel to 0.
-    """
-    if config._hamming_route:
-        return config._waak.held_out(counts, own)
-    cnt = counts._counts
-    support = counts._packed
-    if own is None:
-        own, cells = np.arange(cnt.size), support
-    else:
-        cells = [counts.cells[k][0] for k in own]
-    gram = config._gram(cells, support)
-    rows = np.arange(gram.shape[0])
-    own_entries = gram[rows, own]
-    gram[rows, own] = 0.0
-    return 0.0, (gram @ cnt + own_entries * (cnt[own] - 1.0)) / (counts.total - 1)
-
-
 def loo_term(k, config, counts):
     """Held-out estimate for observation k in canonical order.
 
@@ -114,7 +85,7 @@ def loo_term(k, config, counts):
     # Observations run in support order, so k falls in the first support
     # cell whose running count passes it.
     own = int(np.searchsorted(np.cumsum(counts._counts), k, side="right"))
-    scale, ratio = _held_out(config, counts, [own])
+    scale, ratio = _smoothed(config, counts, own=[own])
     return float((np.exp(scale) * ratio)[0])
 
 
@@ -124,7 +95,7 @@ def _loo_risk(loss, config, counts):
     range still counts with its true log when its kernel has one."""
     _check_inputs(config, counts)
     cnt = counts._counts
-    scale, ratio = _held_out(config, counts)
+    scale, ratio = _smoothed(config, counts)
     terms = np.exp(scale) * ratio
     k = cnt.size
     dominated = False
@@ -219,8 +190,7 @@ class SearchSpace:
 
     @classmethod
     def waak_fixed_w(cls, w, gammas, budget=None):
-        arr = np.asarray(w, dtype=np.float64)
-        configs = tuple(EstimatorConfig.waak(arr, g) for g in _items(gammas, "gammas", ConfigError))
+        configs = tuple(EstimatorConfig.waak(w, g) for g in _items(gammas, "gammas", ConfigError))
         return cls(configs=configs, budget=_check_budget(budget))
 
     @classmethod

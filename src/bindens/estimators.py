@@ -47,6 +47,9 @@ so a held-out term or estimate far below the float64 range keeps its
 logarithm, and a candidate costs n + 1 exp calls plus a gather.
 Otherwise D_t is a float product over the cells' bits. Blocks of Q
 itself (mixture components) are exponentiated entrywise on either route.
+An estimate at listed cells and a leave-one-out held-out term are both
+Q p, the latter with one count less; one function, _smoothed, gives
+both and is the one place a route is chosen.
 
 Everything a configuration derives (parity features, the normalizer Z,
 the dense row, its Walsh diagonal, the waak log state) is a function of
@@ -184,7 +187,7 @@ class CountsVector:
         more than once, whose own cell keeps its count minus one, and the
         distance to the nearest other cell for a cell seen once. The
         held-out terms of uniform-weight kernels shift by it
-        (_WaakState.held_out)."""
+        (_smoothed)."""
         others = self._packed.hamming.copy()
         np.fill_diagonal(others, self.n + 1)
         return np.where(self._counts > 1.0, 0, others.min(axis=1))
@@ -801,10 +804,11 @@ class _WaakState:
     (e^t + e^-t)^2) - D_v with v = log(e^(2t) + e^(-2t)) - log 2.
 
     When t is one value s on every coordinate (shared_t), D_t = s H and
-    D_v = v_1 H for the exact Hamming matrix H, and held-out terms, the
-    SE quadratic and estimates are computed in log space from the decay
-    e^(-2 s j) over the n + 1 levels j = 0..n (held_out, quadratic,
-    estimate). gram and squared_gram exponentiate every entry. Q is the
+    D_v = v_1 H for the exact Hamming matrix H, and rows of Q are looked
+    up in log space from the decay e^(-2 s j) over the n + 1 levels
+    j = 0..n (_shifted, which _smoothed reads for held-out terms and
+    estimates), as is the SE quadratic (quadratic). gram and
+    squared_gram exponentiate every entry. Q is the
     Kronecker product of one positive 2x2 factor per coordinate, so Q p
     for a dense p takes one pass per coordinate (smooth), and its Walsh
     diagonal is a product of tanh(t_d) (spectrum).
@@ -835,40 +839,11 @@ class _WaakState:
         decay = _decay(2.0 * self.shared_t, n)
         return self.log_diagonal - 2.0 * (self.shared_t * nearest), decay[hamming - nearest[:, None]]
 
-    def held_out(self, counts, own):
-        """(scale, ratio) of the held-out estimates at the support positions
-        own (every one when None): the term is exp(scale) * ratio, and its
-        log is scale + log(ratio).
-
-        Row r is shifted by its nearest weighted cell (CountsVector._nearest),
-        and ratio = (sum_{c != r} count c levels[r, c] + count r - 1) /
-        (N - 1): the own cell has level 1 when it is seen more than once
-        and weight 0 otherwise. The sum holds a term 1 with weight >= 1,
-        so it neither underflows nor overflows, whatever the scale.
-        """
-        hamming, nearest = counts._packed.hamming, counts._nearest
-        cnt = counts._counts
-        if own is None:
-            own = np.arange(cnt.size)
-        else:
-            hamming, nearest = hamming[own], nearest[own]
-        scale, levels = self._shifted(hamming, nearest, counts.n)
-        # A cell seen once indexed its own entry from the end of the decay.
-        levels[np.arange(len(own)), own] = 0.0
-        return scale, (levels @ cnt + (cnt[own] - 1.0)) / (counts.total - 1)
-
     def quadratic(self, counts):
         """p' Q^2 p from the counts' pair histogram P: exp(log_sq_diag) *
         sum_h P_h e^(-v_1 h) / N^2, whose sum holds P_0 >= N at h = 0."""
         decay = _decay(float(self.squared_weights[0]), counts.n)
         return math.exp(self.log_squared_diagonal) * (float(counts._pair_histogram @ decay) / counts.total**2)
-
-    def estimate(self, cells, counts):
-        """(scale, ratio) of the estimate at packed cells, as held_out does
-        it, each cell shifted by its nearest support cell."""
-        hamming = _hamming(cells, counts._packed)
-        scale, levels = self._shifted(hamming, hamming.min(axis=1), counts.n)
-        return scale, (levels @ counts._counts) / counts.total
 
     def profile(self):
         """Q[1, m + 1] at every zero-based index m; 2^n entries."""
@@ -1001,34 +976,64 @@ def _match_dimensions(config, counts):
         )
 
 
+def _smoothed(config, counts, cells=None, own=None):
+    """(scale, ratio) of Q p, the value being exp(scale) * ratio: at packed
+    cells, the estimate (over N); with cells None, the held-out estimate
+    at the support positions own, every one when None (over N - 1).
+
+    The one place a kernel's route is chosen. A uniform-weight kernel
+    reads its rows from the Hamming lookup in log space (_shifted), each
+    shifted by its nearest weighted cell: for a held-out term,
+    CountsVector._nearest; for an estimate, the nearest support cell.
+    That cell has level 1 and weight >= 1, so the ratio neither
+    underflows nor overflows. Other kernels take a block of Q, scale 0.
+    On both, the own cell's entry is weighted by its count minus one, not
+    subtracted after the product: it dominates its row at large n, and
+    the difference would cancel to 0.
+    """
+    cnt, support = counts._counts, counts._packed
+    held_out, rows = cells is None, cells
+    if held_out:
+        rows = support if own is None else [counts.cells[k][0] for k in own]
+        own = np.arange(cnt.size) if own is None else own
+    if not config._hamming_route:
+        scale, block = 0.0, config._gram(rows, support)
+    elif held_out:
+        picked = slice(None) if rows is support else own
+        scale, block = config._waak._shifted(support.hamming[picked], counts._nearest[picked], counts.n)
+    else:
+        hamming = _hamming(cells, support)
+        scale, block = config._waak._shifted(hamming, hamming.min(axis=1), counts.n)
+    if not held_out:
+        return scale, (block @ cnt) / counts.total
+    # A cell seen once reads its own entry at a finite level and weighs it 0.
+    positions = np.arange(block.shape[0])
+    own_entries = block[positions, own]
+    block[positions, own] = 0.0
+    return scale, (block @ cnt + own_entries * (cnt[own] - 1.0)) / (counts.total - 1)
+
+
 def estimate_at(cells, config, counts):
     """Estimated probability of each queried cell, sparse in n.
 
-    Each chunk of query cells is one query x support block against the
-    support the counts keep packed; chunks keep the block near
-    _BLOCK_ENTRIES entries, and the fixed (ascending) support order makes
-    results deterministic. A uniform-weight kernel looks its block up
-    from the Hamming levels in log space (_WaakState.estimate) and keeps
-    the log of every value, which stays exact where the value itself
-    underflows; other kernels multiply a block of Q by the counts.
+    Each chunk of query cells is one query x support product (_smoothed)
+    near _BLOCK_ENTRIES entries, over the fixed (ascending) support
+    order. A uniform-weight kernel also keeps the log of every value,
+    which stays exact where the value itself underflows.
     """
     _match_dimensions(config, counts)
     cell_list = _items(cells, "query cells")
     if not cell_list:
         raise ValueError("at least one query cell is required")
-    support = counts._packed
-    step = max(1, _BLOCK_ENTRIES // support.size)
-    chunks = [cell_list[start : start + step] for start in range(0, len(cell_list), step)]
+    step = max(1, _BLOCK_ENTRIES // counts._packed.size)
+    parts = [
+        _smoothed(config, counts, _Cells(cell_list[start : start + step], config.n))
+        for start in range(0, len(cell_list), step)
+    ]
+    values = np.concatenate([np.exp(scale) * ratio for scale, ratio in parts])
     logs = None
     if config._hamming_route:
-        parts = [config._waak.estimate(_Cells(chunk, config.n), counts) for chunk in chunks]
-        scale = np.concatenate([part[0] for part in parts])
-        ratio = np.concatenate([part[1] for part in parts])
-        values = np.exp(scale) * ratio
-        logs = scale + np.log(ratio)
-    else:
-        sums = [config._gram(chunk, support) @ counts._counts for chunk in chunks]
-        values = np.concatenate(sums) / counts.total
+        logs = np.concatenate([scale + np.log(ratio) for scale, ratio in parts])
     return DensityEstimate(
         n=config.n,
         cells=tuple(int(c) for c in cell_list),

@@ -22,6 +22,13 @@ SPARSE = "sparse"
 SINGLE_INTERACTION = "single_interaction"
 
 
+def _float_array(values, what):
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be real numbers: {exc}") from exc
+
+
 def _readonly(arr):
     out = np.array(arr, dtype=np.float64, copy=True)
     out.setflags(write=False)
@@ -45,7 +52,7 @@ class ShrinkageSpec:
     @classmethod
     def dense(cls, values):
         """Dense coefficient vector of length 2^n; index 1 is element 0."""
-        arr = np.asarray(values, dtype=np.float64)
+        arr = _float_array(values, "dense shrinkage values")
         if arr.ndim != 1 or arr.size < 2 or arr.size & (arr.size - 1):
             raise ValueError(f"dense shrinkage length must be a power of two >= 2, got {arr.size}")
         if not np.all(np.isfinite(arr)):
@@ -71,7 +78,7 @@ class ShrinkageSpec:
     @classmethod
     def single_interaction(cls, w):
         """Per-coordinate weights in [0, 1]; coefficient w_k at index 2^(k-1)+1."""
-        arr = np.asarray(w, dtype=np.float64)
+        arr = _float_array(w, "interaction weights")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("interaction weights must form a nonempty 1-d vector")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):

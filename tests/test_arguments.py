@@ -120,6 +120,10 @@ CONTAINER_ARGUMENTS = [
     ("mixture_weight_grid components", lambda: SearchSpace.mixture_weight_grid(AA, 2), ConfigError),
     ("descent grid", lambda: coordinate_descent_w(np.ones(3), 2.0, "kl", COUNTS, 1, 0.5), ConfigError),
     ("estimate_at cells", lambda: estimate_at(5, UNIFORM, COUNTS), ValueError),
+    ("single_interaction w", lambda: ShrinkageSpec.single_interaction(object()), ValueError),
+    ("dense values", lambda: ShrinkageSpec.dense(object()), ValueError),
+    ("waak w", lambda: EstimatorConfig.waak({"a": 1}, 2.0), ConfigError),
+    ("waak_fixed_w w", lambda: SearchSpace.waak_fixed_w("abc", [2.0]), ConfigError),
 ]
 
 

@@ -150,14 +150,35 @@ class TestKlRisk:
         want, _ = oracles.kl_naive(q, counts)
         assert kl_risk(cfg, counts).value == pytest.approx(want, rel=1e-10)
 
-    def test_loo_terms_align_with_observations(self):
+    @pytest.mark.parametrize(
+        "n, make",
+        [
+            (4, lambda n: EstimatorConfig.aa_classic(n, 0.85)),
+            (6, lambda n: EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.5, 1 << (n - 1): 0.25}))),
+            (6, lambda n: EstimatorConfig.transformed(ShrinkageSpec.sparse(n, {1: 0.4, 3: 0.7}), Transform.logistic(2.0))),
+            (6, lambda n: EstimatorConfig.waak(np.linspace(0.2, 0.9, n), 2.5)),
+            (6, lambda n: _counter_configs(n)[2]),
+            (1000, lambda n: EstimatorConfig.waak(np.full(n, 0.6), 3.0)),
+        ],
+        ids=["aa_classic", "linear_sparse", "logistic", "waak_nonuniform", "mixture", "waak_uniform_n1000"],
+    )
+    def test_loo_terms_align_with_observations(self, n, make):
+        """Every route's risk reports hold loo_term's value per observation.
+        A one-row block pivots _float_distance elsewhere than the full
+        block, so the last ulps may differ."""
         rng = np.random.default_rng(74)
-        counts = _random_counts(rng, 4, size=9)
-        cfg = EstimatorConfig.aa_classic(4, 0.85)
-        rep = kl_risk(cfg, counts)
-        assert len(rep.loo_terms) == counts.total
-        for k in range(counts.total):
-            assert rep.loo_terms[k] == pytest.approx(loo_term(k, cfg, counts), rel=1e-14)
+        # Two clusters with a few flipped bits; rows repeat so that both
+        # own-cell cases (seen once, seen more than once) occur.
+        protos = rng.choice([-1, 1], size=(2, n))
+        rows = protos[rng.integers(0, 2, size=6)] * np.where(rng.random((6, n)) < 0.05, -1, 1)
+        counts = counts_from_observations(rows[[0, 0, 1, 2, 2, 2, 3, 4, 5]])
+        cfg = make(n)
+        want = [loo_term(k, cfg, counts) for k in range(counts.total)]
+        assert all(value > 0.0 for value in want)
+        for risk in (kl_risk, se_risk):
+            rep = risk(cfg, counts)
+            assert len(rep.loo_terms) == counts.total
+            assert rep.loo_terms == pytest.approx(want, rel=1e-13)
 
     def test_element_evaluation_counts(self):
         counts = CountsVector.from_cells(4, {2: 3, 5: 1, 9: 2, 14: 1})
