@@ -207,7 +207,10 @@ class SearchSpace:
     def waak_product(cls, gammas, w_axes, budget=None):
         """Full cross product over per-coordinate weight axes."""
         gammas = _items(gammas, "gammas", ConfigError)
-        axes = [_items(axis, "weight axis", ConfigError) for axis in _items(w_axes, "weight axes", ConfigError)]
+        axes = [
+            [_real(v, "weight axis value", ConfigError) for v in _items(axis, "weight axis", ConfigError)]
+            for axis in _items(w_axes, "weight axes", ConfigError)
+        ]
         if not axes or any(not axis for axis in axes):
             raise ConfigError("every coordinate needs a nonempty weight axis")
         configs = tuple(

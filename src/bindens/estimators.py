@@ -867,10 +867,12 @@ class _WaakState:
 
         Q is the Kronecker product of the factors [[alpha_d, beta_d],
         [beta_d, alpha_d]], alpha_d = 1 / (1 + r_d) and beta_d = r_d
-        alpha_d with r_d = e^(-2 t_d). The pass over index bit d forms
-        a + r_d b and r_d a + b from the pairs (a, b) that differ in that
-        bit (walsh._butterfly), and the product of the alpha_d,
-        exp(log_diagonal), scales once at the end. Every term is
+        alpha_d with r_d = e^(-2 t_d). walsh._butterfly runs one stage per
+        index bit d, bit 0 first: a and b hold the entries whose indexes
+        differ in bit d alone, at positions internal to the butterfly, and
+        the stage writes a + r_d b and r_d a + b, reading only the scalar
+        r_d. The product of the alpha_d, exp(log_diagonal), scales once at
+        the end. The peak is 2 * 2^n floats besides p. Every term is
         nonnegative, so each entry is within O(n eps) relative of exact,
         however far below the largest it lies.
         """

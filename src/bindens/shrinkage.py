@@ -22,7 +22,22 @@ SPARSE = "sparse"
 SINGLE_INTERACTION = "single_interaction"
 
 
+# Entries that float64 conversion would read as numbers but _real refuses.
+_NOT_REAL = (bool, np.bool_, str, bytes)
+
+
 def _float_array(values, what):
+    """values as a float64 array, under _real's rule for each entry: numpy
+    would read True as 1.0 and parse "0.5", and np.asarray([True, 0.5])
+    upcasts the bool without a trace, so a bool or string entry of a list,
+    or an array of such a dtype, is refused before the conversion."""
+    if isinstance(values, np.ndarray):
+        entries = values.flat if values.dtype.kind in "bSUO" else ()
+    else:
+        entries = values if isinstance(values, (list, tuple)) else (values,)
+    refused = next((v for v in entries if isinstance(v, _NOT_REAL)), None)
+    if refused is not None:
+        raise ValueError(f"{what} must be real numbers, got {refused!r}")
     try:
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:

@@ -138,13 +138,14 @@ def product_index(i, j):
 def fwht(v):
     """Apply the 2^n Walsh matrix to a length-2^n vector in O(n 2^n).
 
-    Out of place: the input is never modified. Applying twice scales by
-    2^n, since the matrix squares to 2^n times the identity.
+    Out of place: the input is never modified, and the work needs two
+    2^n float64 buffers besides the input. Applying twice scales by 2^n,
+    since the matrix squares to 2^n times the identity.
 
-    Each stage forms a + b and a - b over the pairs of one index bit
-    (_butterfly), index bit 0 first, as a plain in-place butterfly does,
-    so every output is the same sums in the same order and the result is
-    bit-identical to it.
+    Stage k forms a + b and a - b over the pairs of entries whose indexes
+    differ in bit k (_butterfly), bit 0 first, as a plain in-place
+    butterfly does, so every output is the same sums in the same order
+    and the result is bit-identical to it.
     """
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
@@ -165,35 +166,32 @@ def _walsh_stage(bit, a, b, low, high):
 
 
 def _butterfly(arr, stage):
-    """Run stage(bit, a, b, low, high) over index bits 0..n-1 of a float64
-    vector of length 2^n >= 2: a and b are the entries whose index has the
-    bit clear and set, and the stage writes the new values at those
-    positions into low and high.
+    """Run stage(bit, a, b, low, high) for bit = 0..n-1 over a float64
+    vector arr of length 2^n >= 2 and return the result, a new array; arr
+    is only read.
 
-    Viewed as a (2^ceil(n/2), 2^floor(n/2)) matrix, the low floor(n/2)
-    index bits number columns: their stages run on the transposed layout,
-    where each pairs whole contiguous rows of 2^ceil(n/2) values rather
-    than strided runs of 1, 2, 4, ...; the high bits number rows of the
-    natural layout. Each stage writes into one of two buffers, which take
-    turns, so no stage copies: the peak is 2 * 2^n floats.
+    The contract of a stage: a and b are the current values of the
+    entries whose indexes differ in index bit `bit` alone, a with the bit
+    clear and b with it set, and the stage writes the new values of those
+    entries into low and high, which hold no values on entry. Positions
+    within a, b, low and high are internal: a stage may use `bit` and
+    per-bit scalars, but not where an entry sits. The peak is 2 * 2^n
+    floats.
+
+    The stages run in Stockham (autosort) order (Cochran et al. 1967,
+    Proc. IEEE 55:1664): a and b are the even and odd entries of the
+    current array, low and high the two halves of the other buffer. Each
+    stage so rotates the index bits right by one, pairing bit k at stage
+    k, and after n stages the order is natural again.
     """
     size = arr.shape[0]
-    n = size.bit_length() - 1
-    low = n // 2
+    half = size >> 1
     buffers = np.empty(size), np.empty(size)
-    # The first stage reads the input through the transposed view, so the
-    # transpose costs no pass of its own; the first high stage reads the
-    # last low stage's buffer transposed back.
-    src = arr.reshape(1 << (n - low), 1 << low).T
-    for bit in range(n):
-        if bit == low:
-            src = src.T
-        half = 1 << (bit if bit < low else bit - low)
-        pairs = src.reshape(-1, 2, half, src.shape[1])
-        out = buffers[bit & 1].reshape(pairs.shape)
-        stage(bit, pairs[:, 0], pairs[:, 1], out[:, 0], out[:, 1])
-        src = out.reshape(src.shape)
-    return buffers[(n - 1) & 1]
+    for bit in range(size.bit_length() - 1):
+        out = buffers[bit & 1]
+        stage(bit, arr[0::2], arr[1::2], out[:half], out[half:])
+        arr = out
+    return arr
 
 
 @dataclass(frozen=True)

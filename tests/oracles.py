@@ -39,6 +39,26 @@ def fwht_butterfly(v):
         h *= 2
     return out
 
+
+def smooth_butterfly(p, rates, scale):
+    """A product kernel applied to p by the plain in-place butterfly: the
+    pass over index bit d replaces each pair (a, b) of entries that differ
+    in that bit by (a + r_d b, r_d a + b), on a copy of p, bits 0, 1, ...,
+    n-1 in turn, and the result is scaled once at the end. The package's
+    per-coordinate smoothing must match it bit for bit, since it forms the
+    same sums in the same order."""
+    out = np.array(p, dtype=np.float64)
+    h = 1
+    for r in rates:
+        pairs = out.reshape(-1, 2 * h)
+        a = pairs[:, :h].copy()
+        b = pairs[:, h:].copy()
+        pairs[:, :h] = a + r * b
+        pairs[:, h:] = r * a + b
+        h *= 2
+    return out * scale
+
+
 def mapping_dense(n):
     """1-based column-product index table from the block recursion.
 

@@ -1,8 +1,9 @@
 """Scalar arguments of every public entry point go through one integer check
 and one real-number check: a bool is never read as 0 or 1, a string is
 never parsed as a number, an integer argument never truncates a fraction,
-and a value (or a container argument) of the wrong type raises
-the error type of its layer (ValueError for walsh, shrinkage, transforms,
+a list or array argument takes the same rule entry by entry, and a value
+(or a container argument) of the wrong type raises the error type of its
+layer (ValueError for walsh, shrinkage, transforms,
 shrinkage_optimal, loo_term and estimate_at; DataError for counts;
 ConfigError for configurations and searches)."""
 
@@ -32,6 +33,7 @@ from bindens.errors import ConfigError, DataError
 COUNTS = CountsVector.from_cells(3, {1: 2, 4: 1, 6: 1})
 UNIFORM = EstimatorConfig.linear(ShrinkageSpec.sparse(3, {1: 1.0}))
 AA = EstimatorConfig.aa_classic(3, 0.8)
+COUNTS_4 = CountsVector.from_cells(4, {1: 2, 4: 1, 11: 1})
 
 # (name, call taking the bad value, error type); integer arguments first.
 INTEGER_ARGUMENTS = [
@@ -99,6 +101,61 @@ BAD = [
 def test_bad_scalar_raises_layer_error(call, value, error):
     with pytest.raises(error):
         call(value)
+
+
+# Vector arguments take the scalar rule entry by entry: numpy would read a
+# bool as 0 or 1 and parse a numeric string, and np.asarray([True, 0.5])
+# upcasts the bool silently, so both are refused as list entries and as
+# array dtypes.
+VECTOR_ARGUMENTS = [
+    ("single_interaction w", ShrinkageSpec.single_interaction, ValueError),
+    ("dense values", ShrinkageSpec.dense, ValueError),
+    ("waak w", lambda v: EstimatorConfig.waak(v, 2.0), ConfigError),
+    ("waak_fixed_w w", lambda v: SearchSpace.waak_fixed_w(v, [2.0]), ConfigError),
+    ("descent initial w", lambda v: coordinate_descent_w(v, 2.0, "kl", COUNTS_4, 1, [0.5]), ConfigError),
+]
+BAD_VECTORS = (
+    [True, False],
+    [True, 0.5],
+    (0.5, np.True_),
+    ["0.5", "0.25"],
+    [0.5, b"0.25"],
+    [np.str_("0.5"), 0.25],
+    np.array([True, False]),
+    np.array(["0.5", "0.25"]),
+    np.array([b"0.5", b"0.25"]),
+    np.array([0.5, True], dtype=object),
+    "0.5",
+    True,
+)
+
+
+@pytest.mark.parametrize(
+    "call, value, error",
+    [
+        pytest.param(call, value, error, id=f"{name}-{value!r}")
+        for name, call, error in VECTOR_ARGUMENTS
+        for value in BAD_VECTORS
+    ],
+)
+def test_bad_vector_entry_raises_layer_error(call, value, error):
+    with pytest.raises(error, match="must be real numbers"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [a[1] for a in VECTOR_ARGUMENTS], ids=[a[0] for a in VECTOR_ARGUMENTS])
+@pytest.mark.parametrize(
+    "value",
+    [[0.5, 1, 0, 1], (0.25, np.float32(0.5), 1, 1), np.array([1, 0, 1, 0]), np.array([0.5, 1.0, 1, 1], dtype=object)],
+    ids=repr,
+)
+def test_vector_arguments_take_numbers(call, value):
+    call(value)
+
+
+def test_waak_product_axis_value_is_a_real():
+    with pytest.raises(ConfigError, match="weight axis value"):
+        SearchSpace.waak_product([2.0], [[0.5], [True]])
 
 
 # A container argument that is not a mapping or not iterable raises its

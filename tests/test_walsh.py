@@ -251,14 +251,24 @@ class TestFwht:
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_bits_match_for_views_and_ints(self):
+        """The first stage reads the caller's array through [0::2] and
+        [1::2]: strided, reversed and read-only inputs give the plain
+        butterfly's bits and are left as they were."""
         rng = np.random.default_rng(77)
         base = rng.standard_normal(2 << 12)
         keep = base.copy()
-        strided = base[::2]
-        assert not strided.flags.c_contiguous
-        got = fwht(strided)
-        np.testing.assert_array_equal(got.view(np.uint64), fwht_butterfly(strided).view(np.uint64))
+        frozen = rng.standard_normal(1 << 12)
+        frozen.setflags(write=False)
+        frozen_keep = frozen.copy()
+        views = (base[::2], base[::-1], base[-2::-2], frozen)
+        assert not views[0].flags.c_contiguous
+        assert views[1].strides[0] < 0 and views[2].strides[0] < 0
+        for view in views:
+            got = fwht(view)
+            np.testing.assert_array_equal(got.view(np.uint64), fwht_butterfly(view).view(np.uint64))
         np.testing.assert_array_equal(base.view(np.uint64), keep.view(np.uint64))
+        np.testing.assert_array_equal(frozen.view(np.uint64), frozen_keep.view(np.uint64))
+        assert not frozen.flags.writeable
         ints = rng.integers(-1000, 1000, 1 << 9).tolist()
         np.testing.assert_array_equal(fwht(ints).view(np.uint64), fwht_butterfly(ints).view(np.uint64))
 
