@@ -1096,37 +1096,74 @@ def _random_sparse(rng, n, nonzeros):
     return ShrinkageSpec.sparse(n, entries)
 
 
-def _flat_check(name, times, limit):
-    lo, hi = min(times.values()), max(times.values())
-    ratio = hi / lo if lo > 0 else math.inf
+def _linear_sparse(rng, n):
+    spec = _random_sparse(rng, n, nonzeros=8)
+    return spec, Transform.identity(), EstimatorConfig.linear(spec)
+
+
+def _waak(rng, n):
+    w = rng.uniform(0.0, 1.0, size=n)
+    return ShrinkageSpec.single_interaction(w), Transform.exponential(2.0), EstimatorConfig.waak(w, 2.0)
+
+
+def _transformed(spec, transform):
+    return spec, transform, EstimatorConfig.transformed(spec, transform)
+
+
+_QUANTITIES = ("normalization", "element", "squared_element")
+_BIG_SIZES = (100, 1000, 10000)
+
+# Per regime: its name, the expected costs of _QUANTITIES, how many of
+# them, from the first, it also times at _BIG_SIZES (0: only the dense sizes),
+# a builder (rng, n) -> (shrinkage, transform, config), whose draws come
+# before those of the two timed cells, and its checks (name, quantity,
+# kind, limit). "flat" bounds the max/min ratio of the quantity's times,
+# "flat_big" that ratio over _BIG_SIZES, "under" its ms at n = 10000,
+# and "growth" is the least ratio of its times at the two largest dense
+# sizes, left out when --max-n leaves only one.
+_REGIMES = (
+    # Identity transform, leading coefficient pinned to 1, sparse support:
+    # Z is a constant, and an element is one pass over the nonzeros.
+    ("linear_sparse", ("O(1)", "O(nonzeros)", "O(nonzeros)"), 3, _linear_sparse, (
+        ("normalization_constant_time", "normalization", "flat", 16.0),
+        ("element_time_independent_of_n", "element", "flat_big", 4.0),
+        ("squared_element_time_independent_of_n", "squared_element", "flat_big", 4.0))),
+    # Exponential base with per-coordinate weights (the weighted product
+    # kernel): everything closed-form in O(n).
+    ("waak", ("O(n)", "O(n)", "O(n)"), 3, _waak, (
+        ("normalization_under_10ms_at_n10000", "normalization", "under", 10.0),
+        ("element_under_10ms_at_n10000", "element", "under", 10.0),
+        ("squared_element_under_10ms_at_n10000", "squared_element", "under", 10.0))),
+    # Logistic over single-interaction weights: Z collapses to half the
+    # row length; a squared element is one dot product over the profile.
+    ("logistic_single_interaction", ("O(1)", "O(n)", "O(n 2^n)"), 2,
+     lambda rng, n: _transformed(ShrinkageSpec.single_interaction(rng.uniform(0.0, 1.0, size=n)),
+                                 Transform.logistic(3.0)), (
+        ("normalization_constant_time", "normalization", "flat", 16.0),
+        ("squared_element_dense_growth", "squared_element", "growth", 2.0))),
+    # No closed form (relu over sparse shrinkage): Z pays the full dense
+    # transform, and an element is then one read of the row it summed.
+    ("general_no_closed_form", ("O(n 2^n)", "O(1)", "O(n 2^n)"), 0,
+     lambda rng, n: _transformed(_random_sparse(rng, n, nonzeros=8), Transform.relu()), (
+        ("element_time_fixed_support", "element", "flat", 4.0),
+        ("normalization_dense_growth", "normalization", "growth", 2.0),
+        ("squared_element_dense_growth", "squared_element", "growth", 2.0))),
+)
+
+
+def _check(name, times, kind, limit, dense):
+    """One check of a quantity's {n: ms} times, as _REGIMES describes it."""
+    if kind == "under":
+        value = times[_BIG_SIZES[-1]]
+        return {"name": name, "pass": bool(value < limit), "time_ms": value, "limit_ms": limit}
+    if kind == "growth":
+        lo, hi = dense[-2:]
+        ratio = times[hi] / times[lo] if times[lo] > 0 else math.inf
+        return {"name": name, "pass": bool(ratio >= limit), "growth": ratio, "from_n": lo, "to_n": hi,
+                "minimum": limit}
+    values = [times[n] for n in (_BIG_SIZES if kind == "flat_big" else times)]
+    ratio = max(values) / min(values) if min(values) > 0 else math.inf
     return {"name": name, "pass": bool(ratio <= limit), "max_over_min": ratio, "limit": limit}
-
-
-def _growth_check(name, times, n_small, n_big, minimum):
-    ratio = times[n_big] / times[n_small] if times[n_small] > 0 else math.inf
-    return {
-        "name": name,
-        "pass": bool(ratio >= minimum),
-        "growth": ratio,
-        "from_n": n_small,
-        "to_n": n_big,
-        "minimum": minimum,
-    }
-
-
-def _bound_check(name, value_ms, limit_ms):
-    return {"name": name, "pass": bool(value_ms < limit_ms), "time_ms": value_ms, "limit_ms": limit_ms}
-
-
-def _bench_row(regime, expected, norm_t, el_t, sq_t, checks):
-    """One report row: expected costs and {n: ms} timings per quantity."""
-    times = {"normalization": norm_t, "element": el_t, "squared_element": sq_t}
-    return {
-        "regime": regime,
-        "expected": dict(zip(times, expected)),
-        "times_ms": {name: {str(n): t[n] for n in t} for name, t in times.items()},
-        "checks": checks,
-    }
 
 
 def cmd_bench(args):
@@ -1135,95 +1172,26 @@ def cmd_bench(args):
     max_n = int(args.max_n)
     if max_n < 8:
         raise ConfigError(f"--max-n must be at least 8, got {max_n}")
-    dense_grid = [n for n in (8, 12, 16, 20) if n <= max_n]
-    big_grid = [100, 1000, 10000]
+    dense = [n for n in (8, 12, 16, 20) if n <= max_n]
     rows = []
-    # Each regime builds its configuration once per n and times
-    # matrix_element and squared_matrix_element on it: the first call
-    # fills what the config derives, the timed calls read entries.
-
-    # Regime 1: identity transform, leading coefficient pinned to 1,
-    # sparse support. Normalization is a constant, elements cost one
-    # pass over the nonzeros regardless of n.
-    norm_t, el_t, sq_t = {}, {}, {}
-    for n in dense_grid + big_grid:
-        spec = _random_sparse(rng, n, nonzeros=8)
-        ident = Transform.identity()
-        i, j = _random_cell(rng, n), _random_cell(rng, n)
-        cfg = EstimatorConfig.linear(spec)
-        norm_t[n] = _time_call(lambda s=spec, t=ident: normalizer(t, s))
-        el_t[n] = _time_call(lambda a=i, b=j, c=cfg: matrix_element(a, b, c))
-        sq_t[n] = _time_call(lambda a=i, b=j, c=cfg: squared_matrix_element(a, b, c))
-    checks = [
-        _flat_check("normalization_constant_time", norm_t, 16.0),
-        _flat_check(
-            "element_time_independent_of_n",
-            {n: el_t[n] for n in big_grid},
-            4.0,
-        ),
-        _flat_check("squared_element_time_independent_of_n", {n: sq_t[n] for n in big_grid}, 4.0),
-    ]
-    rows.append(_bench_row("linear_sparse", ("O(1)", "O(nonzeros)", "O(nonzeros)"), norm_t, el_t, sq_t, checks))
-
-    # Regime 2: exponential base with per-coordinate weights (the
-    # weighted product kernel); everything closed-form in O(n).
-    norm_t, el_t, sq_t = {}, {}, {}
-    for n in dense_grid + big_grid:
-        w = rng.uniform(0.0, 1.0, size=n)
-        spec = ShrinkageSpec.single_interaction(w)
-        expo = Transform.exponential(2.0)
-        i, j = _random_cell(rng, n), _random_cell(rng, n)
-        cfg = EstimatorConfig.waak(w, 2.0)
-        norm_t[n] = _time_call(lambda s=spec, t=expo: normalizer(t, s))
-        el_t[n] = _time_call(lambda a=i, b=j, c=cfg: matrix_element(a, b, c))
-        sq_t[n] = _time_call(lambda a=i, b=j, c=cfg: squared_matrix_element(a, b, c))
-    big = big_grid[-1]
-    checks = [
-        _bound_check("normalization_under_10ms_at_n10000", norm_t[big], 10.0),
-        _bound_check("element_under_10ms_at_n10000", el_t[big], 10.0),
-        _bound_check("squared_element_under_10ms_at_n10000", sq_t[big], 10.0),
-    ]
-    rows.append(_bench_row("waak", ("O(n)", "O(n)", "O(n)"), norm_t, el_t, sq_t, checks))
-
-    # Regime 3: logistic transform over single-interaction weights.
-    # Normalization collapses to half the row length; squared elements
-    # need the dense pass.
-    norm_t, el_t, sq_t = {}, {}, {}
-    for n in dense_grid + big_grid:
-        w = rng.uniform(0.0, 1.0, size=n)
-        spec = ShrinkageSpec.single_interaction(w)
-        logi = Transform.logistic(3.0)
-        i, j = _random_cell(rng, n), _random_cell(rng, n)
-        cfg = EstimatorConfig.transformed(spec, logi)
-        norm_t[n] = _time_call(lambda s=spec, t=logi: normalizer(t, s))
-        el_t[n] = _time_call(lambda a=i, b=j, c=cfg: matrix_element(a, b, c))
-        if n in dense_grid:
-            sq_t[n] = _time_call(lambda a=i, b=j, c=cfg: squared_matrix_element(a, b, c))
-    checks = [_flat_check("normalization_constant_time", norm_t, 16.0)]
-    if len(dense_grid) >= 2:
-        checks.append(
-            _growth_check("squared_element_dense_growth", sq_t, dense_grid[-2], dense_grid[-1], 2.0)
-        )
-    rows.append(_bench_row("logistic_single_interaction", ("O(1)", "O(n)", "O(n 2^n)"), norm_t, el_t, sq_t, checks))
-
-    # Regime 4: no closed form (relu over sparse shrinkage); the
-    # normalizer pays the full dense transform, and an element is then
-    # one read of the row it summed.
-    norm_t, el_t, sq_t = {}, {}, {}
-    for n in dense_grid:
-        spec = _random_sparse(rng, n, nonzeros=8)
-        relu = Transform.relu()
-        i, j = _random_cell(rng, n), _random_cell(rng, n)
-        cfg = EstimatorConfig.transformed(spec, relu)
-        norm_t[n] = _time_call(lambda s=spec, t=relu: normalizer(t, s))
-        el_t[n] = _time_call(lambda a=i, b=j, c=cfg: matrix_element(a, b, c))
-        sq_t[n] = _time_call(lambda a=i, b=j, c=cfg: squared_matrix_element(a, b, c))
-    checks = [_flat_check("element_time_fixed_support", el_t, 4.0)]
-    if len(dense_grid) >= 2:
-        lo, hi = dense_grid[-2], dense_grid[-1]
-        checks.append(_growth_check("normalization_dense_growth", norm_t, lo, hi, 2.0))
-        checks.append(_growth_check("squared_element_dense_growth", sq_t, lo, hi, 2.0))
-    rows.append(_bench_row("general_no_closed_form", ("O(n 2^n)", "O(1)", "O(n 2^n)"), norm_t, el_t, sq_t, checks))
+    for regime, expected, big, build, checks in _REGIMES:
+        times = {quantity: {} for quantity in _QUANTITIES}
+        for n in dense + list(_BIG_SIZES if big else ()):
+            # A config is built once per n: the untimed first call fills
+            # what it derives, and the timed calls read entries.
+            spec, transform, cfg = build(rng, n)
+            i, j = _random_cell(rng, n), _random_cell(rng, n)
+            calls = (lambda: normalizer(transform, spec), lambda: matrix_element(i, j, cfg),
+                     lambda: squared_matrix_element(i, j, cfg))
+            for quantity, call in zip(_QUANTITIES, calls if n in dense else calls[:big]):
+                times[quantity][n] = _time_call(call)
+        rows.append({
+            "regime": regime,
+            "expected": dict(zip(_QUANTITIES, expected)),
+            "times_ms": {quantity: {str(n): t for n, t in ts.items()} for quantity, ts in times.items()},
+            "checks": [_check(name, times[quantity], kind, limit, dense) for name, quantity, kind, limit
+                       in checks if kind != "growth" or len(dense) >= 2],
+        })
 
     all_pass = all(check["pass"] for row in rows for check in row["checks"])
     report = _common_header("bench", None, int(args.seed))

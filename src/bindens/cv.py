@@ -76,7 +76,10 @@ def loo_term(k, config, counts):
     """Held-out estimate for observation k in canonical order.
 
     Matches rebuilding the counts without observation k and evaluating
-    the estimate at that observation's cell.
+    the estimate at that observation's cell. It can differ from a risk
+    report's loo_terms[k] in the last ulps: a non-uniform waak kernel
+    takes its one-row block's distance bits relative to that row, and the
+    risk's block relative to its first support cell.
     """
     _check_inputs(config, counts)
     k = _integer(k, "observation index", 0)

@@ -526,9 +526,10 @@ class EstimatorConfig:
         if self._hamming_route:
             return self._waak.quadratic(counts)
         if self.variant in _PROFILE_SQUARED:
-            # _spectrum refuses n > MAX_DENSE_N before any 2^n buffer.
+            # _spectrum refuses n > MAX_DENSE_N before any 2^n buffer; the
+            # norm is einsum's, as in xor_dot.
             terms = self._spectrum() * counts._spectrum
-            return math.ldexp(float(terms @ terms), -self.n)
+            return math.ldexp(float(np.einsum("i,i->", terms, terms)), -self.n)
         p = counts._counts / counts.total
         support = counts._packed
         return float(p @ self._squared_gram(support, support) @ p)
@@ -737,9 +738,13 @@ def _xor_gather(g, rows, cols):
 
 
 def xor_dot(v, x):
-    """sum_m v[m] * v[m ^ x] over the full index range of v: one Q @ Q entry."""
+    """sum_m v[m] * v[m ^ x] over the full index range of v: one Q @ Q entry.
+
+    The sum is einsum's: BLAS splits a dot over more than 10^4 values
+    across its threads, and the wait for them (about 8 ms at 2^16 values
+    on a 2-core machine) can dwarf the sum itself."""
     idx = np.arange(v.shape[0], dtype=np.int64) ^ np.int64(x)
-    return float(np.dot(v, v[idx]))
+    return float(np.einsum("i,i->", v, v[idx]))
 
 
 def _xor_dot_block(g, rows, cols):
@@ -841,9 +846,11 @@ class _WaakState:
 
     def quadratic(self, counts):
         """p' Q^2 p from the counts' pair histogram P: exp(log_sq_diag) *
-        sum_h P_h e^(-v_1 h) / N^2, whose sum holds P_0 >= N at h = 0."""
+        sum_h P_h e^(-v_1 h) / N^2, whose sum holds P_0 >= N at h = 0. The
+        sum is einsum's, which no BLAS thread can delay."""
         decay = _decay(float(self.squared_weights[0]), counts.n)
-        return math.exp(self.log_squared_diagonal) * (float(counts._pair_histogram @ decay) / counts.total**2)
+        weighted = float(np.einsum("i,i->", counts._pair_histogram, decay))
+        return math.exp(self.log_squared_diagonal) * (weighted / counts.total**2)
 
     def profile(self):
         """Q[1, m + 1] at every zero-based index m; 2^n entries."""

@@ -1710,11 +1710,14 @@ def test_float_array_refuses_with_the_entry_loop_message(raw):
 
 
 class TestBenchCommand:
-    def test_small_bench_passes(self, tmp_path):
+    # Growth checks compare the two largest dense sizes; below n=16 the
+    # per-call overhead outweighs the O(n 2^n) work they assert on. 20
+    # also runs the largest dense size, where a squared element is one dot
+    # product over 2^20 values.
+    @pytest.mark.parametrize("max_n", [16, 20])
+    def test_small_bench_passes(self, tmp_path, max_n):
         out = tmp_path / "bench.json"
-        # Growth checks compare the two largest dense sizes; below n=16 the
-        # per-call overhead outweighs the O(n 2^n) work they assert on.
-        code = main(["bench", "--out", str(out), "--max-n", "16"])
+        code = main(["bench", "--out", str(out), "--max-n", str(max_n)])
         report = _read_json(out)
         # Per regime: its expected (normalization, element, squared_element)
         # costs and its check names, in report order.
