@@ -32,7 +32,6 @@ from .estimators import (
     MAX_FULL_N,
     CountsVector,
     EstimatorConfig,
-    _PackedRows,
     counts_from_observations,
     estimate_at,
     estimate_full,
@@ -41,7 +40,7 @@ from .estimators import (
 )
 from .shrinkage import ShrinkageSpec
 from .transforms import Transform, normalizer
-from .walsh import _real, point_of_index
+from .walsh import _pack_bits, _real, _row_indexes, point_of_index
 
 REPORT_VERSION = 2
 
@@ -111,8 +110,8 @@ def _line_blocks(handle, size):
 
 class _Observations:
     """The rows of an observation file as its blocks are read: their sign
-    bits packed a block at a time (1 for -1, coordinate 1 in the lowest
-    bit of byte 0), and the set of row widths.
+    bits packed a block at a time as walsh packs cells (walsh._pack_bits),
+    and the set of row widths.
 
     Rows are packed while every row seen has one width; once two widths
     disagree, packing stops and the rest of the file is only decoded, so
@@ -136,7 +135,7 @@ class _Observations:
             self.packed = None
         elif self.packed is not None and len(bits):
             (width,) = self.widths
-            self.packed.append(np.packbits(bits.reshape(-1, width), axis=1, bitorder="little"))
+            self.packed.append(_pack_bits(bits.reshape(-1, width)))
 
     def add_rows(self, rows):
         """Append rows decoded token by token."""
@@ -282,7 +281,7 @@ def load_observations(path, encoding="signs", delimiter=",", header=False):
     if len(rows.widths) > 1:
         raise DataError(f"{path}: rows have inconsistent lengths {sorted(rows.widths)}")
     (width,) = rows.widths
-    return counts_from_observations(_PackedRows(width, np.concatenate(rows.packed)))
+    return counts_from_observations(np.concatenate(rows.packed), _n=width)
 
 
 def load_config(path):
@@ -548,19 +547,16 @@ def _is_pattern(text):
 
 def _pattern_items(patterns, n):
     """The parsed item of each sign pattern of length n, all decoded in
-    one frombuffer and packbits.
+    one frombuffer and one walsh._pack_bits.
 
-    Bit k of the zero-based index is set where coordinate k + 1 is '-'
-    (walsh.index_of_point); a '?' leaves its bit clear, at the '+' cell.
+    A '-' is a -1 coordinate, as in walsh.index_of_point; a '?' leaves its
+    bit clear, at the '+' cell.
     """
     if not patterns:
         return []
     signs = np.frombuffer("".join(patterns).encode("ascii"), dtype=np.uint8).reshape(len(patterns), n)
-    raw = np.packbits(signs == ord("-"), axis=1, bitorder="little").tobytes()
-    width = len(raw) // len(patterns)
     items = []
-    for k, item in enumerate(patterns):
-        cell = 1 + int.from_bytes(raw[k * width : (k + 1) * width], "little")
+    for item, cell in zip(patterns, _row_indexes(_pack_bits(signs == ord("-")))):
         pos = item.find("?")
         if pos < 0:
             items.append({"kind": "cell", "cell": cell, "label": item})
@@ -1085,8 +1081,8 @@ def _time_call(fn, repeats=5):
 
 
 def _random_cell(rng, n):
-    raw = rng.integers(0, 256, size=(n + 7) // 8, dtype=np.uint8).tobytes()
-    return (int.from_bytes(raw, "little") & ((1 << n) - 1)) + 1
+    raw = rng.integers(0, 256, size=(1, (n + 7) // 8), dtype=np.uint8)
+    return ((_row_indexes(raw)[0] - 1) & ((1 << n) - 1)) + 1
 
 
 def _random_sparse(rng, n, nonzeros):

@@ -76,10 +76,12 @@ def loo_term(k, config, counts):
     """Held-out estimate for observation k in canonical order.
 
     Matches rebuilding the counts without observation k and evaluating
-    the estimate at that observation's cell. It can differ from a risk
-    report's loo_terms[k] in the last ulps: a non-uniform waak kernel
-    takes its one-row block's distance bits relative to that row, and the
-    risk's block relative to its first support cell.
+    the estimate at that observation's cell. On a non-uniform waak kernel
+    it can differ from a risk report's loo_terms[k] in the last ulps, for
+    two causes: its one-row block takes distance bits relative to that
+    row, the risk's relative to the first support cell; and BLAS sums a
+    1-row and a K-row matrix product in different orders, so a shared
+    pivot still leaves most of the differences.
     """
     _check_inputs(config, counts)
     k = _integer(k, "observation index", 0)

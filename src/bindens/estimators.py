@@ -68,7 +68,6 @@ cells, and every estimate reuses the packed support.
 
 import math
 import sys
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -83,7 +82,8 @@ from .errors import (
 )
 from .shrinkage import DENSE, SINGLE_INTERACTION, ShrinkageSpec
 from .transforms import FWHT_GENERAL, Transform, _dense_values, _route, _summed_normalizer, apply, normalizer
-from .walsh import MAX_DENSE_N, _butterfly, _check_index, _integer, _items, _pairs, _real, as_point, fwht
+from .walsh import MAX_DENSE_N, _butterfly, _check_index, _index_rows, _integer, _items, _pack_bits, _pairs
+from .walsh import _real, _row_indexes, _unpack_bits, as_point, fwht
 
 __all__ = [
     "MAX_FULL_N",
@@ -123,7 +123,8 @@ class CountsVector:
     The observed cells (the support) are what every candidate kernel is
     evaluated on, so their kernel-core state is a private attribute of the
     counts, built on first use: _packed holds the support cells packed to
-    bits, and its hamming attribute the exact support x support Hamming
+    bits (counts_from_observations sets it to the rows it counted), and
+    its hamming attribute the exact support x support Hamming
     matrix, which every uniform-weight kernel (aa_classic, waak with all
     t_d equal) reads instead of computing its own distances, and
     _nearest and _pair_histogram what their leave-one-out risks derive
@@ -171,7 +172,7 @@ class CountsVector:
 
     @cached_property
     def _packed(self):
-        return _Cells([idx for idx, _ in self.cells], self.n)
+        return _as_cells([idx for idx, _ in self.cells], self.n)
 
     @cached_property
     def _counts(self):
@@ -221,41 +222,35 @@ class CountsVector:
         return out
 
 
-# Observation rows already packed to sign bits: n coordinates, and a
-# C-contiguous uint8 matrix with one row of (n + 7) // 8 bytes per
-# observation whose little-endian reading is its cell index minus one (bit
-# k set where coordinate k + 1 is -1). load_observations decodes a file
-# straight into this form.
-_PackedRows = namedtuple("_PackedRows", "n rows")
-
-
-def counts_from_observations(points):
+def counts_from_observations(points, *, _n=None):
     """Aggregate raw {-1,+1} observation rows into a CountsVector.
 
-    A 2-D numeric array is validated and packed to bits a block of rows at
-    a time, so no temporary as large as the array is made; any other
-    sequence of rows is validated row by row, as is an array with a bad
-    entry, to raise a DataError naming the first bad observation. Rows
-    given as _PackedRows are taken as they are. The distinct packed rows
-    are counted by one np.unique.
+    A 2-D numeric array is validated and packed (walsh._pack_bits) a block
+    of rows at a time, so no temporary as large as the array is made; any
+    other sequence of rows is validated row by row, as is an array with a
+    bad entry, to raise a DataError naming the first bad observation.
+    load_observations passes rows it packed, of _n bits each. One np.unique
+    counts the distinct rows, which become the counts' _packed support.
     """
-    if isinstance(points, _PackedRows):
-        n, packed = points
-    else:
-        arr, packed = points, None
-        if isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.size and arr.dtype.kind in "iuf":
-            packed = _packed_rows(arr)
+    if _n is None:
+        packed = None
+        if isinstance(points, np.ndarray) and points.ndim == 2 and points.size and points.dtype.kind in "iuf":
+            packed = _packed_rows(points)
         if packed is None:
-            arr = _checked_rows(points)
-            packed = _packed_rows(arr)
-        n = arr.shape[1]
-    # Rows compared as whole byte strings (one void item each); from_cells
-    # puts the distinct cells in ascending order.
+            points = _checked_rows(points)
+            packed = _packed_rows(points)
+        _n = points.shape[1]
+    else:
+        packed = points
+    # Rows compared as whole byte strings (one void item each), which
+    # sorts them bytewise; the support is kept in ascending index order.
     keys, counts = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_counts=True)
-    return CountsVector.from_cells(
-        n,
-        {1 + int.from_bytes(key.tobytes(), "little"): int(cnt) for key, cnt in zip(keys, counts)},
-    )
+    rows = keys.view(np.uint8).reshape(keys.size, -1)
+    cells = _row_indexes(rows)
+    order = sorted(range(len(cells)), key=cells.__getitem__)
+    out = CountsVector(n=_n, total=int(counts.sum()), cells=tuple((cells[k], int(counts[k])) for k in order))
+    object.__setattr__(out, "_packed", _Cells(rows[order]))
+    return out
 
 
 # Rows validated and packed per block: about this many entries at a time.
@@ -263,18 +258,16 @@ _PACK_BLOCK_ENTRIES = 1 << 20
 
 
 def _packed_rows(arr):
-    """A 2-D array of +-1 as the rows of _PackedRows; None when an entry
-    is not +-1."""
-    n_rows, n = arr.shape
-    packed = np.empty((n_rows, (n + 7) // 8), dtype=np.uint8)
-    step = max(1, _PACK_BLOCK_ENTRIES // n)
-    for start in range(0, n_rows, step):
+    """A 2-D array of +-1 packed to sign bits a block of rows at a time;
+    None when an entry is not +-1."""
+    step = max(1, _PACK_BLOCK_ENTRIES // arr.shape[1])
+    blocks = []
+    for start in range(0, arr.shape[0], step):
         block = arr[start : start + step]
         if not np.all(np.abs(block) == 1):
             return None
-        # Little-endian bits put coordinate 1 in the lowest bit of byte 0.
-        packed[start : start + step] = np.packbits(block < 0, axis=1, bitorder="little")
-    return packed
+        blocks.append(_pack_bits(block < 0))
+    return np.concatenate(blocks)
 
 
 def _checked_rows(points):
@@ -619,16 +612,15 @@ _MIN_WIDTH = 256
 
 
 class _Cells:
-    """Zero-based cell indexes as little-endian bits: one row of bytes per
-    cell, also viewed as 64-bit words (word 0 is the whole index for n <= 64)."""
+    """Rows of packed cells (walsh._pack_bits) zero-padded to whole 64-bit
+    words: one row of bytes per cell, also viewed as little-endian words
+    (word 0 is the whole zero-based index for n <= 64)."""
 
-    def __init__(self, cells, n):
-        cells = [_check_index(cell, n) for cell in cells]
-        self.size = len(cells)
-        nbytes = 8 * max(1, (n + 63) // 64)
-        raw = b"".join((cell - 1).to_bytes(nbytes, "little") for cell in cells)
-        self.bytes = np.frombuffer(raw, dtype=np.uint8).reshape(self.size, nbytes)
-        self.words = self.bytes.view(np.uint64)
+    def __init__(self, rows):
+        self.size, width = rows.shape
+        self.bytes = np.zeros((self.size, -(-width // 8) * 8), dtype=np.uint8)
+        self.bytes[:, :width] = rows
+        self.words = self.bytes.view("<u8")
 
     @cached_property
     def hamming(self):
@@ -640,12 +632,12 @@ class _Cells:
         index XOR the pivot's bytes, as 0/1 floats."""
         span = slice(start // 8, (stop + 7) // 8)
         chunk = self.bytes[:, span] ^ pivot[:, span]
-        return np.unpackbits(chunk, axis=1, bitorder="little")[:, : stop - start].astype(np.float64)
+        return _unpack_bits(chunk, stop - start).astype(np.float64)
 
 
 def _as_cells(cells, n):
-    """A list of cells packed; cells already packed pass through."""
-    return cells if isinstance(cells, _Cells) else _Cells(cells, n)
+    """Cell indexes checked and packed (walsh._index_rows); packed cells pass through."""
+    return cells if isinstance(cells, _Cells) else _Cells(_index_rows(cells, n))
 
 
 def _cell_pair(rows, cols, n):
@@ -677,7 +669,7 @@ def _float_distance(rows, cols, weights):
     only coordinates where a cell differs from that pivot, so cells near
     it keep distances accurate to a few ulps however large sum(weights).
     The distance between equal cells, which those ulps would leave
-    nonzero, is set to exactly 0 (_equal_pairs).
+    nonzero, is set to exactly 0 where the Hamming distance is 0.
     """
     n = weights.size
     width = max(_MIN_WIDTH, _BLOCK_ENTRIES // max(rows.size, cols.size, 1) // 8 * 8)
@@ -690,22 +682,8 @@ def _float_distance(rows, cols, weights):
         bc = br if cols is rows else cols.bits(start, stop, pivot)
         wr = br * w
         out += wr.sum(axis=1)[:, None] + (bc @ w)[None, :] - 2.0 * (wr @ bc.T)
-    out[_equal_pairs(rows, cols)] = 0.0
+    out[(rows.hamming if cols is rows else _hamming(rows, cols)) == 0] = 0.0
     return out
-
-
-def _equal_pairs(rows, cols):
-    """Row and column positions of every pair of equal cells, found by
-    looking each row cell's bytes up among the column cells'."""
-    at = {}
-    for c, key in enumerate(cols.bytes):
-        at.setdefault(key.tobytes(), []).append(c)
-    row_pos, col_pos = [], []
-    for r, key in enumerate(rows.bytes):
-        for c in at.get(key.tobytes(), ()):
-            row_pos.append(r)
-            col_pos.append(c)
-    return row_pos, col_pos
 
 
 def _hamming(rows, cols):
@@ -775,7 +753,7 @@ class _ParityFeatures:
         else:
             items = shrinkage.nonzero_items()
             self.values = np.array([val for _, val in items], dtype=np.float64)
-            keys = _Cells([idx for idx, _ in items], self.n).words
+            keys = _as_cells([idx for idx, _ in items], self.n).words
             used = np.flatnonzero(keys.any(axis=0))
             self.span = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
             self.keys = keys[:, self.span]
@@ -1036,7 +1014,7 @@ def estimate_at(cells, config, counts):
         raise ValueError("at least one query cell is required")
     step = max(1, _BLOCK_ENTRIES // counts._packed.size)
     parts = [
-        _smoothed(config, counts, _Cells(cell_list[start : start + step], config.n))
+        _smoothed(config, counts, _as_cells(cell_list[start : start + step], config.n))
         for start in range(0, len(cell_list), step)
     ]
     values = np.concatenate([np.exp(scale) * ratio for scale, ratio in parts])

@@ -9,6 +9,11 @@ zero-based indexes, and the sign pattern of coordinate k sits in column
 precision) integers at any dimension; only the transform itself
 allocates 2^n-sized buffers. The transform is a numpy butterfly: n
 passes, each one vectorized add and subtract over the whole vector.
+
+Only this module packs cells: a cell is a row of ceil(n/8) bytes whose
+little-endian reading is its zero-based index, made and read by
+_pack_bits ("is -1" rows), _row_indexes (rows to indexes), _index_rows
+(indexes to rows) and _unpack_bits (rows to bits).
 """
 
 import math
@@ -103,19 +108,38 @@ def as_point(x):
 
 def index_of_point(x):
     """1-based cell index of a {-1,+1} point (+1 -> bit 0, -1 -> bit 1)."""
-    signs = as_point(x)
-    bits = signs < 0
-    raw = np.packbits(bits, bitorder="little").tobytes()
-    return 1 + int.from_bytes(raw, "little")
+    return _row_indexes(_pack_bits(as_point(x)[None] < 0))[0]
 
 
 def point_of_index(j, n):
     """Sign vector of cell j in dimension n; inverse of index_of_point."""
     n = _integer(n, "dimension")
-    j = _check_index(j, n)
-    raw = np.frombuffer((j - 1).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[:n]
+    bits = _unpack_bits(_index_rows([j], n), n)[0]
     return np.where(bits == 1, -1, 1).astype(np.int8)
+
+
+def _pack_bits(minus):
+    """Rows of a 2-D boolean array, True where a coordinate is -1, as packed cells."""
+    return np.packbits(minus, axis=1, bitorder="little")
+
+
+def _row_indexes(rows):
+    """The 1-based cell index of each packed row of a 2-D uint8 array."""
+    raw, width = rows.tobytes(), rows.shape[1]
+    return [1 + int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+
+
+def _index_rows(cells, n):
+    """1-based cell indexes in dimension n, each checked by _check_index,
+    as a read-only uint8 array of packed rows of ceil(n/8) bytes."""
+    width = (n + 7) // 8
+    raw = b"".join((_check_index(cell, n) - 1).to_bytes(width, "little") for cell in cells)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(cells), width)
+
+
+def _unpack_bits(rows, count):
+    """Bits 0..count-1 of each row of packed bytes, as uint8 0/1 rows."""
+    return np.unpackbits(rows, axis=1, count=count, bitorder="little")
 
 
 def walsh_entry(row, col, n):

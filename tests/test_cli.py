@@ -25,7 +25,7 @@ from bindens import (
     index_of_point,
     kl_risk,
 )
-from bindens import cli, cv, estimators
+from bindens import cli, cv
 from bindens.cli import _parse_decimal, load_observations, main, parse_cells_spec
 from bindens.errors import ConfigError, DataError
 
@@ -391,15 +391,15 @@ class TestLoadObservations:
         calls = []
         real = cli.counts_from_observations
 
-        def counted(points):
-            calls.append((type(points), points.n, points.rows.dtype, points.rows.shape))
-            return real(points)
+        def counted(points, **packed):
+            calls.append((packed, points.dtype, points.shape))
+            return real(points, **packed)
 
         monkeypatch.setattr(cli, "counts_from_observations", counted)
         p = tmp_path / "d.csv"
         p.write_text(text)
         counts = load_observations(p)
-        assert calls == [(estimators._PackedRows, 2, np.uint8, (counts.total, 1))]
+        assert calls == [({"_n": 2}, np.uint8, (counts.total, 1))]
 
 
 def _token_loop_counts(path, encoding="signs", delimiter=",", header=False):

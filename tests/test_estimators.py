@@ -776,9 +776,9 @@ class TestDistanceRoutes:
         rng = np.random.default_rng(n)
         rows = _clustered_cells(rng, n, 9)
         cols = _clustered_cells(rng, n, 5) + rows[:2]
-        packed = estimators._Cells(rows, n)
+        packed = estimators._as_cells(rows, n)
         got_self = packed.hamming
-        got_cross = estimators._hamming(packed, estimators._Cells(cols, n))
+        got_cross = estimators._hamming(packed, estimators._as_cells(cols, n))
         for got, col_cells in ((got_self, rows), (got_cross, cols)):
             want = [[((r - 1) ^ (c - 1)).bit_count() for c in col_cells] for r in rows]
             assert got.tolist() == want
@@ -786,8 +786,8 @@ class TestDistanceRoutes:
     @pytest.mark.parametrize("n", [16, 1000, 10_000])
     def test_uniform_route_agrees_with_float_route(self, n):
         rng = np.random.default_rng(n + 1)
-        support = estimators._Cells(_clustered_cells(rng, n, 12), n)
-        queries = estimators._Cells(_clustered_cells(rng, n, 5), n)
+        support = estimators._as_cells(_clustered_cells(rng, n, 12), n)
+        queries = estimators._as_cells(_clustered_cells(rng, n, 5), n)
         weights = np.full(n, 0.8 * math.log(3.0))
         for rows, cols in ((support, support), (queries, support)):
             exact = estimators._weighted_distance(rows, cols, weights)
@@ -821,7 +821,7 @@ class TestDistanceRoutes:
 
     def test_hamming_blocks_its_temporaries(self):
         n, k = 10_000, 300
-        cells = estimators._Cells(_clustered_cells(np.random.default_rng(53), n, k), n)
+        cells = estimators._as_cells(_clustered_cells(np.random.default_rng(53), n, k), n)
         words = cells.words.shape[1]
         gc.collect()
         tracemalloc.start()
