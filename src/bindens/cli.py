@@ -632,26 +632,28 @@ def _json_safe(x):
 _ARRAY_MARK = "\x00ndarray"
 
 
-# Shorter float arrays go through repr, at about 1 us a value. The vector
-# route (floattext) takes about 0.3 us a value plus 0.4 ms of numpy calls
-# per array, and the first array of a process also pays about 5 ms to
-# compile floattext and build its tables: they cross near 8000 values.
+# Shorter float arrays go through repr, at about 0.9 us a value. The vector
+# route (floattext) takes about 0.2 us a value, and the first array of a
+# process also pays about 6.5 ms, most of it to compile floattext and build
+# its tables: in a forked child without a bytecode cache 8192 values take
+# 7.6 ms through repr and 8.0 ms through floattext, and they cross near
+# 8700 values.
 _VECTOR_MIN_VALUES = 8192
 
 
 def _float_array_text(values, indent):
     """A 1-D float64 array as json.dumps(values.tolist(), indent=2) writes it
-    at a line indented by indent spaces, in pieces."""
+    at a line indented by indent spaces, in pieces of ASCII bytes."""
     if values.size == 0:
-        yield "[]"
+        yield b"[]"
         return
     inner = " " * (indent + 2)
-    yield "[\n" + inner
+    yield ("[\n" + inner).encode()
     bits = values.view(np.uint64)
     if np.all(bits == bits[0]):
         # One value repeated, as a shared-grid weight vector is, takes one
         # repr. Bitwise equality keeps -0.0 beside 0.0 apart.
-        yield (",\n" + inner).join([json.dumps(float(values[0]))] * values.size)
+        yield (",\n" + inner).join([json.dumps(float(values[0]))] * values.size).encode()
     elif values.size >= _VECTOR_MIN_VALUES:
         from .floattext import array_text
 
@@ -660,8 +662,8 @@ def _float_array_text(values, indent):
         # A list's repr joins float.__repr__ with ", ", as json does with its
         # separator; json spells repr's nan, inf and -inf NaN, Infinity and -Infinity.
         text = repr(values.tolist())[1:-1].replace(", ", ",\n" + inner)
-        yield text.replace("nan", "NaN").replace("inf", "Infinity")
-    yield "\n" + " " * indent + "]"
+        yield text.replace("nan", "NaN").replace("inf", "Infinity").encode()
+    yield ("\n" + " " * indent + "]").encode()
 
 
 def write_report(path, payload):
@@ -686,13 +688,14 @@ def write_report(path, payload):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(prefix=".bindens-", suffix=".tmp", dir=directory)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(pieces[0])
+        # json.dumps escapes every non-ASCII character, so the text is ASCII.
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(pieces[0].encode())
             for head, values, tail in zip(pieces, arrays, pieces[1:]):
                 line = head[head.rfind("\n") + 1 :]
                 handle.writelines(_float_array_text(values, len(line) - len(line.lstrip(" "))))
-                handle.write(tail)
-            handle.write("\n")
+                handle.write(tail.encode())
+            handle.write(b"\n")
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

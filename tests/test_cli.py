@@ -698,11 +698,29 @@ class TestWriteReport:
             cli.write_report(out, {"text": "\x00ndarray", "values": np.zeros(2)})
 
 
-@pytest.mark.parametrize("n, limit_mb", [(16, 5.5), (20, 8.0)])
+def test_vector_route_is_imported_only_for_long_vectors(tmp_path):
+    """Compiling floattext costs every command that imports it several ms, so
+    cli imports it only when a report holds a long float vector."""
+    script = """
+import sys
+import numpy as np
+import bindens.cli as cli
+assert "bindens.floattext" not in sys.modules
+cli.write_report(sys.argv[1], {"values": np.arange(cli._VECTOR_MIN_VALUES - 1) / 3})
+assert "bindens.floattext" not in sys.modules
+cli.write_report(sys.argv[1], {"values": np.arange(cli._VECTOR_MIN_VALUES) / 3})
+assert "bindens.floattext" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "r.json")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n, limit_mb", [(16, 3.0), (20, 3.0)])
 def test_write_report_memory_stays_in_blocks(tmp_path, n, limit_mb):
-    """A full vector's text is written as it is made, block by block: the
-    peak stays near one block's temporaries, where the list repr formats,
-    its text and that text's copies took 87.5 MB at n = 20."""
+    """A full vector's text is written as it is made, block by block, in one
+    set of working arrays: the peak, 2.58 MiB at either n, stays that of one
+    block (3.0 MiB leaves 16 % for numpy's allocations), where the list repr
+    formats, its text and that text's copies took 87.5 MB at n = 20."""
     values = np.random.default_rng(n).random(1 << n) / (1 << n)
     assert values.size >= cli._VECTOR_MIN_VALUES
     payload = {"estimate": {"full": True, "values": values, "sum": 1.0}}

@@ -21,9 +21,13 @@ def _from_bits(bits):
     return np.asarray(bits, dtype=np.uint64).view(np.float64)
 
 
+def _text(values, separator):
+    return b"".join(floattext.array_text(values, separator)).decode("ascii")
+
+
 def _assert_matches_json(values):
     values = np.ascontiguousarray(values, dtype=np.float64)
-    got = "".join(floattext.array_text(values, ", "))
+    got = _text(values, ", ")
     want = json.dumps(values.tolist())[1:-1]
     if got != want:
         for value, mine, theirs in zip(values.tolist(), got.split(", "), want.split(", ")):
@@ -37,6 +41,46 @@ def _binade_bits():
     exponents = np.arange(2047, dtype=np.uint64) << np.uint64(52)
     fields = np.array([0, 1, _ALL_ONES - 1, _ALL_ONES], dtype=np.uint64)
     return (exponents[:, None] | fields).ravel()
+
+
+def _ordinary(rng, size):
+    """Normal doubles of any sign, exponent and nonzero fraction: blocks of
+    them take none of the rare-case passes."""
+    sign = rng.integers(0, 2, size=size, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(1, 2047, size=size, dtype=np.uint64) << np.uint64(52)
+    return _from_bits(sign | exponent | rng.integers(1, 1 << 52, size=size, dtype=np.uint64))
+
+
+def test_blocks_of_ordinary_values():
+    rng = np.random.default_rng(8)
+    _assert_matches_json(_ordinary(rng, 8 * floattext.BLOCK))
+    # Positive values near 2^-16, as in a full estimate at n = 16.
+    _assert_matches_json(rng.random(4 * floattext.BLOCK) * 2.0**-15)
+
+
+_RARE = {
+    "subnormal": 2.5e-320,
+    "least subnormal": 5e-324,
+    "power of two": 2.0**-30,
+    "integer": 9007199254740990.0,
+    "zero": 0.0,
+    "negative zero": -0.0,
+    "nan": math.nan,
+    "infinity": math.inf,
+    "negative infinity": -math.inf,
+}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("kind", list(_RARE))
+def test_one_rare_value_in_a_block(kind, where):
+    """Two full blocks and a short one: the first holds only ordinary values,
+    the second and the short last one each one rare value."""
+    block = floattext.BLOCK
+    values = _ordinary(np.random.default_rng(len(kind)), 2 * block + block // 3)
+    for start, size in ((block, block), (2 * block, block // 3)):
+        values[start + {"first": 0, "middle": size // 2, "last": size - 1}[where]] = _RARE[kind]
+    _assert_matches_json(values)
 
 
 def test_random_bit_patterns():
@@ -56,12 +100,12 @@ def test_subnormals():
     ).astype(np.uint64)
     _assert_matches_json(_from_bits(fields))
     tiny = np.array([5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308])
-    assert "".join(floattext.array_text(tiny, " ")) == "5e-324 1e-323 2.225073858507201e-308 2.2250738585072014e-308"
+    assert _text(tiny, " ") == "5e-324 1e-323 2.225073858507201e-308 2.2250738585072014e-308"
 
 
 def test_both_sides_of_the_format_switches():
     edges = np.array([9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e16])
-    assert "".join(floattext.array_text(edges, " ")) == "9.999999999999999e-05 0.0001 9999999999999998.0 1e+16"
+    assert _text(edges, " ") == "9.999999999999999e-05 0.0001 9999999999999998.0 1e+16"
     # A few doubles on either side of every power of ten a double reaches.
     powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
     steps = np.arange(-4, 5)[:, None]
@@ -90,8 +134,8 @@ def test_integral_values():
 
 def test_signed_zeros_and_non_finite_values():
     special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, -math.nan, 1.5, -2.5e-300])
-    assert "".join(floattext.array_text(special, " ")) == "0.0 -0.0 NaN Infinity -Infinity NaN 1.5 -2.5e-300"
-    assert "".join(floattext.array_text(special[:6], " ")) == "0.0 -0.0 NaN Infinity -Infinity NaN"
+    assert _text(special, " ") == "0.0 -0.0 NaN Infinity -Infinity NaN 1.5 -2.5e-300"
+    assert _text(special[:6], " ") == "0.0 -0.0 NaN Infinity -Infinity NaN"
     _assert_matches_json(np.tile(special, 1000))
 
 
@@ -99,9 +143,9 @@ def test_signed_zeros_and_non_finite_values():
 def test_blocks_join_with_the_separator(monkeypatch, size):
     monkeypatch.setattr(floattext, "BLOCK", 7)
     values = np.random.default_rng(size).standard_normal(size) * 10.0 ** np.arange(size)
-    pieces = list(floattext.array_text(values, ",\n    "))
+    pieces = [bytes(piece) for piece in floattext.array_text(values, ",\n    ")]
     assert len(pieces) == -(-size // 7)
-    assert "".join(pieces) == ",\n    ".join(map(repr, values.tolist()))
+    assert b"".join(pieces).decode("ascii") == ",\n    ".join(map(repr, values.tolist()))
 
 
 def _floor_log(base, value):
