@@ -39,7 +39,7 @@ from .estimators import (
     squared_matrix_element,
 )
 from .shrinkage import ShrinkageSpec
-from .transforms import Transform, normalizer
+from .transforms import _PARAMETERS, Transform, normalizer
 from .walsh import _pack_bits, _real, _row_indexes, point_of_index
 
 REPORT_VERSION = 2
@@ -446,23 +446,12 @@ def shrinkage_to_dict(spec):
     return {"form": "single_interaction", "w": spec.w}
 
 
-_TRANSFORM_FIELDS = {
-    "identity": (),
-    "exponential": ("gamma",),
-    "logistic": ("gamma",),
-    "step": ("threshold", "low", "high"),
-    "relu": (),
-    "tanh": ("scale",),
-    "elu": ("alpha",),
-}
-
-
 def transform_from_dict(d):
     kind = _require(d, "kind", "transform")
-    if not isinstance(kind, str) or kind not in _TRANSFORM_FIELDS:
-        raise ConfigError(f"unknown transform kind {kind!r}; expected one of {sorted(_TRANSFORM_FIELDS)}")
+    if not isinstance(kind, str) or kind not in _PARAMETERS:
+        raise ConfigError(f"unknown transform kind {kind!r}; expected one of {sorted(_PARAMETERS)}")
     kwargs = {}
-    for name in _TRANSFORM_FIELDS[kind]:
+    for name in _PARAMETERS[kind]:
         kwargs[name] = _number(_require(d, name, f"{kind} transform"), f"{kind} transform {name}")
     try:
         return Transform(kind=kind, **kwargs)
@@ -472,7 +461,7 @@ def transform_from_dict(d):
 
 def transform_to_dict(transform):
     out = {"kind": transform.kind}
-    for name in _TRANSFORM_FIELDS[transform.kind]:
+    for name in _PARAMETERS[transform.kind]:
         out[name] = getattr(transform, name)
     return out
 

@@ -21,11 +21,15 @@ estimate, leave-one-out risk and matrix_element goes through it. A
 kernel whose Z has no closed form sums its dense row for Z (n <= 30) and
 reads every entry from that row, as a dense-shrinkage kernel does, so
 its Z, full estimate and single entries are one set of numbers; other
-blocks cost O(#nonzero(b)) or O(n) per entry with no 2^n buffer. Q @ Q
-of a transformed or mixture kernel needs the dense profile, so a single
-entry of it is xor_dot, one gather and dot over the profile. The core's
-quadratic form p' Q^2 p instead reads the kernel's Walsh diagonal s,
-with Q = W diag(s) W / 2^n (n <= 30): it is ||s * fwht(p)||^2 / 2^n.
+blocks cost O(#nonzero(b)) or O(n) per entry with no 2^n buffer.
+
+Q @ Q takes one of two routes. Waak, aa_classic and sparse linear
+kernels have its entries in closed form at any n (_squared_gram). A
+kernel read from a dense row (linear over dense shrinkage, transformed,
+mixture) takes every Q @ Q quantity from that row and its Walsh
+diagonal s, with Q = W diag(s) W / 2^n and so Q @ Q = W diag(s^2) W /
+2^n (n <= 30): a single entry is xor_dot, one gather and dot over the
+row, and the core's quadratic form p' Q^2 p is ||s * fwht(p)||^2 / 2^n.
 s is b for a linear kernel and a product of tanh(t_d) for waak and
 aa_classic, both in closed form; a transformed kernel keeps one
 transform of its row, and a mixture sums its components' diagonals.
@@ -82,7 +86,7 @@ from .errors import (
 )
 from .shrinkage import DENSE, SINGLE_INTERACTION, ShrinkageSpec
 from .transforms import FWHT_GENERAL, Transform, _dense_values, _route, _summed_normalizer, apply, normalizer
-from .walsh import MAX_DENSE_N, _butterfly, _check_index, _index_rows, _integer, _items, _pack_bits, _pairs
+from .walsh import _butterfly, _check_index, _dense_size, _index_rows, _integer, _items, _pack_bits, _pairs
 from .walsh import _real, _row_indexes, _unpack_bits, as_point, fwht
 
 __all__ = [
@@ -130,7 +134,7 @@ class CountsVector:
     _nearest and _pair_histogram what their leave-one-out risks derive
     from it.
     _spectrum holds fwht(p) of the empirical weights, which the SE
-    quadratic of every transformed or mixture kernel and every full
+    quadratic of every kernel read from a dense row and every full
     estimate multiply by the kernel's Walsh diagonal (n <= 30), and
     _counts the support's counts as floats, which every risk and
     estimate multiplies kernel blocks by.
@@ -211,13 +215,9 @@ class CountsVector:
 
     def to_dense(self):
         """Full empirical weight vector p with p[j-1] = count_j / total."""
-        if self.n > MAX_DENSE_N:
-            raise CapacityError(
-                f"cannot materialize 2^{self.n} cell weights (limit n={MAX_DENSE_N})"
-            )
-        out = np.zeros(1 << self.n)
-        # Word 0 is the whole zero-based index at n <= MAX_DENSE_N; the
-        # division is the IEEE one that cnt / total makes per cell.
+        out = np.zeros(_dense_size(self.n, "a dense weight vector"))
+        # Word 0 is the whole zero-based index at any n _dense_size admits;
+        # the division is the IEEE one that cnt / total makes per cell.
         out[self._packed.words[:, 0]] = self._counts / self.total
         return out
 
@@ -344,9 +344,6 @@ def _validate_components(components):
 # Variants evaluated by the log-space product-form kernel.
 _WAAK = ("waak", "aa_classic")
 
-# Variants whose Q @ Q is built from the dense profile.
-_PROFILE_SQUARED = ("transformed", "mixture")
-
 
 @dataclass(frozen=True, eq=False)
 class EstimatorConfig:
@@ -356,12 +353,15 @@ class EstimatorConfig:
     (parity features, waak log state, normalizer, dense row, a
     transformed kernel's Walsh diagonal) is a private attribute built on
     first use and kept by the instance, so it lives exactly as long as
-    the configuration. The private _gram and _squared_gram fill Q and
-    Q @ Q on two lists of cells, either of which may be a CountsVector's
-    packed support; every estimate, risk and matrix_element goes through
-    them, and _quadratic gives the SE risk its p' Q^2 p for a
-    CountsVector's weights p. A kernel that sums its dense row for Z
-    reads its Q entries from that row.
+    the configuration. The private _gram fills Q on two lists of cells,
+    either of which may be a CountsVector's packed support; every
+    estimate, risk and matrix_element goes through it. Q @ Q takes one
+    of two routes: _squared_gram fills it in closed form for waak,
+    aa_classic and sparse linear kernels, and a kernel read from a dense
+    row (_squares_from_row) takes it from that row and its Walsh
+    diagonal, as xor_dot for one entry. _quadratic gives the SE risk its
+    p' Q^2 p for a CountsVector's weights p on either route. A kernel
+    that sums its dense row for Z reads its Q entries from that row.
     """
 
     variant: str
@@ -466,6 +466,12 @@ class EstimatorConfig:
         return _positive(normalizer(transform, self.shrinkage))
 
     @property
+    def _squares_from_row(self):
+        """True for a kernel whose Q @ Q is read from its dense row and
+        Walsh diagonal: linear over dense shrinkage, transformed, mixture."""
+        return self.variant in ("transformed", "mixture") or self.shrinkage.form == DENSE
+
+    @property
     def _summed_route(self):
         """True for a transformed kernel whose Z has no closed form."""
         return self.variant == "transformed" and _route(self.transform, self.shrinkage) == FWHT_GENERAL
@@ -505,22 +511,22 @@ class EstimatorConfig:
     def _quadratic(self, counts):
         """p' (Q @ Q) p for the empirical weights p of counts.
 
-        Q @ Q of a transformed or mixture kernel has no entrywise shortcut.
-        Q = W diag(s) W / 2^n with s its Walsh diagonal (_spectrum), so
-        Q p = W (s * fwht(p)) / 2^n and p' Q^2 p = ||s * fwht(p)||^2 / 2^n:
-        a product of two 2^n vectors, of which the counts keep fwht(p) and
-        each kernel keeps or rebuilds its s, with no transform per
-        candidate. A norm keeps full relative accuracy, which single
-        Q @ Q entries built by transforms would not on the far entries of
-        a peaked kernel. A uniform-weight kernel reads the counts' pair
-        histogram (_WaakState.quadratic); other kernels sum a support x
-        support block of Q @ Q.
+        A kernel read from a dense row (_squares_from_row) has Q = W
+        diag(s) W / 2^n with s its Walsh diagonal (_spectrum), so p' Q^2 p
+        = ||s * fwht(p)||^2 / 2^n: a product of two 2^n vectors, of which
+        the counts keep fwht(p) and each kernel keeps or rebuilds its s,
+        with no transform per candidate. A norm keeps full relative
+        accuracy, which single Q @ Q entries built by transforms would not
+        on the far entries of a peaked kernel (squared_matrix_element
+        takes those as xor_dot). A uniform-weight kernel reads the counts'
+        pair histogram (_WaakState.quadratic); other waak, aa_classic and
+        sparse linear kernels sum a support x support block of
+        _squared_gram.
         """
         if self._hamming_route:
             return self._waak.quadratic(counts)
-        if self.variant in _PROFILE_SQUARED:
-            # _spectrum refuses n > MAX_DENSE_N before any 2^n buffer; the
-            # norm is einsum's, as in xor_dot.
+        if self._squares_from_row:
+            # The norm is einsum's, as in xor_dot.
             terms = self._spectrum() * counts._spectrum
             return math.ldexp(float(np.einsum("i,i->", terms, terms)), -self.n)
         p = counts._counts / counts.total
@@ -528,17 +534,12 @@ class EstimatorConfig:
         return float(p @ self._squared_gram(support, support) @ p)
 
     def _squared_gram(self, rows, cols):
-        """(Q @ Q)[r, c] for every cell r in rows and c in cols, as an array."""
+        """(Q @ Q)[r, c] for every cell r in rows and c in cols, as an
+        array, in closed form at any n, for waak, aa_classic and sparse
+        linear kernels only (the last as W diag(b * b) W / 2^n)."""
         rows, cols = _cell_pair(rows, cols, self.n)
         if self.variant in _WAAK:
             return self._waak.squared_gram(rows, cols)
-        if self.variant in _PROFILE_SQUARED:
-            # Squares mix entries across a whole row, so single entries take
-            # one xor_dot over the dense profile; quadratic forms over many
-            # cells go through _quadratic instead.
-            return _xor_dot_block(self._profile(), rows, cols)
-        if self.shrinkage.form == DENSE:
-            return _xor_gather(self._squared_row, rows, cols)
         return np.ldexp(self._features.signed_sums(rows, cols, self._features.squared_values), -self.n)
 
     def _profile(self):
@@ -548,10 +549,6 @@ class EstimatorConfig:
         on every call and keeps none, so a search over mixture weights
         holds one row per component rather than one per candidate.
         """
-        if self.n > MAX_DENSE_N:
-            raise CapacityError(
-                f"dense kernel row needs a 2^{self.n} buffer (limit n={MAX_DENSE_N})"
-            )
         if self.variant == "mixture":
             return sum(c * cfg._profile() for c, cfg in self.components)
         return self._row
@@ -576,10 +573,6 @@ class EstimatorConfig:
         transformed kernel keeps the one transform of its row. A mixture
         sums its components' diagonals on every call and keeps none.
         """
-        if self.n > MAX_DENSE_N:
-            raise CapacityError(
-                f"Walsh diagonal needs a 2^{self.n} buffer (limit n={MAX_DENSE_N})"
-            )
         if self.variant == "mixture":
             return sum(c * cfg._spectrum() for c, cfg in self.components)
         if self.variant == "linear":
@@ -591,12 +584,6 @@ class EstimatorConfig:
     @cached_property
     def _row_spectrum(self):
         return fwht(self._row)
-
-    @cached_property
-    def _squared_row(self):
-        """fwht(b * b) / 2^n: the Q @ Q row of a dense linear kernel."""
-        dense = self.shrinkage.to_dense()
-        return fwht(dense * dense) * math.ldexp(1.0, -self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -725,16 +712,6 @@ def xor_dot(v, x):
     return float(np.einsum("i,i->", v, v[idx]))
 
 
-def _xor_dot_block(g, rows, cols):
-    """sum_m g[m] g[m ^ x] at every XOR x of a row and a column index."""
-    r, c = rows.words[:, 0], cols.words[:, 0]
-    out = np.empty((r.size, c.size))
-    for a in range(r.size):
-        for b in range(c.size):
-            out[a, b] = xor_dot(g, int(r[a] ^ c[b]))
-    return out
-
-
 class _ParityFeatures:
     """Nonzero shrinkage entries b_k as parity features of the cells.
 
@@ -832,6 +809,7 @@ class _WaakState:
 
     def profile(self):
         """Q[1, m + 1] at every zero-based index m; 2^n entries."""
+        _dense_size(self.t.size, "a dense kernel row")
         distance = np.zeros(1)
         for td in self.t:  # index bit d is coordinate d
             distance = np.concatenate([distance, distance + td])
@@ -842,6 +820,7 @@ class _WaakState:
         of each index, as coordinate d's two entries e^(+-t_d) / (e^t_d +
         e^-t_d) have sum 1 and difference tanh(t_d). Nonnegative, since
         t >= 0: the kernel is positive semidefinite."""
+        _dense_size(self.t.size, "a Walsh diagonal")
         out = np.ones(1)
         for factor in np.tanh(self.t):  # index bit d is coordinate d
             out = np.concatenate([out, out * factor])
@@ -906,21 +885,23 @@ def _check_config(config):
         raise ConfigError("expected an EstimatorConfig")
 
 
-def _entry(config, i, j, squared=False):
-    """One entry of Q or Q @ Q: the K=1 block of the core."""
-    _check_config(config)
-    block = config._squared_gram if squared else config._gram
-    return float(block([i], [j])[0, 0])
-
-
 def matrix_element(i, j, config):
     """Kernel matrix entry Q[i, j] for any estimator configuration."""
-    return _entry(config, i, j)
+    _check_config(config)
+    return float(config._gram([i], [j])[0, 0])
 
 
 def squared_matrix_element(i, j, config):
-    """Entry (i, j) of Q @ Q for any estimator configuration."""
-    return _entry(config, i, j, squared=True)
+    """Entry (i, j) of Q @ Q for any estimator configuration.
+
+    A kernel read from a dense row g (_squares_from_row) takes it as
+    xor_dot(g, (i-1) XOR (j-1)), n <= 30; the others read _squared_gram.
+    """
+    _check_config(config)
+    if config._squares_from_row:
+        i, j = (_check_index(cell, config.n) for cell in (i, j))
+        return xor_dot(config._profile(), (i - 1) ^ (j - 1))
+    return float(config._squared_gram([i], [j])[0, 0])
 
 
 # ---------------------------------------------------------------------------

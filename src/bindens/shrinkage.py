@@ -12,36 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-from .walsh import MAX_DENSE_N, _check_index, _integer, _pairs, _real
+from .walsh import _check_index, _dense_size, _float_array, _integer, _pairs, _real
 
 __all__ = ["DENSE", "SPARSE", "SINGLE_INTERACTION", "ShrinkageSpec"]
 
 DENSE = "dense"
 SPARSE = "sparse"
 SINGLE_INTERACTION = "single_interaction"
-
-
-# Entries that float64 conversion would read as numbers but _real refuses.
-_NOT_REAL = (bool, np.bool_, str, bytes)
-
-
-def _float_array(values, what):
-    """values as a float64 array, under _real's rule for each entry: numpy
-    would read True as 1.0 and parse "0.5", and np.asarray([True, 0.5])
-    upcasts the bool without a trace, so a bool or string entry of a list,
-    or an array of such a dtype, is refused before the conversion."""
-    if isinstance(values, np.ndarray):
-        entries = values.flat if values.dtype.kind in "bSUO" else ()
-    else:
-        entries = values if isinstance(values, (list, tuple)) else (values,)
-    refused = next((v for v in entries if isinstance(v, _NOT_REAL)), None)
-    if refused is not None:
-        raise ValueError(f"{what} must be real numbers, got {refused!r}")
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must be real numbers: {exc}") from exc
 
 
 def _readonly(arr):
@@ -126,13 +103,10 @@ class ShrinkageSpec:
 
     def to_dense(self):
         """Materialize the full 2^n coefficient vector (n <= 30 only)."""
-        if self.n > MAX_DENSE_N:
-            raise CapacityError(
-                f"cannot materialize 2^{self.n} shrinkage coefficients (limit n={MAX_DENSE_N})"
-            )
+        size = _dense_size(self.n, "a dense shrinkage vector")
         if self.form == DENSE:
             return self.values.copy()
-        out = np.zeros(1 << self.n)
+        out = np.zeros(size)
         for idx, val in self.nonzero_items():
             out[idx - 1] = val
         return out

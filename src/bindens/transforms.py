@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, TransformOverflowError
+from .errors import TransformOverflowError
 from .shrinkage import SINGLE_INTERACTION, ShrinkageSpec
-from .walsh import MAX_DENSE_N, _real, fwht
+from .walsh import _dense_size, _float_array, _real, fwht
 
 __all__ = [
     "KINDS",
@@ -26,7 +26,18 @@ __all__ = [
     "normalizer",
 ]
 
-KINDS = ("identity", "exponential", "logistic", "step", "relu", "tanh", "elu")
+# Each kind's parameters, in the order its factory takes them.
+_PARAMETERS = {
+    "identity": (),
+    "exponential": ("gamma",),
+    "logistic": ("gamma",),
+    "step": ("threshold", "low", "high"),
+    "relu": (),
+    "tanh": ("scale",),
+    "elu": ("alpha",),
+}
+
+KINDS = tuple(_PARAMETERS)
 
 # Kinds whose output is nonnegative everywhere, so the estimator they
 # induce can never produce a negative probability.
@@ -47,8 +58,9 @@ _LOG2 = math.log(2.0)
 class Transform:
     """One member of the monotone transform family.
 
-    Use the factory classmethods; the raw constructor performs only
-    kind-specific validation of whichever parameters are set.
+    The raw constructor reads each of the kind's parameters (_PARAMETERS)
+    that is set through walsh._real and stores it as a float, then
+    validates them for the kind; the factory classmethods pass it theirs.
     """
 
     kind: str
@@ -62,6 +74,10 @@ class Transform:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown transform kind {self.kind!r}; expected one of {KINDS}")
+        for name in _PARAMETERS[self.kind]:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _real(value, f"{self.kind} transform {name}"))
         if self.kind in ("exponential", "logistic"):
             if self.gamma is None or not math.isfinite(self.gamma) or self.gamma <= 0:
                 raise ValueError(f"{self.kind} transform needs a finite base gamma > 0")
@@ -85,18 +101,17 @@ class Transform:
     @classmethod
     def exponential(cls, gamma):
         """f(x) = gamma ** x."""
-        return cls(kind="exponential", gamma=_real(gamma, "exponential transform gamma"))
+        return cls(kind="exponential", gamma=gamma)
 
     @classmethod
     def logistic(cls, gamma):
         """f(x) = 1 / (1 + gamma ** -x)."""
-        return cls(kind="logistic", gamma=_real(gamma, "logistic transform gamma"))
+        return cls(kind="logistic", gamma=gamma)
 
     @classmethod
     def step(cls, threshold, low, high):
         """f(x) = low for x < threshold, high for x >= threshold."""
-        threshold, low = _real(threshold, "step transform threshold"), _real(low, "step transform low")
-        return cls(kind="step", threshold=threshold, low=low, high=_real(high, "step transform high"))
+        return cls(kind="step", threshold=threshold, low=low, high=high)
 
     @classmethod
     def relu(cls):
@@ -106,12 +121,12 @@ class Transform:
     @classmethod
     def tanh(cls, scale=1.0):
         """f(x) = tanh(scale * x)."""
-        return cls(kind="tanh", scale=_real(scale, "tanh transform scale"))
+        return cls(kind="tanh", scale=scale)
 
     @classmethod
     def elu(cls, alpha=1.0):
         """f(x) = x for x >= 0, alpha * (exp(x) - 1) below."""
-        return cls(kind="elu", alpha=_real(alpha, "elu transform alpha"))
+        return cls(kind="elu", alpha=alpha)
 
     @property
     def is_nonnegative(self):
@@ -134,9 +149,11 @@ def _stable_sigmoid(y):
 
 
 def apply(transform, x):
-    """Evaluate the transform elementwise on a scalar or array."""
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    """Evaluate the transform elementwise on a scalar or array of real
+    numbers (walsh._float_array's rule: no bool or string)."""
+    arr = _float_array(x, "transform input")
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
     kind = transform.kind
     if kind == "identity":
         out = arr.copy()
@@ -222,11 +239,7 @@ def _route(transform, shrinkage):
 def _dense_values(transform, shrinkage):
     """f at every entry of the row W b: what the FWHT_GENERAL route sums,
     and, divided by that sum, the dense kernel row (n <= 30)."""
-    n = shrinkage.n
-    if n > MAX_DENSE_N:
-        raise CapacityError(
-            f"no closed-form normalizer for this configuration and n={n} exceeds the dense limit {MAX_DENSE_N}"
-        )
+    _dense_size(shrinkage.n, "a normalizer with no closed form")
     return apply(transform, fwht(shrinkage.to_dense()))
 
 

@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 # Largest n for which 2^n-sized buffers may be allocated anywhere in the
-# package. Index-level operations accept far larger n.
+# package, enforced by _dense_size alone. Index-level operations accept
+# far larger n.
 MAX_DENSE_N = 30
 
 # Refuse to materialize interaction index sets beyond this cardinality.
@@ -55,16 +56,51 @@ def _integer(value, what, minimum=1, error=ValueError):
     return int(value)
 
 
+# Values that float() or numpy would read as numbers but _real refuses.
+_NOT_REAL = (bool, np.bool_, str, bytes)
+
+
 def _real(value, what, error=ValueError):
     """float(value), the package's one real-number check: never a bool or a
     string (which float() would parse), and error(what...) rather than
     float()'s own error for a non-number."""
-    if isinstance(value, (bool, np.bool_, str, bytes)):
+    if isinstance(value, _NOT_REAL):
         raise error(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be a number, got {value!r}") from exc
+
+
+def _float_array(values, what):
+    """values (a scalar, list, tuple or array) as a float64 array, the
+    package's one vector check, under _real's rule for each entry: numpy
+    would read True as 1.0 and parse "0.5", and np.asarray([True, 0.5])
+    upcasts the bool without a trace, so a bool or string entry, or an
+    array of such a dtype, is refused before the conversion. A float64
+    array is returned as it is."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return values
+        entries = values.flat if values.dtype.kind in "bSUO" else ()
+    else:
+        entries = values if isinstance(values, (list, tuple)) else (values,)
+    refused = next((v for v in entries if isinstance(v, _NOT_REAL)), None)
+    if refused is not None:
+        raise ValueError(f"{what} must be real numbers, got {refused!r}")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be real numbers: {exc}") from exc
+
+
+def _dense_size(n, what):
+    """2^n, the length of a buffer over every cell in dimension n: the one
+    place that refuses n > MAX_DENSE_N, with CapacityError naming what
+    needed the buffer, before anything is allocated."""
+    if n > MAX_DENSE_N:
+        raise CapacityError(f"{what} needs a 2^{n} buffer (limit n={MAX_DENSE_N})")
+    return 1 << n
 
 
 def _items(values, what, error=ValueError):
@@ -171,14 +207,13 @@ def fwht(v):
     butterfly does, so every output is the same sums in the same order
     and the result is bit-identical to it.
     """
-    arr = np.asarray(v, dtype=np.float64)
+    arr = _float_array(v, "fwht input")
     if arr.ndim != 1:
         raise ValueError("fwht expects a 1-d vector")
     size = arr.shape[0]
     if size == 0 or size & (size - 1):
         raise ValueError(f"fwht length must be a power of two, got {size}")
-    if size > (1 << MAX_DENSE_N):
-        raise CapacityError(f"fwht supports at most 2^{MAX_DENSE_N} elements, got {size}")
+    _dense_size(size.bit_length() - 1, "fwht")
     if size == 1:
         return arr.copy()
     return _butterfly(arr, _walsh_stage)

@@ -19,8 +19,10 @@ from bindens import (
     SearchSpace,
     ShrinkageSpec,
     Transform,
+    apply,
     coordinate_descent_w,
     estimate_at,
+    fwht,
     interaction_indexes,
     loo_term,
     point_of_index,
@@ -73,6 +75,16 @@ REAL_ARGUMENTS = [
     ("step high", lambda v: Transform.step(0.0, 0.0, v), ValueError),
     ("tanh scale", lambda v: Transform.tanh(v), ValueError),
     ("elu alpha", lambda v: Transform.elu(v), ValueError),
+    # The raw constructor, which cli.transform_from_dict calls.
+    ("raw exponential gamma", lambda v: Transform(kind="exponential", gamma=v), ValueError),
+    ("raw step threshold", lambda v: Transform(kind="step", threshold=v, low=0.0, high=1.0), ValueError),
+    ("raw step low", lambda v: Transform(kind="step", threshold=0.0, low=v, high=1.0), ValueError),
+    ("raw tanh scale", lambda v: Transform(kind="tanh", scale=v), ValueError),
+    ("raw elu alpha", lambda v: Transform(kind="elu", alpha=v), ValueError),
+    # apply takes arrays, to which (2,) is one, so the value stands beside
+    # a number: a bool or string is refused as an entry, and (2,) there
+    # makes a ragged list.
+    ("apply entry", lambda v: apply(Transform.relu(), [0.5, v]), ValueError),
     ("shrinkage_optimal q", lambda v: shrinkage_optimal(v, 10), ValueError),
     ("waak gamma", lambda v: EstimatorConfig.waak(np.ones(3), v), ConfigError),
     ("aa_classic lambda", lambda v: EstimatorConfig.aa_classic(3, v), ConfigError),
@@ -113,6 +125,8 @@ VECTOR_ARGUMENTS = [
     ("waak w", lambda v: EstimatorConfig.waak(v, 2.0), ConfigError),
     ("waak_fixed_w w", lambda v: SearchSpace.waak_fixed_w(v, [2.0]), ConfigError),
     ("descent initial w", lambda v: coordinate_descent_w(v, 2.0, "kl", COUNTS_4, 1, [0.5]), ConfigError),
+    ("fwht input", fwht, ValueError),
+    ("apply input", lambda v: apply(Transform.relu(), v), ValueError),
 ]
 BAD_VECTORS = (
     [True, False],

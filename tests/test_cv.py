@@ -277,6 +277,13 @@ def _spectral_case(name, n, rng):
         )
         entries = {(1 << d) + 1: 1.0 for d in range(n)}
         return cfg, oracles.transformed_row(n, entries, lambda x: np.power(20.0, x))
+    if name == "dense_linear":
+        # Sparse content in dense storage, so the oracle row stays cheap.
+        others = rng.choice(np.arange(2, (1 << n) + 1), 8, replace=False)
+        entries = {1: 1.0, **first, **{int(i): 0.3 for i in others}}
+        b = np.zeros(1 << n)
+        b[[idx - 1 for idx in entries]] = list(entries.values())
+        return EstimatorConfig.linear(ShrinkageSpec.dense(b)), oracles.linear_row(n, entries)
     if name == "tanh":
         # b_1 = 1 keeps the row sum positive; the first-order weights sum
         # past it, so entries take both signs.
@@ -323,12 +330,12 @@ def _spectral_case(name, n, rng):
 
 
 class TestSpectralQuadratic:
-    """SE of transformed and mixture kernels takes p' Q^2 p as a Parseval
-    sum over Walsh diagonals; the reference adds up (Q @ Q) entries as
-    direct XOR sums."""
+    """SE of every kernel read from a dense row (dense linear, transformed,
+    mixture) takes p' Q^2 p as a Parseval sum over Walsh diagonals; the
+    reference adds up (Q @ Q) entries as direct XOR sums."""
 
     @pytest.mark.parametrize("n", [12, 16])
-    @pytest.mark.parametrize("name", ["peaked_exponential", "tanh", "mixture", "all_families"])
+    @pytest.mark.parametrize("name", ["dense_linear", "peaked_exponential", "tanh", "mixture", "all_families"])
     def test_matches_direct_xor_sums(self, n, name):
         rng = np.random.default_rng(n)
         counts = _clustered_counts(rng, n)

@@ -593,6 +593,7 @@ class TestSquaredElements:
                 )
 
     def test_general_identity_agrees_with_linear_shortcut(self):
+        # Both kernels read one xor_dot over the same dense row, fwht(b) / 2^n.
         rng = np.random.default_rng(46)
         n = 6
         b = _unit_lead_dense(rng, n)
@@ -601,9 +602,7 @@ class TestSquaredElements:
         linear = EstimatorConfig.linear(spec)
         for _ in range(30):
             i, j = (int(v) for v in rng.integers(1, (1 << n) + 1, size=2))
-            assert squared_matrix_element(i, j, transformed) == pytest.approx(
-                squared_matrix_element(i, j, linear), rel=1e-11
-            )
+            assert squared_matrix_element(i, j, transformed) == squared_matrix_element(i, j, linear)
 
     def test_general_capacity_guard(self):
         cfg = EstimatorConfig.transformed(ShrinkageSpec.sparse(40, {1: 1.0, 2: 0.5}), Transform.relu())

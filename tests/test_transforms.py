@@ -156,6 +156,12 @@ class TestTransformValidation:
             Transform.elu(-0.5)
         Transform.elu(0.0)
 
+    def test_raw_constructor_stores_floats(self):
+        # cli.transform_from_dict builds transforms through it.
+        assert type(Transform(kind="tanh", scale=np.float32(0.5)).scale) is float
+        step = Transform(kind="step", threshold=0, low=np.int64(0), high=1)
+        assert [type(getattr(step, name)) for name in ("threshold", "low", "high")] == [float] * 3
+
 
 class TestNormalizerDispatch:
     """Each closed form agrees with the general route and reports its method."""
