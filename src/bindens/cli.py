@@ -1232,28 +1232,20 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The bindens argument parser: every subcommand, or only `command`,
-    which then parses into the same Namespace, with the same help, usage
-    and error text, as the full parser."""
+def build_parser():
+    """The bindens argument parser, with every subcommand."""
     import argparse  # only for the command lines _read_table declines
 
     parser = argparse.ArgumentParser(
         prog="bindens",
         description="Density estimation over the {-1,+1}^n binary hypercube.",
     )
-    # Usage lists the commands a parser has, and a one-command parser's
-    # "unrecognized arguments" error prints it, so that parser is given the
-    # full list. The full parser keeps no metavar: one would also rename
-    # "command" in its "arguments are required" error.
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    commands = parser.add_subparsers(dest="command", required=True)
     for name, (text, func, options) in _COMMANDS.items():
-        if command in (None, name):
-            sub = commands.add_parser(name, help=text)
-            for flag, kwargs in options:
-                sub.add_argument(flag, **kwargs)
-            sub.set_defaults(func=func)
+        sub = commands.add_parser(name, help=text)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -1301,13 +1293,10 @@ def _read_table(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # argparse reads what the table reader declines. A known command first
-    # builds only its own subparser; anything else (no argument, -h, an
-    # unknown name) needs the full parser's help or error.
+    # argparse reads what the table reader declines.
     args = _read_table(argv)
     if args is None:
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapacityError as exc:

@@ -76,12 +76,9 @@ def loo_term(k, config, counts):
     """Held-out estimate for observation k in canonical order.
 
     Matches rebuilding the counts without observation k and evaluating
-    the estimate at that observation's cell. On a non-uniform waak kernel
-    it can differ from a risk report's loo_terms[k] in the last ulps, for
-    two causes: its one-row block takes distance bits relative to that
-    row, the risk's relative to the first support cell; and BLAS sums a
-    1-row and a K-row matrix product in different orders, so a shared
-    pivot still leaves most of the differences.
+    the estimate at that observation's cell. It reads entry k of the
+    held-out pass a risk report makes, so it equals the report's
+    loo_terms[k] bit for bit, at the cost of that whole pass.
     """
     _check_inputs(config, counts)
     k = _integer(k, "observation index", 0)
@@ -90,8 +87,8 @@ def loo_term(k, config, counts):
     # Observations run in support order, so k falls in the first support
     # cell whose running count passes it.
     own = int(np.searchsorted(np.cumsum(counts._counts), k, side="right"))
-    scale, ratio = _smoothed(config, counts, own=[own])
-    return float((np.exp(scale) * ratio)[0])
+    scale, ratio = _smoothed(config, counts)
+    return float((np.exp(scale) * ratio)[own])
 
 
 def _loo_risk(loss, config, counts):

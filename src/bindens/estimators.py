@@ -42,16 +42,16 @@ of the dense row per observed cell for a transformed kernel.
 
 Product-form kernels (waak, aa_classic) see two cells only through a
 weighted distance D_t, the sum of t_d = w_d log(gamma) over the
-coordinates where they differ, and take one of two routes, chosen from t
-alone. When every t_d equals one value s, D_t = s H with H the exact
-integer Hamming matrix, a popcount over the packed cells, and log Q =
-log_diag - 2 s H takes one of n + 1 levels. The kernel's risks and
-estimates then stay in log space, each row shifted by its nearest cell,
-so a held-out term or estimate far below the float64 range keeps its
-logarithm, and a candidate costs n + 1 exp calls plus a gather.
-Otherwise D_t is a float product over the cells' bits. Blocks of Q
-itself (mixture components) are exponentiated entrywise on either route.
-An estimate at listed cells and a leave-one-out held-out term are both
+coordinates where they differ, so log Q = log_diag - 2 D_t whatever the
+weights. _weighted_distance gives D_t as c D: when every t_d equals one
+value c, D is the exact integer Hamming matrix H, a popcount over the
+packed cells, and log Q takes one of n + 1 levels; otherwise c = 1 and
+D is a float product over the cells' bits. Either way the kernel's
+held-out terms and estimates stay in log space, each row shifted by its
+nearest cell, so a value far below the float64 range keeps its
+logarithm; on H a candidate costs n + 1 exp calls plus a gather. Blocks
+of Q itself (mixture components) are exponentiated entrywise. An
+estimate at listed cells and a leave-one-out held-out term are both
 Q p, the latter with one count less; one function, _smoothed, gives
 both and is the one place a route is chosen.
 
@@ -187,15 +187,10 @@ class CountsVector:
 
     @cached_property
     def _nearest(self):
-        """For each support cell r, the smallest Hamming distance H[r, c]
-        to a cell c that the held-out term at r weights: 0 for a cell seen
-        more than once, whose own cell keeps its count minus one, and the
-        distance to the nearest other cell for a cell seen once. The
-        held-out terms of uniform-weight kernels shift by it
-        (_smoothed)."""
-        others = self._packed.hamming.copy()
-        np.fill_diagonal(others, self.n + 1)
-        return np.where(self._counts > 1.0, 0, others.min(axis=1))
+        """_held_out_nearest of the support's Hamming matrix, which the
+        held-out terms of every uniform-weight kernel shift by
+        (_WaakState.shifted)."""
+        return _held_out_nearest(self._packed.hamming, self._counts)
 
     @cached_property
     def _pair_histogram(self):
@@ -442,12 +437,6 @@ class EstimatorConfig:
     def _waak(self):
         return _WaakState(self.shrinkage.w, self.gamma)
 
-    @property
-    def _hamming_route(self):
-        """True for a product-form kernel whose t is one value on every
-        coordinate: its risks and estimates take the Hamming lookup."""
-        return self.variant in _WAAK and self._waak.shared_t is not None
-
     @cached_property
     def _norm(self):
         """Z of a single kernel: the identity's closed form for linear and
@@ -523,7 +512,7 @@ class EstimatorConfig:
         sparse linear kernels sum a support x support block of
         _squared_gram.
         """
-        if self._hamming_route:
+        if self.variant in _WAAK and self._waak.shared_t is not None:
             return self._waak.quadratic(counts)
         if self._squares_from_row:
             # The norm is einsum's, as in xor_dot.
@@ -634,18 +623,19 @@ def _cell_pair(rows, cols, n):
 
 
 def _weighted_distance(rows, cols, weights):
-    """sum_d weights[d] [x_r[d] != x_c[d]] for every row cell r and column cell c.
+    """(c, D) with c D[r, k] = sum_d weights[d] [x_r[d] != x_k[d]] for
+    every row cell r and column cell k.
 
-    Two routes, chosen from the weights alone. When every weight equals
-    one value c, the distance is c times the exact Hamming matrix
-    (_hamming); a list of cells keeps its own (_Cells.hamming), so every
-    uniform-weight candidate scored on one support shares one matrix.
-    Other weights take _float_distance.
+    The one test of the weights for uniformity. When every weight equals
+    one value c, D is the exact int32 Hamming matrix (_hamming); a list of
+    cells keeps its own (_Cells.hamming), so every uniform-weight
+    candidate scored on one support shares one matrix. Other weights give
+    c = 1 and the float distance (_float_distance).
     """
     c = weights[0]
     if np.all(weights == c):
-        return c * (rows.hamming if cols is rows else _hamming(rows, cols))
-    return _float_distance(rows, cols, weights)
+        return float(c), rows.hamming if cols is rows else _hamming(rows, cols)
+    return 1.0, _float_distance(rows, cols, weights)
 
 
 def _float_distance(rows, cols, weights):
@@ -748,7 +738,8 @@ class _ParityFeatures:
     def signed_sums(self, rows, cols, values):
         """sum_k values_k (-1)^popcount(key_k & (r XOR c)) for every pair."""
         if self.single:
-            return values.sum() - 2.0 * _weighted_distance(rows, cols, values)
+            c, distance = _weighted_distance(rows, cols, values)
+            return values.sum() - (2.0 * c) * distance
         fr = self.features(rows)
         fc = fr if cols is rows else self.features(cols)
         return (fr * values) @ fc.T
@@ -763,12 +754,13 @@ class _WaakState:
     disagreement over Z^2, so log Q^2 = sum_d log((e^(2t) + e^(-2t)) /
     (e^t + e^-t)^2) - D_v with v = log(e^(2t) + e^(-2t)) - log 2.
 
-    When t is one value s on every coordinate (shared_t), D_t = s H and
-    D_v = v_1 H for the exact Hamming matrix H, and rows of Q are looked
-    up in log space from the decay e^(-2 s j) over the n + 1 levels
-    j = 0..n (_shifted, which _smoothed reads for held-out terms and
-    estimates), as is the SE quadratic (quadratic). gram and
-    squared_gram exponentiate every entry. Q is the
+    Rows of Q against a support are taken in log space, each shifted by
+    its nearest cell (shifted, which _smoothed reads for held-out terms
+    and estimates); when t is one value s on every coordinate, D_t = s H
+    for the exact Hamming matrix H, and the rows are looked up from the
+    decay e^(-2 s j) over the n + 1 levels j = 0..n. The SE quadratic of
+    such a kernel (shared_t) reads D_v = v_1 H the same way (quadratic).
+    gram and squared_gram exponentiate every entry. Q is the
     Kronecker product of one positive 2x2 factor per coordinate, so Q p
     for a dense p takes one pass per coordinate (smooth), and its Walsh
     diagonal is a product of tanh(t_d) (spectrum).
@@ -785,19 +777,31 @@ class _WaakState:
         self.log_squared_diagonal = float((lost_sq - 2.0 * lost).sum())
 
     def gram(self, rows, cols):
-        return np.exp(self.log_diagonal - 2.0 * _weighted_distance(rows, cols, self.t))
+        c, distance = _weighted_distance(rows, cols, self.t)
+        return np.exp(self.log_diagonal - (2.0 * c) * distance)
 
     def squared_gram(self, rows, cols):
-        distance = _weighted_distance(rows, cols, self.squared_weights)
-        return np.exp(self.log_squared_diagonal - distance)
+        c, distance = _weighted_distance(rows, cols, self.squared_weights)
+        return np.exp(self.log_squared_diagonal - c * distance)
 
-    def _shifted(self, hamming, nearest, n):
-        """(scale, levels) of rows of Hamming distances H, each shifted by
-        its nearest weighted cell: scale = log_diag - 2 s nearest and
-        levels = e^(-2 s (H - nearest)), so an entry of Q is
-        exp(scale) * levels. A row's nearest cell has level 1."""
-        decay = _decay(2.0 * self.shared_t, n)
-        return self.log_diagonal - 2.0 * (self.shared_t * nearest), decay[hamming - nearest[:, None]]
+    def shifted(self, rows, counts, held_out):
+        """(scale, ratio) of rows of Q against the counts' support: with
+        (c, D) their weighted distance and near each row's nearest weighted
+        cell (for a held-out row, _held_out_nearest's), scale = log_diag -
+        2c near and ratio = e^(-2c (D - near)), so Q = exp(scale) * ratio.
+        A Hamming D gathers the n + 1 levels of _decay. A float D clips
+        D - near at 0, which only the own cell of a cell seen once, weighed
+        0 in its held-out term, falls below."""
+        c, distance = _weighted_distance(rows, counts._packed, self.t)
+        exact = distance.dtype.kind == "i"
+        if held_out:
+            near = counts._nearest if exact else _held_out_nearest(distance, counts._counts)
+        else:
+            near = distance.min(axis=1)
+        scale = self.log_diagonal - (2.0 * c) * near
+        if exact:
+            return scale, _decay(2.0 * c, counts.n)[distance - near[:, None]]
+        return scale, np.exp(-2.0 * np.maximum(distance - near[:, None], 0.0))
 
     def quadratic(self, counts):
         """p' Q^2 p from the counts' pair histogram P: exp(log_sq_diag) *
@@ -849,6 +853,16 @@ class _WaakState:
             high += b
 
         return _butterfly(p, stage) * math.exp(self.log_diagonal)
+
+
+def _held_out_nearest(distance, cnt):
+    """For each support cell r, the smallest distance[r, k] to a cell k
+    that the held-out term at r weights: 0 for a cell seen more than
+    once, whose own cell keeps its count minus one, and the distance to
+    the nearest other cell for a cell seen once."""
+    others = distance.copy()
+    np.fill_diagonal(others, distance.max() + 1)
+    return np.where(cnt > 1.0, 0, others.min(axis=1))
 
 
 def _decay(rate, n):
@@ -916,8 +930,9 @@ class DensityEstimate:
     order. negativity flags any negative entry, which only
     sign-indefinite transforms or inadmissible shrinkage can produce;
     values are reported exactly as computed, never clipped silently.
-    estimate_at on a uniform-weight kernel also keeps the log of each
-    value (_log_values), which query turns into conditionals.
+    estimate_at on a product-form kernel (waak, aa_classic) also keeps
+    the log of each value (_log_values), which query turns into
+    conditionals.
     estimate_full keeps _bound, the a-priori bound on every entry's
     absolute error, when it kept the Walsh-diagonal route's values, and
     None after the product-form butterfly or the per-cell gather.
@@ -944,41 +959,32 @@ def _match_dimensions(config, counts):
         )
 
 
-def _smoothed(config, counts, cells=None, own=None):
+def _smoothed(config, counts, cells=None):
     """(scale, ratio) of Q p, the value being exp(scale) * ratio: at packed
     cells, the estimate (over N); with cells None, the held-out estimate
-    at the support positions own, every one when None (over N - 1).
+    at every support cell (over N - 1).
 
-    The one place a kernel's route is chosen. A uniform-weight kernel
-    reads its rows from the Hamming lookup in log space (_shifted), each
-    shifted by its nearest weighted cell: for a held-out term,
-    CountsVector._nearest; for an estimate, the nearest support cell.
-    That cell has level 1 and weight >= 1, so the ratio neither
-    underflows nor overflows. Other kernels take a block of Q, scale 0.
-    On both, the own cell's entry is weighted by its count minus one, not
-    subtracted after the product: it dominates its row at large n, and
-    the difference would cancel to 0.
+    The one place a kernel's route is chosen. A product-form kernel
+    (waak, aa_classic) reads its rows in log space (_WaakState.shifted),
+    each shifted by its nearest weighted cell. That cell has ratio 1 and
+    weight >= 1, so the ratio neither underflows nor overflows. Other
+    kernels take a block of Q, scale 0. On both, the own cell's entry is
+    weighted by its count minus one, not subtracted after the product: it
+    dominates its row at large n, and the difference would cancel to 0.
     """
     cnt, support = counts._counts, counts._packed
-    held_out, rows = cells is None, cells
-    if held_out:
-        rows = support if own is None else [counts.cells[k][0] for k in own]
-        own = np.arange(cnt.size) if own is None else own
-    if not config._hamming_route:
-        scale, block = 0.0, config._gram(rows, support)
-    elif held_out:
-        picked = slice(None) if rows is support else own
-        scale, block = config._waak._shifted(support.hamming[picked], counts._nearest[picked], counts.n)
+    held_out = cells is None
+    rows = support if held_out else cells
+    if config.variant in _WAAK:
+        scale, block = config._waak.shifted(rows, counts, held_out)
     else:
-        hamming = _hamming(cells, support)
-        scale, block = config._waak._shifted(hamming, hamming.min(axis=1), counts.n)
+        scale, block = 0.0, config._gram(rows, support)
     if not held_out:
         return scale, (block @ cnt) / counts.total
-    # A cell seen once reads its own entry at a finite level and weighs it 0.
-    positions = np.arange(block.shape[0])
-    own_entries = block[positions, own]
-    block[positions, own] = 0.0
-    return scale, (block @ cnt + own_entries * (cnt[own] - 1.0)) / (counts.total - 1)
+    # A cell seen once reads its own entry at a finite ratio and weighs it 0.
+    own = block.diagonal().copy()
+    np.fill_diagonal(block, 0.0)
+    return scale, (block @ cnt + own * (cnt - 1.0)) / (counts.total - 1)
 
 
 def estimate_at(cells, config, counts):
@@ -986,7 +992,7 @@ def estimate_at(cells, config, counts):
 
     Each chunk of query cells is one query x support product (_smoothed)
     near _BLOCK_ENTRIES entries, over the fixed (ascending) support
-    order. A uniform-weight kernel also keeps the log of every value,
+    order. A product-form kernel also keeps the log of every value,
     which stays exact where the value itself underflows.
     """
     _match_dimensions(config, counts)
@@ -1000,7 +1006,7 @@ def estimate_at(cells, config, counts):
     ]
     values = np.concatenate([np.exp(scale) * ratio for scale, ratio in parts])
     logs = None
-    if config._hamming_route:
+    if config.variant in _WAAK:
         logs = np.concatenate([scale + np.log(ratio) for scale, ratio in parts])
     return DensityEstimate(
         n=config.n,

@@ -9,7 +9,7 @@ without touching a 2^n buffer.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,9 +58,10 @@ _LOG2 = math.log(2.0)
 class Transform:
     """One member of the monotone transform family.
 
-    The raw constructor reads each of the kind's parameters (_PARAMETERS)
-    that is set through walsh._real and stores it as a float, then
-    validates them for the kind; the factory classmethods pass it theirs.
+    The raw constructor refuses any parameter set that its kind does not
+    take (_PARAMETERS), reads each of the kind's own that is set through
+    walsh._real and stores it as a float, then validates them for the
+    kind; the factory classmethods pass it theirs.
     """
 
     kind: str
@@ -74,6 +75,9 @@ class Transform:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown transform kind {self.kind!r}; expected one of {KINDS}")
+        for param in fields(self)[1:]:  # the fields after kind
+            if param.name not in _PARAMETERS[self.kind] and getattr(self, param.name) is not None:
+                raise ValueError(f"{self.kind} transform takes no parameter {param.name}")
         for name in _PARAMETERS[self.kind]:
             value = getattr(self, name)
             if value is not None:

@@ -636,6 +636,69 @@ def uniform_log_estimate(kernel, hamming, cnt, total):
     ]
 
 
+class WeightedLogKernelMp:
+    """log Q of a waak kernel with per-coordinate weights w and base gamma,
+    in mpmath, from exact weighted distances: per coordinate gamma^w_d on
+    agreement and gamma^-w_d on disagreement over their sum, so log Q =
+    -sum_d log(1 + gamma^-2w_d) - 2 log(gamma) D_w."""
+
+    @mp.workdps(_DPS)
+    def __init__(self, w, gamma):
+        self.w = np.asarray(w, dtype=np.float64)
+        self.log_gamma = mp.log(mp.mpf(float(gamma)))
+        self.log_diagonal = -mp.fsum(mp.log1p(mp.exp(-2 * mp.mpf(float(wd)) * self.log_gamma)) for wd in self.w)
+
+    def log_entries(self, rows_a, rows_b):
+        """log Q between every pair of sign rows, as nested lists."""
+        distance = weighted_mismatch(rows_a, rows_b, self.w)
+        with mp.workdps(_DPS):
+            return [[self.log_diagonal - 2 * self.log_gamma * d for d in row] for row in distance]
+
+
+# Weights are cut into integer chunks of this many bits, so a sum of n
+# chunks stays below 2^53 and float64 adds it exactly (n < 2^27).
+_CHUNK_BITS = 26
+
+
+def weighted_mismatch(rows_a, rows_b, w):
+    """sum_d w_d [a_d != b_d] for every pair of sign rows, exactly, as
+    mpmath numbers (nested lists). Each float w_d is an integer over 2^k
+    for one k; the integers are summed a chunk of bits at a time, as
+    (sum v - (a * v) . b) / 2 over the signs, where every partial sum is
+    an integer below 2^53."""
+    exact = [mp.mpf(float(wd)) for wd in w]
+    k = max(-int(mp.frexp(f)[1]) + 53 for f in exact if f)
+    ints = [int(mp.ldexp(f, k)) for f in exact]
+    a = np.asarray(rows_a, dtype=np.float64)
+    b = np.asarray(rows_b, dtype=np.float64)
+    total = np.zeros((a.shape[0], b.shape[0]), dtype=object)
+    for shift in range(0, max(ints).bit_length(), _CHUNK_BITS):
+        chunk = np.array([(i >> shift) & ((1 << _CHUNK_BITS) - 1) for i in ints], dtype=np.float64)
+        part = (chunk.sum() - (a * chunk) @ b.T) / 2.0
+        total += part.astype(np.int64).astype(object) * (1 << shift)
+    with mp.workdps(_DPS):
+        return [[mp.ldexp(mp.mpf(int(v)), -k) for v in row] for row in total]
+
+
+@mp.workdps(_DPS)
+def log_loo_reference(log_q, cnt, total):
+    """Held-out log terms and KL from a support x support matrix of log Q:
+    row r weighs cell c by its count, and itself by its count minus one."""
+    size = len(cnt)
+    log_terms = [
+        mp.log(mp.fsum((cnt[c] - (r == c)) * mp.exp(log_q[r][c]) for c in range(size)) / (total - 1))
+        for r in range(size)
+    ]
+    return log_terms, mp.fsum(c * lt for c, lt in zip(cnt, log_terms))
+
+
+@mp.workdps(_DPS)
+def log_estimate_reference(log_q, cnt, total):
+    """log of (1/N) sum_c cnt_c Q[q, c] for each row q of a queries x
+    support matrix of log Q."""
+    return [mp.log(mp.fsum(c * mp.exp(lq) for c, lq in zip(cnt, row)) / total) for row in log_q]
+
+
 # ---------------------------------------------------------------------------
 # observation files
 

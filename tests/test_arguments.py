@@ -81,6 +81,9 @@ REAL_ARGUMENTS = [
     ("raw step low", lambda v: Transform(kind="step", threshold=0.0, low=v, high=1.0), ValueError),
     ("raw tanh scale", lambda v: Transform(kind="tanh", scale=v), ValueError),
     ("raw elu alpha", lambda v: Transform(kind="elu", alpha=v), ValueError),
+    # A parameter the kind does not take is refused whatever its value.
+    ("raw relu gamma", lambda v: Transform(kind="relu", gamma=v), ValueError),
+    ("raw step scale", lambda v: Transform(kind="step", threshold=0.0, low=0.1, high=1.0, scale=v), ValueError),
     # apply takes arrays, to which (2,) is one, so the value stands beside
     # a number: a bool or string is refused as an entry, and (2,) there
     # makes a ragged list.
@@ -165,6 +168,25 @@ def test_bad_vector_entry_raises_layer_error(call, value, error):
 )
 def test_vector_arguments_take_numbers(call, value):
     call(value)
+
+
+# (kind, raw constructor arguments, the one parameter the kind does not take)
+FOREIGN_PARAMETERS = [
+    ("relu", {"gamma": True}, "gamma"),
+    ("relu", {"gamma": 2.0}, "gamma"),
+    ("step", {"threshold": 0, "low": 0.1, "high": 1, "scale": "x"}, "scale"),
+    ("identity", {"alpha": 1.0}, "alpha"),
+    ("exponential", {"gamma": 2.0, "threshold": 0.0}, "threshold"),
+    ("logistic", {"gamma": 2.0, "alpha": 0.5}, "alpha"),
+    ("tanh", {"scale": 1.0, "low": 0.0}, "low"),
+    ("elu", {"alpha": 1.0, "high": 1.0}, "high"),
+]
+
+
+@pytest.mark.parametrize("kind, params, foreign", FOREIGN_PARAMETERS, ids=lambda v: v if isinstance(v, str) else None)
+def test_raw_transform_refuses_parameters_of_other_kinds(kind, params, foreign):
+    with pytest.raises(ValueError, match=f"^{kind} transform takes no parameter {foreign}$"):
+        Transform(kind=kind, **params)
 
 
 def test_waak_product_axis_value_is_a_real():

@@ -1829,9 +1829,10 @@ class TestEveryOptionIsRead:
 
 
 
-class TestOneCommandParser:
-    """main builds only the named command's subparser; it must parse, help
-    and fail exactly as the full parser does."""
+class TestCommandLineParsing:
+    """main reads exact full flags from the option table and leaves every
+    other command line to argparse; both must give a command the same
+    namespace, and argparse its help, usage and error text."""
 
     VALID = {
         "estimate": [
@@ -1892,20 +1893,34 @@ class TestOneCommandParser:
         )
 
     @pytest.mark.parametrize("command", list(VALID))
-    def test_same_namespace(self, command):
+    def test_same_namespace(self, command, monkeypatch):
+        """main hands a command the same namespace through argparse as
+        through the option table."""
+        seen = []
+
+        def record(args):
+            seen.append(vars(args))
+            return 0
+
+        commands = {name: (text, record, options) for name, (text, _, options) in cli._COMMANDS.items()}
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
         for argv in self.VALID[command]:
-            one = cli.build_parser(command).parse_args(argv)
-            full = cli.build_parser().parse_args(argv)
-            assert vars(one) == vars(full), argv
-            assert one.command == command
+            want = vars(cli._read_table(argv))
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "_read_table", lambda _: None)
+                assert main(argv) == 0
+            assert seen.pop() == want, argv
+            assert want["command"] == command
 
     @pytest.mark.parametrize("command", list(VALID))
     def test_same_help(self, command, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        one = self._exit(cli.build_parser(command), [command, "--help"], capsys)
-        full = self._exit(cli.build_parser(), [command, "--help"], capsys)
-        assert one == full
-        assert one[0] == 0 and one[1].startswith(f"usage: bindens {command} ")
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        out, err = capsys.readouterr()
+        assert (info.value.code, err) == (0, "")
+        assert out.startswith(f"usage: bindens {command} ")
+        assert all(flag in out for flag, _ in cli._COMMANDS[command][2])
 
     @pytest.mark.parametrize("argv", INVALID, ids=" ".join)
     def test_same_usage_error_through_the_module(self, argv, capsys, monkeypatch):

@@ -789,7 +789,9 @@ class TestDistanceRoutes:
         queries = estimators._as_cells(_clustered_cells(rng, n, 5), n)
         weights = np.full(n, 0.8 * math.log(3.0))
         for rows, cols in ((support, support), (queries, support)):
-            exact = estimators._weighted_distance(rows, cols, weights)
+            c, hamming = estimators._weighted_distance(rows, cols, weights)
+            assert c == weights[0] and hamming.dtype == np.int32
+            exact = c * hamming
             floats = estimators._float_distance(rows, cols, weights)
             off = estimators._hamming(rows, cols) > 0
             np.testing.assert_allclose(exact[off], floats[off], rtol=1e-12)

@@ -11,6 +11,10 @@ Their results must match
   kernel entries lie far below the float64 range, so that the
   linear-space route gives a KL risk of -inf, estimates of 0 and
   undefined conditionals.
+
+Waak kernels whose weights differ across coordinates take the same
+log-space route from float distances, and are checked on the same data
+against references built from exact weighted distances.
 """
 
 import functools
@@ -23,6 +27,7 @@ import pytest
 
 from bindens import EstimatorConfig, estimate_at, kl_risk, loo_term, se_risk
 from bindens.cli import main
+from bindens import estimators
 from bindens.estimators import counts_from_observations
 
 import oracles
@@ -82,7 +87,7 @@ def _small_data(n):
 def test_matches_linear_space_route_where_it_is_finite(n, kind, a, b):
     rows, counts = _small_data(n)
     cfg = _uniform_config(n, kind, a, b)
-    assert cfg._hamming_route
+    assert cfg._waak.shared_t is not None
 
     want, want_terms = oracles.linear_space_risk("kl", cfg, counts)
     got = kl_risk(cfg, counts)
@@ -224,3 +229,96 @@ def test_query_conditionals_match_mpmath(n, tmp_path):
         assert entry["undefined"] is False
         # Each log near -4000 carries a rounding error near 1e-12.
         assert entry["conditional_expectation"] == pytest.approx(want, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# non-uniform weights: the same log-space route, from float distances
+#
+# A waak whose weights differ across coordinates shifts each row of Q by
+# its nearest weighted cell just as the uniform lookup does, so its KL,
+# held-out terms, estimates and conditionals keep their logs where every
+# value lies far below the float64 range. The reference takes each
+# weighted distance exactly (oracles.weighted_mismatch).
+
+
+def _alternating(n):
+    return np.where(np.arange(n) % 2 == 0, 0.5, 0.6)
+
+
+def _uniform_draw(n):
+    return np.random.default_rng(n + 7).uniform(0.2, 1.0, n)
+
+
+WEIGHTS = {"alternating": _alternating, "uniform_draw": _uniform_draw}
+NONUNIFORM_CASES = [(n, name, gamma) for n in sorted(LARGE) for name in WEIGHTS for gamma in (1.5, 3.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _weighted_reference(n, name, gamma):
+    support, counts, cnt, _, queries = _large_data(n)
+    kernel = oracles.WeightedLogKernelMp(WEIGHTS[name](n), gamma)
+    log_terms, kl = oracles.log_loo_reference(kernel.log_entries(support, support), cnt, counts.total)
+    log_estimate = oracles.log_estimate_reference(kernel.log_entries(queries, support), cnt, counts.total)
+    return kernel, log_terms, kl, log_estimate
+
+
+@pytest.mark.parametrize("n, name, gamma", NONUNIFORM_CASES)
+def test_nonuniform_held_out_logs_match_exact_distances(n, name, gamma):
+    _, counts, _, _, _ = _large_data(n)
+    _, log_terms, kl, _ = _weighted_reference(n, name, gamma)
+    cfg = EstimatorConfig.waak(WEIGHTS[name](n), gamma)
+    assert cfg._waak.shared_t is None
+    want = np.array([float(lt) for lt in log_terms])
+    # At n = 10^4 some held-out term is 0.0 in float64.
+    assert (want.min() < LOG_ZERO) == (n == 10_000)
+
+    report = kl_risk(cfg, counts)
+    assert not report.dominated
+    assert report.value == pytest.approx(float(kl), rel=1e-12)
+    scale, ratio = estimators._smoothed(cfg, counts)
+    np.testing.assert_allclose(scale + np.log(ratio), want, rtol=1e-12, atol=0.0)
+    terms = np.repeat(want, [c for _, c in counts.cells])
+    normal = terms > math.log(np.finfo(np.float64).tiny)
+    np.testing.assert_allclose(np.array(report.loo_terms)[normal], np.exp(terms[normal]), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("n, name, gamma", NONUNIFORM_CASES)
+def test_nonuniform_estimate_logs_match_exact_distances(n, name, gamma):
+    _, counts, _, _, queries = _large_data(n)
+    _, _, _, log_estimate = _weighted_reference(n, name, gamma)
+    cfg = EstimatorConfig.waak(WEIGHTS[name](n), gamma)
+    estimate = estimate_at([_cell_of(q) for q in queries], cfg, counts)
+    want = np.array([float(v) for v in log_estimate])
+    assert (want.min() < LOG_ZERO) == (n == 10_000)
+    np.testing.assert_allclose(estimate._log_values, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, name, gamma", NONUNIFORM_CASES)
+def test_nonuniform_query_conditional_matches_exact_distances(n, name, gamma, tmp_path):
+    support, counts, cnt, _, queries = _large_data(n)
+    kernel = _weighted_reference(n, name, gamma)[0]
+    data = tmp_path / "data.csv"
+    np.savetxt(data, support[np.repeat(np.arange(len(cnt)), cnt)], fmt="%d", delimiter=",")
+    w = WEIGHTS[name](n)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"estimator": {"variant": "waak", "gamma": gamma, "w": w.tolist()},
+                                  "query": {"cells": [1]}}))
+    fit = tmp_path / "fit.json"
+    assert main(["estimate", "--data", str(data), "--config", str(config), "--out", str(fit)]) == 0
+
+    q, pos = queries[-1], n // 2
+    label = "".join("+" if s > 0 else "-" for s in q)
+    out = tmp_path / "query.json"
+    assert main(["query", "--fit", str(fit), "--cells=" + label[:pos] + "?" + label[pos + 1 :], "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["query"]["results"]
+
+    plus, minus = q.copy(), q.copy()
+    plus[pos], minus[pos] = 1, -1
+    lp, lm = oracles.log_estimate_reference(kernel.log_entries([plus, minus], support), cnt, counts.total)
+    if n == 10_000:
+        assert max(lp, lm) < LOG_ZERO  # both values are 0.0 in float64
+        assert entry["values"] == [0.0, 0.0]
+    with mp.workdps(oracles._DPS):
+        want = float(mp.tanh((lp - lm) / 2))
+    assert entry["undefined"] is False
+    assert entry["conditional_expectation"] == pytest.approx(want, rel=1e-12)
