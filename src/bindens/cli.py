@@ -29,7 +29,6 @@ from .errors import (
     NumericError,
 )
 from .estimators import (
-    MAX_FULL_N,
     CountsVector,
     EstimatorConfig,
     counts_from_observations,
@@ -752,10 +751,6 @@ def cmd_estimate(args):
         raise ConfigError("query block must be a JSON object")
     raw_cells = query_doc.get("cells", "all")
     if raw_cells == "all" or raw_cells == ["all"]:
-        if counts.n > MAX_FULL_N:
-            raise CapacityError(
-                f"full estimates are limited to n <= {MAX_FULL_N}; list explicit query cells for n={counts.n}"
-            )
         estimate = estimate_full(config, counts)
         cells_out = None
     else:

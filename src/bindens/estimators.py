@@ -14,22 +14,25 @@ cell indexes, applied to the empirical cell weights. The families are
   as a waak with unit weights and gamma = sqrt(lam / (1 - lam));
 * mixture: a convex combination of any of the above.
 
-Kernel entries are filled a block at a time: one batched core returns Q
-(or Q @ Q) on two lists of cells as a matrix product over their points,
-their parity features, or a gather from a dense profile, and every
-estimate, leave-one-out risk and matrix_element goes through it. A
+Kernel entries are read a block at a time by one function, _smoothed:
+an estimate at listed cells and a leave-one-out held-out term are both
+Q p, the latter with one count less, and a single entry Q[i, j]
+(matrix_element) is the estimate at i from one observation at j. A
+linear or transformed kernel fills its block of Q as a matrix product
+over the cells' parity features or a gather from a dense profile. A
 kernel whose Z has no closed form sums its dense row for Z (n <= 30) and
 reads every entry from that row, as a dense-shrinkage kernel does, so
 its Z, full estimate and single entries are one set of numbers; other
 blocks cost O(#nonzero(b)) or O(n) per entry with no 2^n buffer.
 
-Q @ Q takes one of two routes. Waak, aa_classic and sparse linear
-kernels have its entries in closed form at any n (_squared_gram). A
-kernel read from a dense row (linear over dense shrinkage, transformed,
-mixture) takes every Q @ Q quantity from that row and its Walsh
-diagonal s, with Q = W diag(s) W / 2^n and so Q @ Q = W diag(s^2) W /
-2^n (n <= 30): a single entry is xor_dot, one gather and dot over the
-row, and the core's quadratic form p' Q^2 p is ||s * fwht(p)||^2 / 2^n.
+Q @ Q takes one of two routes. For waak, aa_classic and sparse linear
+kernels it is a kernel of the same form at any n (_squared), read
+through _smoothed like Q itself. A kernel read from a dense row (linear
+over dense shrinkage, transformed, mixture) takes every Q @ Q quantity
+from that row and its Walsh diagonal s, with Q = W diag(s) W / 2^n and
+so Q @ Q = W diag(s^2) W / 2^n (n <= 30): a single entry is xor_dot,
+one gather and dot over the row, and the core's quadratic form p' Q^2 p
+is ||s * fwht(p)||^2 / 2^n.
 s is b for a linear kernel and a product of tanh(t_d) for waak and
 aa_classic, both in closed form; a transformed kernel keeps one
 transform of its row, and a mixture sums its components' diagonals.
@@ -49,19 +52,18 @@ packed cells, and log Q takes one of n + 1 levels; otherwise c = 1 and
 D is a float product over the cells' bits. Either way the kernel's
 held-out terms and estimates stay in log space, each row shifted by its
 nearest cell, so a value far below the float64 range keeps its
-logarithm; on H a candidate costs n + 1 exp calls plus a gather. Blocks
-of Q itself (mixture components) are exponentiated entrywise. An
-estimate at listed cells and a leave-one-out held-out term are both
-Q p, the latter with one count less; one function, _smoothed, gives
-both and is the one place a route is chosen.
+logarithm; on H a candidate costs n + 1 exp calls plus a gather. A
+mixture reads each component's rows as that component does and adds
+them row by row in log space (_mixed), so a product-form component
+keeps its logarithm inside a mixture too.
 
 Everything a configuration derives (parity features, the normalizer Z,
-the dense row, its Walsh diagonal, the waak log state) is a function of
-that configuration alone, so it is a private attribute of the
-EstimatorConfig itself, computed when first asked for, and the core's
-entry points are private methods of the config. A mixture reads its own
-components and keeps no dense row or diagonal: it sums its components'
-whenever one is asked for. In the same way, what the observed cells
+the dense row, its Walsh diagonal, the waak log state, the kernel Q @ Q)
+is a function of that configuration alone, so it is a private attribute
+of the EstimatorConfig itself, computed when first asked for, and the
+core's entry points are private methods of the config. A mixture reads
+its own components and keeps no dense row or diagonal: it sums its
+components' whenever one is asked for. In the same way, what the observed cells
 derive (their packed bits, their Hamming matrix H, their counts and the
 transform fwht(p) of their weights) is a private attribute of the
 CountsVector, with the lookup state that every uniform-weight
@@ -346,17 +348,19 @@ class EstimatorConfig:
 
     Instances are immutable. What a configuration derives for evaluation
     (parity features, waak log state, normalizer, dense row, a
-    transformed kernel's Walsh diagonal) is a private attribute built on
-    first use and kept by the instance, so it lives exactly as long as
-    the configuration. The private _gram fills Q on two lists of cells,
-    either of which may be a CountsVector's packed support; every
-    estimate, risk and matrix_element goes through it. Q @ Q takes one
-    of two routes: _squared_gram fills it in closed form for waak,
-    aa_classic and sparse linear kernels, and a kernel read from a dense
-    row (_squares_from_row) takes it from that row and its Walsh
-    diagonal, as xor_dot for one entry. _quadratic gives the SE risk its
-    p' Q^2 p for a CountsVector's weights p on either route. A kernel
-    that sums its dense row for Z reads its Q entries from that row.
+    transformed kernel's Walsh diagonal, the kernel Q @ Q) is a private
+    attribute built on first use and kept by the instance, so it lives
+    exactly as long as the configuration. _smoothed reads every entry of
+    Q: in log space for waak and aa_classic (_WaakState.shifted), from
+    the private _gram, which fills Q of a linear or transformed kernel on
+    two lists of packed cells, and per component for a mixture. Q @ Q
+    takes one of two routes: waak, aa_classic and sparse linear kernels
+    have it as a kernel of the same form (_squared), and a kernel read
+    from a dense row (_squares_from_row) takes it from that row and its
+    Walsh diagonal, as xor_dot for one entry. _quadratic gives the SE
+    risk its p' Q^2 p for a CountsVector's weights p on either route. A
+    kernel that sums its dense row for Z reads its Q entries from that
+    row.
     """
 
     variant: str
@@ -435,7 +439,21 @@ class EstimatorConfig:
 
     @cached_property
     def _waak(self):
-        return _WaakState(self.shrinkage.w, self.gamma)
+        t = self.shrinkage.w * math.log(self.gamma)
+        return _WaakState(t, -float(np.log1p(np.exp(-2.0 * t)).sum()))
+
+    @cached_property
+    def _squared(self):
+        """Q @ Q of a waak, aa_classic or sparse linear kernel as a kernel
+        of the same form, which _smoothed reads like any other: the linear
+        kernel over b * b, or a config of the same variant whose _waak is
+        the state of Q @ Q (_WaakState.squared); only that state, not its
+        other fields, describes Q @ Q."""
+        if self.variant == "linear":
+            return EstimatorConfig.linear(ShrinkageSpec.sparse(self.n, {k: b * b for k, b in self.shrinkage.entries}))
+        out = EstimatorConfig(variant=self.variant, shrinkage=self.shrinkage)
+        object.__setattr__(out, "_waak", self._waak.squared())
+        return out
 
     @cached_property
     def _norm(self):
@@ -483,16 +501,12 @@ class EstimatorConfig:
         return (self._norm,)
 
     def _gram(self, rows, cols):
-        """Q[r, c] for every cell r in rows and c in cols, as an array."""
-        rows, cols = _cell_pair(rows, cols, self.n)
-        if self.variant in _WAAK:
-            return self._waak.gram(rows, cols)
-        if self.variant == "mixture":
-            return sum(c * cfg._gram(rows, cols) for c, cfg in self.components)
+        """Q[r, c] of a linear or transformed kernel for every packed cell r
+        in rows and c in cols, as an array."""
         if self.shrinkage.form == DENSE or self._summed_route:
             # The dense row (for the summed route, the one that gave Z).
             return _xor_gather(self._row, rows, cols)
-        raw = self._features.signed_sums(rows, cols, self._features.values)
+        raw = self._features.signed_sums(rows, cols)
         if self.variant == "linear":
             return np.ldexp(raw, -self.n)
         return _divide_by_normalizer(apply(self.transform, raw), self._norm)
@@ -508,28 +522,18 @@ class EstimatorConfig:
         accuracy, which single Q @ Q entries built by transforms would not
         on the far entries of a peaked kernel (squared_matrix_element
         takes those as xor_dot). A uniform-weight kernel reads the counts'
-        pair histogram (_WaakState.quadratic); other waak, aa_classic and
-        sparse linear kernels sum a support x support block of
-        _squared_gram.
+        pair histogram against the state of Q @ Q (_WaakState.quadratic);
+        other waak, aa_classic and sparse linear kernels sum the estimates
+        of their kernel Q @ Q (_squared) at the support cells, p' (Q^2 p).
         """
-        if self.variant in _WAAK and self._waak.shared_t is not None:
-            return self._waak.quadratic(counts)
         if self._squares_from_row:
             # The norm is einsum's, as in xor_dot.
             terms = self._spectrum() * counts._spectrum
             return math.ldexp(float(np.einsum("i,i->", terms, terms)), -self.n)
-        p = counts._counts / counts.total
-        support = counts._packed
-        return float(p @ self._squared_gram(support, support) @ p)
-
-    def _squared_gram(self, rows, cols):
-        """(Q @ Q)[r, c] for every cell r in rows and c in cols, as an
-        array, in closed form at any n, for waak, aa_classic and sparse
-        linear kernels only (the last as W diag(b * b) W / 2^n)."""
-        rows, cols = _cell_pair(rows, cols, self.n)
-        if self.variant in _WAAK:
-            return self._waak.squared_gram(rows, cols)
-        return np.ldexp(self._features.signed_sums(rows, cols, self._features.squared_values), -self.n)
+        if self.variant in _WAAK and self._waak.shared_t is not None:
+            return self._squared._waak.quadratic(counts)
+        scale, ratio = _smoothed(self._squared, counts, counts._packed)
+        return float(counts._counts @ (np.exp(scale) * ratio)) / counts.total
 
     def _profile(self):
         """Dense kernel row g with Q[i, j] = g[(i-1) XOR (j-1)].
@@ -614,12 +618,6 @@ class _Cells:
 def _as_cells(cells, n):
     """Cell indexes checked and packed (walsh._index_rows); packed cells pass through."""
     return cells if isinstance(cells, _Cells) else _Cells(_index_rows(cells, n))
-
-
-def _cell_pair(rows, cols, n):
-    """Pack two cell lists; a list passed as both is packed once."""
-    packed = _as_cells(rows, n)
-    return packed, packed if cols is rows else _as_cells(cols, n)
 
 
 def _weighted_distance(rows, cols, weights):
@@ -724,7 +722,6 @@ class _ParityFeatures:
             used = np.flatnonzero(keys.any(axis=0))
             self.span = slice(used[0], used[-1] + 1) if used.size else slice(0, 0)
             self.keys = keys[:, self.span]
-        self.squared_values = self.values * self.values
 
     def features(self, cells):
         words = cells.words[:, self.span]
@@ -735,54 +732,48 @@ class _ParityFeatures:
         ]
         return 1.0 - 2.0 * (np.bitwise_count(np.concatenate(masked)) & 1)
 
-    def signed_sums(self, rows, cols, values):
-        """sum_k values_k (-1)^popcount(key_k & (r XOR c)) for every pair."""
+    def signed_sums(self, rows, cols):
+        """sum_k b_k (-1)^popcount(key_k & (r XOR c)) for every pair."""
         if self.single:
-            c, distance = _weighted_distance(rows, cols, values)
-            return values.sum() - (2.0 * c) * distance
+            c, distance = _weighted_distance(rows, cols, self.values)
+            return self.values.sum() - (2.0 * c) * distance
         fr = self.features(rows)
         fc = fr if cols is rows else self.features(cols)
-        return (fr * values) @ fc.T
+        return (fr * self.values) @ fc.T
 
 
 class _WaakState:
-    """Log-space product-form kernel state for weights w and base gamma.
+    """Log-space state of a product-form kernel: its rates t and log_diag.
 
-    With t = w log(gamma) and D_t the t-weighted distance of two cells,
-    log Q = sum_d t_d - log Z - 2 D_t = -sum_d log(1 + e^(-2 t_d)) - 2 D_t.
-    Q @ Q has coordinate factor e^(2t) + e^(-2t) on agreement and 2 on
-    disagreement over Z^2, so log Q^2 = sum_d log((e^(2t) + e^(-2t)) /
-    (e^t + e^-t)^2) - D_v with v = log(e^(2t) + e^(-2t)) - log 2.
+    With t = w log(gamma) for weights w and base gamma, and D_t the
+    t-weighted distance of two cells, log Q = sum_d t_d - log Z - 2 D_t =
+    log_diag - 2 D_t, log_diag = -sum_d log(1 + e^(-2 t_d)). Q @ Q has
+    coordinate factor e^(2t) + e^(-2t) on agreement and 2 on disagreement
+    over Z^2, so it is a kernel of the same form (squared), with rates
+    t' = (log(e^(2t) + e^(-2t)) - log 2) / 2 and log_diag' = sum_d
+    log((e^(2t) + e^(-2t)) / (e^t + e^-t)^2).
 
     Rows of Q against a support are taken in log space, each shifted by
     its nearest cell (shifted, which _smoothed reads for held-out terms
-    and estimates); when t is one value s on every coordinate, D_t = s H
-    for the exact Hamming matrix H, and the rows are looked up from the
-    decay e^(-2 s j) over the n + 1 levels j = 0..n. The SE quadratic of
-    such a kernel (shared_t) reads D_v = v_1 H the same way (quadratic).
-    gram and squared_gram exponentiate every entry. Q is the
+    and estimates); when t is one value s on every coordinate (shared_t),
+    D_t = s H for the exact Hamming matrix H, and the rows are looked up
+    from the decay e^(-2 s j) over the n + 1 levels j = 0..n, as is
+    p' Q p from the counts' pair histogram (quadratic). Q is the
     Kronecker product of one positive 2x2 factor per coordinate, so Q p
     for a dense p takes one pass per coordinate (smooth), and its Walsh
     diagonal is a product of tanh(t_d) (spectrum).
     """
 
-    def __init__(self, w, gamma):
-        t = w * math.log(gamma)
+    def __init__(self, t, log_diagonal):
         self.t = t
         self.shared_t = float(t[0]) if np.all(t == t[0]) else None
-        lost = np.log1p(np.exp(-2.0 * t))
-        lost_sq = np.log1p(np.exp(-4.0 * t))
-        self.log_diagonal = -float(lost.sum())
-        self.squared_weights = 2.0 * t + lost_sq - _LOG2
-        self.log_squared_diagonal = float((lost_sq - 2.0 * lost).sum())
+        self.log_diagonal = log_diagonal
 
-    def gram(self, rows, cols):
-        c, distance = _weighted_distance(rows, cols, self.t)
-        return np.exp(self.log_diagonal - (2.0 * c) * distance)
-
-    def squared_gram(self, rows, cols):
-        c, distance = _weighted_distance(rows, cols, self.squared_weights)
-        return np.exp(self.log_squared_diagonal - c * distance)
+    def squared(self):
+        """The state of Q @ Q, itself a product of positive 2x2 factors."""
+        lost = np.log1p(np.exp(-2.0 * self.t))
+        lost_sq = np.log1p(np.exp(-4.0 * self.t))
+        return _WaakState((2.0 * self.t + lost_sq - _LOG2) / 2.0, float((lost_sq - 2.0 * lost).sum()))
 
     def shifted(self, rows, counts, held_out):
         """(scale, ratio) of rows of Q against the counts' support: with
@@ -804,12 +795,13 @@ class _WaakState:
         return scale, np.exp(-2.0 * np.maximum(distance - near[:, None], 0.0))
 
     def quadratic(self, counts):
-        """p' Q^2 p from the counts' pair histogram P: exp(log_sq_diag) *
-        sum_h P_h e^(-v_1 h) / N^2, whose sum holds P_0 >= N at h = 0. The
-        sum is einsum's, which no BLAS thread can delay."""
-        decay = _decay(float(self.squared_weights[0]), counts.n)
+        """p' Q p from the counts' pair histogram P, when t is one value s
+        on every coordinate: exp(log_diag) * sum_h P_h e^(-2 s h) / N^2,
+        whose sum holds P_0 >= N at h = 0. The sum is einsum's, which no
+        BLAS thread can delay."""
+        decay = _decay(2.0 * self.shared_t, counts.n)
         weighted = float(np.einsum("i,i->", counts._pair_histogram, decay))
-        return math.exp(self.log_squared_diagonal) * (weighted / counts.total**2)
+        return math.exp(self.log_diagonal) * (weighted / counts.total**2)
 
     def profile(self):
         """Q[1, m + 1] at every zero-based index m; 2^n entries."""
@@ -900,22 +892,27 @@ def _check_config(config):
 
 
 def matrix_element(i, j, config):
-    """Kernel matrix entry Q[i, j] for any estimator configuration."""
+    """Kernel matrix entry Q[i, j] for any estimator configuration: the
+    estimate at cell i from one observation at cell j, read by _smoothed
+    like every other entry."""
     _check_config(config)
-    return float(config._gram([i], [j])[0, 0])
+    scale, ratio = _smoothed(config, CountsVector(n=config.n, total=1, cells=((j, 1),)), _as_cells([i], config.n))
+    return float((np.exp(scale) * ratio)[0])
 
 
 def squared_matrix_element(i, j, config):
     """Entry (i, j) of Q @ Q for any estimator configuration.
 
     A kernel read from a dense row g (_squares_from_row) takes it as
-    xor_dot(g, (i-1) XOR (j-1)), n <= 30; the others read _squared_gram.
+    xor_dot(g, (i-1) XOR (j-1)), n <= 30; waak, aa_classic and sparse
+    linear kernels read entry (i, j) of their kernel Q @ Q (_squared) as
+    matrix_element does.
     """
     _check_config(config)
     if config._squares_from_row:
         i, j = (_check_index(cell, config.n) for cell in (i, j))
         return xor_dot(config._profile(), (i - 1) ^ (j - 1))
-    return float(config._squared_gram([i], [j])[0, 0])
+    return matrix_element(i, j, config._squared)
 
 
 # ---------------------------------------------------------------------------
@@ -930,9 +927,9 @@ class DensityEstimate:
     order. negativity flags any negative entry, which only
     sign-indefinite transforms or inadmissible shrinkage can produce;
     values are reported exactly as computed, never clipped silently.
-    estimate_at on a product-form kernel (waak, aa_classic) also keeps
-    the log of each value (_log_values), which query turns into
-    conditionals.
+    estimate_at on a product-form kernel (waak, aa_classic), or on a
+    mixture of only such kernels, also keeps the log of each value
+    (_log_values), which query turns into conditionals.
     estimate_full keeps _bound, the a-priori bound on every entry's
     absolute error, when it kept the Walsh-diagonal route's values, and
     None after the product-form butterfly or the per-cell gather.
@@ -964,14 +961,18 @@ def _smoothed(config, counts, cells=None):
     cells, the estimate (over N); with cells None, the held-out estimate
     at every support cell (over N - 1).
 
-    The one place a kernel's route is chosen. A product-form kernel
-    (waak, aa_classic) reads its rows in log space (_WaakState.shifted),
-    each shifted by its nearest weighted cell. That cell has ratio 1 and
-    weight >= 1, so the ratio neither underflows nor overflows. Other
-    kernels take a block of Q, scale 0. On both, the own cell's entry is
-    weighted by its count minus one, not subtracted after the product: it
-    dominates its row at large n, and the difference would cancel to 0.
+    The one place a kernel entry is read and a route chosen. A
+    product-form kernel (waak, aa_classic) reads its rows in log space
+    (_WaakState.shifted), each shifted by its nearest weighted cell. That
+    cell has ratio 1 and weight >= 1, so the ratio neither underflows nor
+    overflows. Linear and transformed kernels take a block of Q, scale 0.
+    On both, the own cell's entry is weighted by its count minus one, not
+    subtracted after the product: it dominates its row at large n, and
+    the difference would cancel to 0. A mixture reads each component
+    here and adds them row by row in log space (_mixed).
     """
+    if config.variant == "mixture":
+        return _mixed([(c, *_smoothed(cfg, counts, cells)) for c, cfg in config.components])
     cnt, support = counts._counts, counts._packed
     held_out = cells is None
     rows = support if held_out else cells
@@ -987,13 +988,29 @@ def _smoothed(config, counts, cells=None):
     return scale, (block @ cnt + own * (cnt - 1.0)) / (counts.total - 1)
 
 
+def _mixed(parts):
+    """(scale, ratio) of sum_i c_i exp(scale_i) ratio_i over a mixture's
+    components (c_i, scale_i, ratio_i). Each row is shifted by its largest
+    term log c_i + scale_i + log|ratio_i| among the components not 0
+    there, and each term keeps its sign: a negative linear component
+    stays exact, a component read at scale 0 does not mask one far below
+    it, and one whose row underflowed to 0 masks none. A row where every
+    component is 0 reads scale 0 and ratio 0."""
+    with np.errstate(divide="ignore"):
+        logs = np.array([math.log(c) + scale + np.log(np.abs(ratio)) for c, scale, ratio in parts])
+    top = logs.max(axis=0)
+    top[np.isneginf(top)] = 0.0
+    return top, np.copysign(np.exp(logs - top), [ratio for _, _, ratio in parts]).sum(axis=0)
+
+
 def estimate_at(cells, config, counts):
     """Estimated probability of each queried cell, sparse in n.
 
     Each chunk of query cells is one query x support product (_smoothed)
     near _BLOCK_ENTRIES entries, over the fixed (ascending) support
-    order. A product-form kernel also keeps the log of every value,
-    which stays exact where the value itself underflows.
+    order. A product-form kernel, and a mixture of only such kernels,
+    also keeps the log of every value, which stays exact where the value
+    itself underflows.
     """
     _match_dimensions(config, counts)
     cell_list = _items(cells, "query cells")
@@ -1006,7 +1023,8 @@ def estimate_at(cells, config, counts):
     ]
     values = np.concatenate([np.exp(scale) * ratio for scale, ratio in parts])
     logs = None
-    if config.variant in _WAAK:
+    kinds = {cfg.variant for _, cfg in config.components} if config.variant == "mixture" else {config.variant}
+    if kinds <= set(_WAAK):
         logs = np.concatenate([scale + np.log(ratio) for scale, ratio in parts])
     return DensityEstimate(
         n=config.n,
@@ -1042,7 +1060,7 @@ def estimate_full(config, counts):
     _match_dimensions(config, counts)
     n = config.n
     if n > MAX_FULL_N:
-        raise CapacityError(f"full estimate limited to n <= {MAX_FULL_N}, got n={n}")
+        raise CapacityError(f"full estimates are limited to n <= {MAX_FULL_N}; list explicit query cells for n={n}")
     values, bound = _full_values(config, counts)
     return DensityEstimate(
         n=n,

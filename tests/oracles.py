@@ -306,23 +306,36 @@ def _disagreements(x, y):
 class WaakKernelMp:
     """Coordinate d contributes gamma^w_d on agreement and gamma^-w_d on
     disagreement, over gamma^w_d + gamma^-w_d; in Q @ Q the factors are
-    gamma^2w_d + gamma^-2w_d and 2, over the squared sum."""
+    gamma^2w_d + gamma^-2w_d and 2, over the squared sum.
+
+    Coordinates with equal weights share their factors, so each sum over
+    coordinates runs over the distinct weights, each term times the
+    number of its coordinates in the sum."""
 
     @mp.workdps(_DPS)
     def __init__(self, w, gamma):
         log_gamma = mp.log(mp.mpf(float(gamma)))
-        self.t = [mp.mpf(float(wd)) * log_gamma for wd in w]
-        self.t_total = mp.fsum(self.t)
-        self.log_z = mp.fsum(mp.log(mp.exp(t) + mp.exp(-t)) for t in self.t)
+        weights, self.group = np.unique(np.asarray(w, dtype=np.float64), return_inverse=True)
+        self.t = [mp.mpf(float(wd)) * log_gamma for wd in weights]
         self.log_sq = [mp.log(mp.exp(2 * t) + mp.exp(-2 * t)) for t in self.t]
-        self.log_sq_total = mp.fsum(self.log_sq)
+        self.log_sq_lost = [v - mp.log(2) for v in self.log_sq]
+        every = np.ones(self.group.size, dtype=bool)
+        self.t_total = self._sum(self.t, every)
+        self.log_z = self._sum([mp.log(mp.exp(t) + mp.exp(-t)) for t in self.t], every)
+        self.log_sq_total = self._sum(self.log_sq, every)
+
+    def _sum(self, per_weight, coords):
+        """sum over the coordinates selected by coords of per_weight at
+        each coordinate's weight."""
+        counts = np.bincount(self.group[coords], minlength=len(per_weight))
+        return mp.fsum(int(counts[g]) * per_weight[g] for g in np.flatnonzero(counts))
 
     def __call__(self, x, y):
-        lost = mp.fsum(2 * self.t[d] for d in _disagreements(x, y))
+        lost = 2 * self._sum(self.t, np.asarray(x) != np.asarray(y))
         return mp.exp(self.t_total - lost - self.log_z)
 
     def squared(self, x, y):
-        lost = mp.fsum(self.log_sq[d] - mp.log(2) for d in _disagreements(x, y))
+        lost = self._sum(self.log_sq_lost, np.asarray(x) != np.asarray(y))
         return mp.exp(self.log_sq_total - lost - 2 * self.log_z)
 
 

@@ -855,7 +855,9 @@ class TestEstimateCommand:
             ["estimate", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "r.json")]
         )
         assert code == 3
-        assert "n=25" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n=25" in err and "list explicit query cells" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_degenerate_normalizer_exits_4(self, workspace, capsys):
         tmp, data = workspace

@@ -667,6 +667,30 @@ class TestMixture:
         want = 0.5 * matrix_element(2, 6, comps[0][1]) + 0.5 / 8.0
         assert got == pytest.approx(want, rel=1e-13)
 
+    def test_negative_component_keeps_its_sign(self):
+        """A linear component with negative entries adds with its sign, and
+        a row where every component is 0 reads exactly 0."""
+        n = 3
+        a = EstimatorConfig.waak(np.array([0.2, 0.4, 0.6]), 1.5)
+        # 2^-n (1 + 0.9 x_1 y_1 + 0.9 x_2 y_2): -0.8 / 8 where both coordinates differ.
+        b = EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.9, 3: 0.9}))
+        mix = EstimatorConfig.mixture([(0.1, a), (0.9, b)])
+        signs = set()
+        for i in range(1, 9):
+            for j in range(1, 9):
+                want = 0.1 * matrix_element(i, j, a) + 0.9 * matrix_element(i, j, b)
+                got = matrix_element(i, j, mix)
+                assert got == pytest.approx(want, rel=1e-13)
+                signs.add(math.copysign(1.0, got))
+        assert signs == {1.0, -1.0}
+        # Both components are 0 where coordinates 1 and 2 both differ (cells 1 and 4).
+        one = EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 2: 1.0}))
+        two = EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 2: 0.5, 3: 0.5}))
+        both = EstimatorConfig.mixture([(0.5, one), (0.5, two)])
+        assert matrix_element(1, 4, one) == matrix_element(1, 4, two) == 0.0
+        assert matrix_element(1, 4, both) == 0.0
+        assert matrix_element(1, 1, both) == pytest.approx(0.25, rel=1e-15)
+
     def test_squared_mixture_matches_dense(self):
         rng = np.random.default_rng(49)
         n = 4
@@ -802,23 +826,22 @@ class TestDistanceRoutes:
         rng = np.random.default_rng(52)
         cells = _clustered_cells(rng, n, 16)
         cfg = EstimatorConfig.waak(rng.uniform(0.1, 1.0, n), 3.0)
-        diagonal = np.diag(cfg._gram(cells, cells))
-        assert np.all(diagonal == np.exp(np.full(len(cells), cfg._waak.log_diagonal)))
+        diagonal = [matrix_element(cell, cell, cfg) for cell in cells]
+        assert diagonal == [math.exp(cfg._waak.log_diagonal)] * len(cells)
 
     @pytest.mark.parametrize("n", [16, 1000, 10_000])
     def test_float_route_equal_cells_are_zero_across_lists(self, n):
         """A queried cell that is also a support cell sits at distance 0
-        from it, though query and support are different packed lists."""
+        from it, though query and observation are different packed lists."""
         rng = np.random.default_rng(n + 2)
         support = _clustered_cells(rng, n, 20)
         counts = CountsVector.from_cells(n, {cell: 1 for cell in support})
         cfg = EstimatorConfig.waak(rng.uniform(0.1, 1.0, n), 3.0)
         queries = [cell for cell, _ in counts.cells] + _clustered_cells(rng, n, 4)
-        gram = cfg._gram(queries, counts._packed)
-        for r, cell in enumerate(queries):
-            for c, (other, _) in enumerate(counts.cells):
+        for cell in queries:
+            for other, _ in counts.cells:
                 if cell == other:
-                    assert gram[r, c] == math.exp(cfg._waak.log_diagonal)
+                    assert matrix_element(cell, other, cfg) == math.exp(cfg._waak.log_diagonal)
 
     def test_hamming_blocks_its_temporaries(self):
         n, k = 10_000, 300

@@ -14,7 +14,9 @@ Their results must match
 
 Waak kernels whose weights differ across coordinates take the same
 log-space route from float distances, and are checked on the same data
-against references built from exact weighted distances.
+against references built from exact weighted distances. Mixtures combine
+their components' log-space rows, and are checked there against mpmath
+mixtures of the components' kernels.
 """
 
 import functools
@@ -25,7 +27,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bindens import EstimatorConfig, estimate_at, kl_risk, loo_term, se_risk
+from bindens import EstimatorConfig, ShrinkageSpec, estimate_at, kl_risk, loo_term, se_risk
 from bindens.cli import main
 from bindens import estimators
 from bindens.estimators import counts_from_observations
@@ -320,5 +322,109 @@ def test_nonuniform_query_conditional_matches_exact_distances(n, name, gamma, tm
         assert entry["values"] == [0.0, 0.0]
     with mp.workdps(oracles._DPS):
         want = float(mp.tanh((lp - lm) / 2))
+    assert entry["undefined"] is False
+    assert entry["conditional_expectation"] == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# mixtures: each component in log space, added row by row
+#
+# A mixture reads each component's rows as that component does and adds
+# them per row in log space, so neither a component whose linear-space
+# rows underflow (a sparse linear kernel's 2^-n factor) nor one far
+# below another masks the rest. The reference is an mpmath mixture of
+# the components' own kernels.
+
+
+def _mixture_parts(n, name):
+    """(weight, config, mpmath kernel) of each component: a uniform waak
+    and an aa_classic, or the same waak and a sparse linear kernel."""
+    waak = (0.5, EstimatorConfig.waak(np.full(n, 0.5), 3.0), oracles.WaakKernelMp(np.full(n, 0.5), 3.0))
+    if name == "waak_aa":
+        return [waak, (0.5, EstimatorConfig.aa_classic(n, 0.8), oracles.AaKernelMp(n, 0.8))]
+    entries = {1: 1.0, 2: 0.3}
+    return [waak, (0.5, EstimatorConfig.linear(ShrinkageSpec.sparse(n, entries)), oracles.LinearKernelMp(n, entries))]
+
+
+MIXTURE_CASES = [(n, name) for n in sorted(LARGE) for name in ("waak_aa", "waak_linear")]
+
+
+@functools.lru_cache(maxsize=None)
+def _mixture_reference(n, name):
+    """The mixture's config, its held-out log terms and KL, and its log
+    estimates at the first six support cells and their one-bit flips."""
+    support, counts, _, _, queries = _large_data(n)
+    parts = _mixture_parts(n, name)
+    kernel = oracles.MixtureKernelMp([(c, k) for c, _, k in parts])
+    ref = oracles.loo_reference(kernel, support, counts)
+    estimates = oracles.estimate_reference(kernel, queries[:12], support, counts)
+    with mp.workdps(oracles._DPS):
+        log_terms = [mp.log(t) for t in ref["terms"]]
+        log_estimate = [mp.log(v) for v in estimates]
+    cfg = EstimatorConfig.mixture([(c, part) for c, part, _ in parts])
+    return cfg, log_terms, ref["kl"], log_estimate
+
+
+@pytest.mark.parametrize("n, name", MIXTURE_CASES)
+def test_mixture_held_out_logs_match_mpmath(n, name):
+    _, counts, _, _, _ = _large_data(n)
+    cfg, log_terms, kl, _ = _mixture_reference(n, name)
+    want = np.array([float(lt) for lt in log_terms])
+    if n == 10_000:
+        assert want.min() < LOG_ZERO  # some held-out term is 0.0 in float64
+
+    report = kl_risk(cfg, counts)
+    assert not report.dominated
+    assert report.value == pytest.approx(float(kl), rel=1e-12)
+    scale, ratio = estimators._smoothed(cfg, counts)
+    np.testing.assert_allclose(scale + np.log(ratio), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, name", MIXTURE_CASES)
+def test_mixture_estimate_logs_match_mpmath(n, name):
+    _, counts, _, _, queries = _large_data(n)
+    cfg, _, _, log_estimate = _mixture_reference(n, name)
+    want = np.array([float(v) for v in log_estimate])
+    if n == 10_000:
+        assert want.max() < LOG_ZERO  # every value is 0.0 in float64
+    cells = [_cell_of(q) for q in queries[:12]]
+    scale, ratio = estimators._smoothed(cfg, counts, estimators._as_cells(cells, n))
+    np.testing.assert_allclose(scale + np.log(ratio), want, rtol=1e-12, atol=0.0)
+    # Only a mixture of product-form kernels, positive everywhere, keeps its logs.
+    logs = estimate_at(cells, cfg, counts)._log_values
+    if name == "waak_aa":
+        np.testing.assert_allclose(logs, want, rtol=1e-12, atol=0.0)
+    else:
+        assert logs is None
+
+
+@pytest.mark.parametrize("n", sorted(LARGE))
+def test_mixture_query_conditional_matches_mpmath(n, tmp_path):
+    support, counts, cnt, _, queries = _large_data(n)
+    data = tmp_path / "data.csv"
+    np.savetxt(data, support[np.repeat(np.arange(len(cnt)), cnt)], fmt="%d", delimiter=",")
+    components = [{"weight": 0.5, "estimator": {"variant": "waak", "gamma": 3, "w": 0.5}},
+                  {"weight": 0.5, "estimator": {"variant": "aa_classic", "lambda": 0.8}}]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"estimator": {"variant": "mixture", "components": components},
+                                  "query": {"cells": [1]}}))
+    fit = tmp_path / "fit.json"
+    assert main(["estimate", "--data", str(data), "--config", str(config), "--out", str(fit)]) == 0
+
+    q, pos = queries[-1], n // 2
+    label = "".join("+" if s > 0 else "-" for s in q)
+    out = tmp_path / "query.json"
+    assert main(["query", "--fit", str(fit), "--cells=" + label[:pos] + "?" + label[pos + 1 :], "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["query"]["results"]
+
+    plus, minus = q.copy(), q.copy()
+    plus[pos], minus[pos] = 1, -1
+    kernel = oracles.MixtureKernelMp([(c, k) for c, _, k in _mixture_parts(n, "waak_aa")])
+    with mp.workdps(oracles._DPS):
+        lp, lm = (mp.log(v) for v in oracles.estimate_reference(kernel, [plus, minus], support, counts))
+        want = float(mp.tanh((lp - lm) / 2))
+    if n == 10_000:
+        assert max(lp, lm) < LOG_ZERO  # both values are 0.0 in float64
+        assert entry["values"] == [0.0, 0.0]
     assert entry["undefined"] is False
     assert entry["conditional_expectation"] == pytest.approx(want, rel=1e-12)
