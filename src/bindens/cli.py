@@ -8,7 +8,6 @@ refusals, 4 numeric failures.
 """
 
 import collections
-import decimal
 import json
 import math
 import os
@@ -39,7 +38,7 @@ from .estimators import (
 )
 from .shrinkage import ShrinkageSpec
 from .transforms import _PARAMETERS, Transform, normalizer
-from .walsh import _pack_bits, _real, _row_indexes, point_of_index
+from .walsh import _float_array, _pack_bits, _real, _row_indexes, point_of_index
 
 REPORT_VERSION = 2
 
@@ -303,7 +302,8 @@ def load_config(path):
 #
 # str() and int() refuse integers beyond 4300 decimal digits (Python's
 # int_max_str_digits), which cell indexes pass from n ~ 14,300 on.
-# decimal.Decimal converts between int and digits without that limit.
+# decimal.Decimal converts between int and digits without that limit; it
+# is imported only there, so no command below that size pays its import.
 # A value of at most 3 d bits is below 8^d < 10^d, so it has at most d
 # digits: a bit length settles most sizes without forming a power of ten.
 
@@ -314,6 +314,8 @@ def _decimal(value):
     limit = _int_text_limit()
     if limit == 0 or value.bit_length() <= 3 * (limit - 1):
         return str(value)
+    import decimal
+
     return str(decimal.Decimal(value))
 
 
@@ -331,6 +333,8 @@ def _parse_decimal(text):
     limit = _int_text_limit()
     if limit == 0 or len(digits) <= limit:
         return int(text)
+    import decimal
+
     return int(decimal.Decimal(text))
 
 
@@ -384,23 +388,11 @@ def _numbers(raw, what, kind=float):
     return [_number(v, f"{what} entry", kind) for v in raw]
 
 
-def _float_array(raw, what):
-    """_numbers(raw, what) as a float64 array. A list of JSON ints and floats
-    converts in one numpy pass; any other value, or an int past float range,
-    goes through _numbers, whose error names the first bad entry."""
-    if isinstance(raw, list) and set(map(type, raw)) <= {int, float}:
-        try:
-            return np.asarray(raw, dtype=np.float64)
-        except OverflowError:
-            pass
-    return np.asarray(_numbers(raw, what), dtype=np.float64)
-
-
 def _weight_vector(raw, n, what):
     if isinstance(raw, (int, float)):
         return np.full(n, _number(raw, what))
     if isinstance(raw, list):
-        arr = _float_array(raw, what)
+        arr = _float_array(raw, what, ConfigError)
         if arr.size != n:
             raise ConfigError(f"{what} has {arr.size} entries, expected {n}")
         return arr
@@ -411,7 +403,7 @@ def shrinkage_from_dict(d, n):
     form = _require(d, "form", "shrinkage")
     try:
         if form == "dense":
-            values = _float_array(_require(d, "values", "dense shrinkage"), "dense shrinkage values")
+            values = _float_array(_require(d, "values", "dense shrinkage"), "dense shrinkage values", ConfigError)
             spec = ShrinkageSpec.dense(values)
             if spec.n != n:
                 raise ConfigError(f"dense shrinkage is for n={spec.n}, data has n={n}")

@@ -18,33 +18,38 @@ Kernel entries are read a block at a time by one function, _smoothed:
 an estimate at listed cells and a leave-one-out held-out term are both
 Q p, the latter with one count less, and a single entry Q[i, j]
 (matrix_element) is the estimate at i from one observation at j. A
-linear or transformed kernel fills its block of Q as a matrix product
-over the cells' parity features or a gather from a dense profile. A
-kernel whose Z has no closed form sums its dense row for Z (n <= 30) and
-reads every entry from that row, as a dense-shrinkage kernel does, so
-its Z, full estimate and single entries are one set of numbers; other
-blocks cost O(#nonzero(b)) or O(n) per entry with no 2^n buffer.
+linear or transformed kernel not of product form (below) fills its
+block of Q as a matrix product over the cells' parity features, or as a
+gather from a dense profile; where dividing the products by Z would
+leave the float64 normal range, Z stays out of the block as its log
+scale -log Z, so no 2^-n or 1/Z factor underflows. A kernel whose
+Z has no closed form sums its dense row for Z (n <= 30) and reads every
+entry from that row, as a dense-shrinkage kernel does, so its Z, full
+estimate and single entries are one set of numbers; other blocks cost
+O(#nonzero(b)) or O(n) per entry with no 2^n buffer.
 
-Q @ Q takes one of two routes. For waak, aa_classic and sparse linear
+Q @ Q takes one of two routes. For product-form and sparse linear
 kernels it is a kernel of the same form at any n (_squared), read
 through _smoothed like Q itself. A kernel read from a dense row (linear
-over dense shrinkage, transformed, mixture) takes every Q @ Q quantity
-from that row and its Walsh diagonal s, with Q = W diag(s) W / 2^n and
-so Q @ Q = W diag(s^2) W / 2^n (n <= 30): a single entry is xor_dot,
-one gather and dot over the row, and the core's quadratic form p' Q^2 p
-is ||s * fwht(p)||^2 / 2^n.
-s is b for a linear kernel and a product of tanh(t_d) for waak and
-aa_classic, both in closed form; a transformed kernel keeps one
+over dense shrinkage, other transformed, mixture) takes every Q @ Q
+quantity from that row and its Walsh diagonal s, with Q = W diag(s) W /
+2^n and so Q @ Q = W diag(s^2) W / 2^n (n <= 30): a single entry is
+xor_dot, one gather and dot over the row, and the core's quadratic form
+p' Q^2 p is ||s * fwht(p)||^2 / 2^n.
+s is b for a linear kernel and a product of tanh(t_d) for a
+product-form kernel, both in closed form; another kernel keeps one
 transform of its row, and a mixture sums its components' diagonals.
 fwht(p) is kept by the counts, so an SE search pays its transforms per
 component and per counts, not per candidate. A full 2^n estimate reads
 the same diagonal: fwht(s * fwht(p)) / 2^n, kept for a non-linear
 kernel only when an a-priori error bound certifies it, and otherwise
-one positive pass per coordinate for waak and aa_classic, and a gather
-of the dense row per observed cell for a transformed kernel.
+one positive pass per coordinate for a product-form kernel, and a
+gather of the dense row per observed cell for a transformed kernel.
 
-Product-form kernels (waak, aa_classic) see two cells only through a
-weighted distance D_t, the sum of t_d = w_d log(gamma) over the
+Product-form kernels (waak, aa_classic, and the exponential with base
+gamma >= 1 over single-interaction weights, which is the same kernel as
+waak; EstimatorConfig._waak is the one test) see two cells only through
+a weighted distance D_t, the sum of t_d = w_d log(gamma) over the
 coordinates where they differ, so log Q = log_diag - 2 D_t whatever the
 weights. _weighted_distance gives D_t as c D: when every t_d equals one
 value c, D is the exact integer Hamming matrix H, a popcount over the
@@ -87,7 +92,8 @@ from .errors import (
     NumericError,
 )
 from .shrinkage import DENSE, SINGLE_INTERACTION, ShrinkageSpec
-from .transforms import FWHT_GENERAL, Transform, _dense_values, _route, _summed_normalizer, apply, normalizer
+from .transforms import CLOSED_FORM_EXPONENTIAL, FWHT_GENERAL, Transform, _dense_values, _route, _summed_normalizer
+from .transforms import apply, normalizer
 from .walsh import _butterfly, _check_index, _dense_size, _index_rows, _integer, _items, _pack_bits, _pairs
 from .walsh import _real, _row_indexes, _unpack_bits, as_point, fwht
 
@@ -338,10 +344,6 @@ def _validate_components(components):
     return tuple(comps)
 
 
-# Variants evaluated by the log-space product-form kernel.
-_WAAK = ("waak", "aa_classic")
-
-
 @dataclass(frozen=True, eq=False)
 class EstimatorConfig:
     """One fully specified estimator; build through the classmethods.
@@ -351,16 +353,16 @@ class EstimatorConfig:
     transformed kernel's Walsh diagonal, the kernel Q @ Q) is a private
     attribute built on first use and kept by the instance, so it lives
     exactly as long as the configuration. _smoothed reads every entry of
-    Q: in log space for waak and aa_classic (_WaakState.shifted), from
-    the private _gram, which fills Q of a linear or transformed kernel on
-    two lists of packed cells, and per component for a mixture. Q @ Q
-    takes one of two routes: waak, aa_classic and sparse linear kernels
-    have it as a kernel of the same form (_squared), and a kernel read
-    from a dense row (_squares_from_row) takes it from that row and its
-    Walsh diagonal, as xor_dot for one entry. _quadratic gives the SE
-    risk its p' Q^2 p for a CountsVector's weights p on either route. A
-    kernel that sums its dense row for Z reads its Q entries from that
-    row.
+    Q: in log space for a product-form kernel (_waak, _WaakState.shifted),
+    from the private _gram, which fills Q of any other linear or
+    transformed kernel on two lists of packed cells, and per component
+    for a mixture. Q @ Q takes one of two routes: product-form and sparse
+    linear kernels have it as a kernel of the same form (_squared), and a
+    kernel read from a dense row (_squares_from_row) takes it from that
+    row and its Walsh diagonal, as xor_dot for one entry. _quadratic
+    gives the SE risk its p' Q^2 p for a CountsVector's weights p on
+    either route. A kernel that sums its dense row for Z reads its Q
+    entries from that row.
     """
 
     variant: str
@@ -437,14 +439,32 @@ class EstimatorConfig:
     def _features(self):
         return _ParityFeatures(self.shrinkage)
 
+    @property
+    def _transform(self):
+        """f of a single kernel f(W diag(b) W) / Z: the exponential over w
+        for waak and aa_classic, the identity for linear; None for a
+        mixture."""
+        if self.gamma is not None:
+            return Transform.exponential(self.gamma)
+        return Transform.identity() if self.variant == "linear" else self.transform
+
     @cached_property
     def _waak(self):
-        t = self.shrinkage.w * math.log(self.gamma)
+        """The _WaakState of a product-form kernel, else None: the one test
+        of product form. A kernel is product-form when it is the
+        exponential with base gamma >= 1 over single-interaction weights w
+        (CLOSED_FORM_EXPONENTIAL): waak(w, gamma), aa_classic, or the
+        transformed kernel of that form. Its rates t = w log(gamma) >= 0
+        are the only ones _WaakState takes."""
+        transform = self._transform
+        if transform is None or _route(transform, self.shrinkage) != CLOSED_FORM_EXPONENTIAL or transform.gamma < 1.0:
+            return None
+        t = self.shrinkage.w * math.log(transform.gamma)
         return _WaakState(t, -float(np.log1p(np.exp(-2.0 * t)).sum()))
 
     @cached_property
     def _squared(self):
-        """Q @ Q of a waak, aa_classic or sparse linear kernel as a kernel
+        """Q @ Q of a product-form or sparse linear kernel as a kernel
         of the same form, which _smoothed reads like any other: the linear
         kernel over b * b, or a config of the same variant whose _waak is
         the state of Q @ Q (_WaakState.squared); only that state, not its
@@ -457,26 +477,21 @@ class EstimatorConfig:
 
     @cached_property
     def _norm(self):
-        """Z of a single kernel: the identity's closed form for linear and
-        the exponential's for waak and aa_classic kernels; a transformed
-        kernel with no closed form sums its dense row (_summed). A Z that
-        is not positive leaves the kernel undefined and raises here, at
-        the first evaluation that needs it."""
+        """Z of a single kernel, normalizer() of its _transform: a closed
+        form for linear, waak and aa_classic kernels; a transformed kernel
+        with no closed form sums its dense row (_summed). A Z that is not
+        positive leaves the kernel undefined and raises here, at the first
+        evaluation that needs it."""
         if self._summed_route:
             return self._summed[0]
-        if self.variant == "linear":
-            transform = Transform.identity()
-        elif self.variant in _WAAK:
-            transform = Transform.exponential(self.gamma)
-        else:
-            transform = self.transform
-        return _positive(normalizer(transform, self.shrinkage))
+        return _positive(normalizer(self._transform, self.shrinkage))
 
     @property
     def _squares_from_row(self):
         """True for a kernel whose Q @ Q is read from its dense row and
-        Walsh diagonal: linear over dense shrinkage, transformed, mixture."""
-        return self.variant in ("transformed", "mixture") or self.shrinkage.form == DENSE
+        Walsh diagonal: linear over dense shrinkage, a transformed kernel
+        not of product form, mixture."""
+        return self._waak is None and (self.variant != "linear" or self.shrinkage.form == DENSE)
 
     @property
     def _summed_route(self):
@@ -501,15 +516,21 @@ class EstimatorConfig:
         return (self._norm,)
 
     def _gram(self, rows, cols):
-        """Q[r, c] of a linear or transformed kernel for every packed cell r
-        in rows and c in cols, as an array."""
+        """(scale, block) with Q[r, c] = exp(scale) * block[r, c] for every
+        packed cell r in rows and c in cols, for a kernel not of product
+        form. A kernel read from its dense row gathers it, scale 0. Any
+        other divides its entries f by Z, scale 0, when every f / Z is 0
+        or in the float64 normal range, which keeps the power-of-two Z of
+        linear and logistic kernels exact; else it leaves Z out of the
+        block, scale -log Z, so that no 2^-n or 1/Z factor underflows."""
         if self.shrinkage.form == DENSE or self._summed_route:
             # The dense row (for the summed route, the one that gave Z).
-            return _xor_gather(self._row, rows, cols)
+            return 0.0, _xor_gather(self._row, rows, cols)
         raw = self._features.signed_sums(rows, cols)
-        if self.variant == "linear":
-            return np.ldexp(raw, -self.n)
-        return _divide_by_normalizer(apply(self.transform, raw), self._norm)
+        values = raw if self.variant == "linear" else apply(self.transform, raw)
+        divided = values / self._norm.value
+        normal = np.all((np.abs(divided) >= sys.float_info.min) | (values == 0.0))
+        return (0.0, divided) if normal else (-self._norm.log_value, values)
 
     def _quadratic(self, counts):
         """p' (Q @ Q) p for the empirical weights p of counts.
@@ -523,14 +544,14 @@ class EstimatorConfig:
         on the far entries of a peaked kernel (squared_matrix_element
         takes those as xor_dot). A uniform-weight kernel reads the counts'
         pair histogram against the state of Q @ Q (_WaakState.quadratic);
-        other waak, aa_classic and sparse linear kernels sum the estimates
+        other product-form and sparse linear kernels sum the estimates
         of their kernel Q @ Q (_squared) at the support cells, p' (Q^2 p).
         """
         if self._squares_from_row:
             # The norm is einsum's, as in xor_dot.
             terms = self._spectrum() * counts._spectrum
             return math.ldexp(float(np.einsum("i,i->", terms, terms)), -self.n)
-        if self.variant in _WAAK and self._waak.shared_t is not None:
+        if self._waak is not None and self._waak.shared_t is not None:
             return self._squared._waak.quadratic(counts)
         scale, ratio = _smoothed(self._squared, counts, counts._packed)
         return float(counts._counts @ (np.exp(scale) * ratio)) / counts.total
@@ -548,7 +569,7 @@ class EstimatorConfig:
 
     @cached_property
     def _row(self):
-        if self.variant in _WAAK:
+        if self._waak is not None:
             return self._waak.profile()
         if self._summed_route:
             return self._summed[1]
@@ -570,7 +591,7 @@ class EstimatorConfig:
             return sum(c * cfg._spectrum() for c, cfg in self.components)
         if self.variant == "linear":
             return self.shrinkage.to_dense()
-        if self.variant in _WAAK:
+        if self._waak is not None:
             return self._waak.spectrum()
         return self._row_spectrum
 
@@ -782,7 +803,8 @@ class _WaakState:
         2c near and ratio = e^(-2c (D - near)), so Q = exp(scale) * ratio.
         A Hamming D gathers the n + 1 levels of _decay. A float D clips
         D - near at 0, which only the own cell of a cell seen once, weighed
-        0 in its held-out term, falls below."""
+        0 in its held-out term, falls below, and, as _decay does, sets a
+        ratio below the float64 normal range to 0 without calling exp."""
         c, distance = _weighted_distance(rows, counts._packed, self.t)
         exact = distance.dtype.kind == "i"
         if held_out:
@@ -792,7 +814,8 @@ class _WaakState:
         scale = self.log_diagonal - (2.0 * c) * near
         if exact:
             return scale, _decay(2.0 * c, counts.n)[distance - near[:, None]]
-        return scale, np.exp(-2.0 * np.maximum(distance - near[:, None], 0.0))
+        exponent = -2.0 * np.maximum(distance - near[:, None], 0.0)
+        return scale, np.exp(exponent, out=np.zeros_like(exponent), where=exponent >= _LOG_TINY)
 
     def quadratic(self, counts):
         """p' Q p from the counts' pair histogram P, when t is one value s
@@ -904,7 +927,7 @@ def squared_matrix_element(i, j, config):
     """Entry (i, j) of Q @ Q for any estimator configuration.
 
     A kernel read from a dense row g (_squares_from_row) takes it as
-    xor_dot(g, (i-1) XOR (j-1)), n <= 30; waak, aa_classic and sparse
+    xor_dot(g, (i-1) XOR (j-1)), n <= 30; product-form and sparse
     linear kernels read entry (i, j) of their kernel Q @ Q (_squared) as
     matrix_element does.
     """
@@ -927,9 +950,8 @@ class DensityEstimate:
     order. negativity flags any negative entry, which only
     sign-indefinite transforms or inadmissible shrinkage can produce;
     values are reported exactly as computed, never clipped silently.
-    estimate_at on a product-form kernel (waak, aa_classic), or on a
-    mixture of only such kernels, also keeps the log of each value
-    (_log_values), which query turns into conditionals.
+    estimate_at keeps the log of each value (_log_values), which query
+    turns into conditionals, whenever no value is negative.
     estimate_full keeps _bound, the a-priori bound on every entry's
     absolute error, when it kept the Walsh-diagonal route's values, and
     None after the product-form butterfly or the per-cell gather.
@@ -962,13 +984,14 @@ def _smoothed(config, counts, cells=None):
     at every support cell (over N - 1).
 
     The one place a kernel entry is read and a route chosen. A
-    product-form kernel (waak, aa_classic) reads its rows in log space
+    product-form kernel (_waak) reads its rows in log space
     (_WaakState.shifted), each shifted by its nearest weighted cell. That
     cell has ratio 1 and weight >= 1, so the ratio neither underflows nor
-    overflows. Linear and transformed kernels take a block of Q, scale 0.
-    On both, the own cell's entry is weighted by its count minus one, not
-    subtracted after the product: it dominates its row at large n, and
-    the difference would cancel to 0. A mixture reads each component
+    overflows. Every other kernel takes a block of Q from _gram, with
+    scale -log Z when Z is left out of the block. On both, the own cell's
+    entry is weighted by its count minus one, not subtracted after the
+    product: it dominates its row at large n, and the difference would
+    cancel to 0. A mixture reads each component
     here and adds them row by row in log space (_mixed).
     """
     if config.variant == "mixture":
@@ -976,10 +999,10 @@ def _smoothed(config, counts, cells=None):
     cnt, support = counts._counts, counts._packed
     held_out = cells is None
     rows = support if held_out else cells
-    if config.variant in _WAAK:
+    if config._waak is not None:
         scale, block = config._waak.shifted(rows, counts, held_out)
     else:
-        scale, block = 0.0, config._gram(rows, support)
+        scale, block = config._gram(rows, support)
     if not held_out:
         return scale, (block @ cnt) / counts.total
     # A cell seen once reads its own entry at a finite ratio and weighs it 0.
@@ -1008,9 +1031,10 @@ def estimate_at(cells, config, counts):
 
     Each chunk of query cells is one query x support product (_smoothed)
     near _BLOCK_ENTRIES entries, over the fixed (ascending) support
-    order. A product-form kernel, and a mixture of only such kernels,
-    also keeps the log of every value, which stays exact where the value
-    itself underflows.
+    order. Unless some value is negative, the estimate also keeps the
+    log of every value, scale + log(ratio), which stays exact where the
+    value itself underflows; a value of 0 keeps -inf. negativity is read
+    from the ratios, whose sign an underflowing scale does not hide.
     """
     _match_dimensions(config, counts)
     cell_list = _items(cells, "query cells")
@@ -1022,16 +1046,15 @@ def estimate_at(cells, config, counts):
         for start in range(0, len(cell_list), step)
     ]
     values = np.concatenate([np.exp(scale) * ratio for scale, ratio in parts])
-    logs = None
-    kinds = {cfg.variant for _, cfg in config.components} if config.variant == "mixture" else {config.variant}
-    if kinds <= set(_WAAK):
-        logs = np.concatenate([scale + np.log(ratio) for scale, ratio in parts])
+    negative = any(np.any(ratio < 0.0) for _, ratio in parts)
+    with np.errstate(divide="ignore"):
+        logs = None if negative else np.concatenate([scale + np.log(ratio) for scale, ratio in parts])
     return DensityEstimate(
         n=config.n,
         cells=tuple(int(c) for c in cell_list),
         values=values,
         normalizers=config._normalizers(),
-        negativity=bool(np.any(values < 0.0)),
+        negativity=negative,
         _log_values=logs,
     )
 
@@ -1093,7 +1116,7 @@ def _full_values(config, counts):
         return values, bound
     if config.variant == "mixture":
         return sum(c * _full_values(cfg, counts)[0] for c, cfg in config.components), None
-    if config.variant in _WAAK:
+    if config._waak is not None:
         return config._waak.smooth(counts.to_dense()), None
     return _gather(config._row, counts), None
 
@@ -1150,7 +1173,7 @@ def _walsh_diagonal(config, weights):
     diagonal = config._spectrum()
     if config.variant == "linear":
         return diagonal, 0.0
-    if config.variant in _WAAK:
+    if config._waak is not None:
         return diagonal, _gamma(5 * config.n) * float(np.einsum("i,i->", weights, diagonal))
     return diagonal, _gamma(config.n) * float(np.abs(config._row).sum()) * float(weights.sum())
 

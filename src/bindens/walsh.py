@@ -16,6 +16,7 @@ _pack_bits ("is -1" rows), _row_indexes (rows to indexes), _index_rows
 (indexes to rows) and _unpack_bits (rows to bits).
 """
 
+import contextlib
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -72,26 +73,30 @@ def _real(value, what, error=ValueError):
         raise error(f"{what} must be a number, got {value!r}") from exc
 
 
-def _float_array(values, what):
+def _float_array(values, what, error=ValueError):
     """values (a scalar, list, tuple or array) as a float64 array, the
     package's one vector check, under _real's rule for each entry: numpy
-    would read True as 1.0 and parse "0.5", and np.asarray([True, 0.5])
-    upcasts the bool without a trace, so a bool or string entry, or an
-    array of such a dtype, is refused before the conversion. A float64
-    array is returned as it is."""
+    would read True as 1.0, parse "0.5" and read None as nan, and
+    np.asarray([True, 0.5]) upcasts the bool without a trace. So every
+    entry of a list, tuple, scalar or bool, string or object array is
+    read by _real before the conversion, and error names the first it
+    refuses. A float64 array is returned as it is, and a list of plain
+    ints and floats, as JSON gives one, converts in one numpy pass."""
     if isinstance(values, np.ndarray):
-        if values.dtype == np.float64:
-            return values
         entries = values.flat if values.dtype.kind in "bSUO" else ()
+    elif isinstance(values, (list, tuple)):
+        entries = values
+        if set(map(type, values)) <= {int, float}:
+            with contextlib.suppress(OverflowError):  # an int past float range is named below
+                return np.asarray(values, dtype=np.float64)
     else:
-        entries = values if isinstance(values, (list, tuple)) else (values,)
-    refused = next((v for v in entries if isinstance(v, _NOT_REAL)), None)
-    if refused is not None:
-        raise ValueError(f"{what} must be real numbers, got {refused!r}")
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must be real numbers: {exc}") from exc
+        entries = (values,)
+    for value in entries:
+        try:
+            _real(value, what)
+        except ValueError:
+            raise error(f"{what} must be real numbers, got {value!r}") from None
+    return np.asarray(values, dtype=np.float64)
 
 
 def _dense_size(n, what):

@@ -25,7 +25,7 @@ from bindens import (
     index_of_point,
     kl_risk,
 )
-from bindens import cli, cv
+from bindens import cli, cv, walsh
 from bindens.cli import _parse_decimal, load_observations, main, parse_cells_spec
 from bindens.errors import ConfigError, DataError
 
@@ -1701,7 +1701,9 @@ class TestFitReader:
             assert _read_json(out)["estimator"] == want
 
 
-# Lists of JSON numbers, and lists the one-pass read leaves to the entry loop.
+# Lists of JSON numbers, which the vector check converts in one numpy
+# pass (walsh._float_array), and JSON values it refuses, each with the
+# entry its error must name.
 NUMBER_LISTS = [
     [],
     [0.5],
@@ -1709,24 +1711,25 @@ NUMBER_LISTS = [
     [2**53 + 1, 2**64 + 1, -(2**70), 10**300, 0.1],
     [float("nan"), float("inf"), -float("inf"), 5e-324, 1.7976931348623157e308],
 ]
-BAD_NUMBER_LISTS = [[0.5, True], [False], [0.5, "2"], [None], [[0.5]], [0.5, {}], [0.5, 10**400], [-(10**400)], "0.5", {"a": 1}]
+BAD_NUMBER_LISTS = [
+    ([0.5, True], True), ([False], False), ([0.5, "2"], "2"), ([None], None), ([[0.5]], [0.5]), ([0.5, {}], {}),
+    ([0.5, 10**400], 10**400), ([-(10**400)], -(10**400)), ("0.5", "0.5"), ({"a": 1}, {"a": 1}),
+]
 
 
 @pytest.mark.parametrize("raw", NUMBER_LISTS)
 def test_float_array_equals_the_entry_loop(raw):
-    got = cli._float_array(raw, "w")
+    got = walsh._float_array(raw, "w", ConfigError)
     want = np.asarray(cli._numbers(raw, "w"), dtype=np.float64)
     assert got.dtype == np.float64 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("raw", BAD_NUMBER_LISTS)
-def test_float_array_refuses_with_the_entry_loop_message(raw):
-    with pytest.raises(ConfigError) as want:
-        cli._numbers(raw, "w")
+@pytest.mark.parametrize("raw, bad", BAD_NUMBER_LISTS, ids=[f"raw{k}" for k in range(len(BAD_NUMBER_LISTS))])
+def test_float_array_refuses_with_the_entry_loop_message(raw, bad):
     with pytest.raises(ConfigError) as got:
-        cli._float_array(raw, "w")
-    assert str(got.value) == str(want.value)
+        walsh._float_array(raw, "w", ConfigError)
+    assert str(got.value) == f"w must be real numbers, got {bad!r}"
 
 
 class TestBenchCommand:

@@ -1403,12 +1403,13 @@ class TestFullEstimateWork:
     def test_certified_mixture_makes_four_transforms_and_no_gather(self, counted, counts):
         n = 20
         rng = np.random.default_rng(21)
-        exponential = EstimatorConfig.transformed(
-            ShrinkageSpec.single_interaction(rng.uniform(0.1, 0.4, n)), Transform.exponential(2.0)
+        # A logistic kernel, not of product form, reads its dense row.
+        logistic = EstimatorConfig.transformed(
+            ShrinkageSpec.single_interaction(rng.uniform(0.1, 0.4, n)), Transform.logistic(2.0)
         )
         cfg = EstimatorConfig.mixture(
             [
-                (0.25, exponential),
+                (0.25, logistic),
                 (0.25, EstimatorConfig.linear(ShrinkageSpec.sparse(n, {1: 1.0, 6: 0.1}))),
                 (0.5, EstimatorConfig.waak(rng.uniform(0.2, 0.6, n), 2.0)),
             ]

@@ -390,12 +390,8 @@ def test_mixture_estimate_logs_match_mpmath(n, name):
     cells = [_cell_of(q) for q in queries[:12]]
     scale, ratio = estimators._smoothed(cfg, counts, estimators._as_cells(cells, n))
     np.testing.assert_allclose(scale + np.log(ratio), want, rtol=1e-12, atol=0.0)
-    # Only a mixture of product-form kernels, positive everywhere, keeps its logs.
-    logs = estimate_at(cells, cfg, counts)._log_values
-    if name == "waak_aa":
-        np.testing.assert_allclose(logs, want, rtol=1e-12, atol=0.0)
-    else:
-        assert logs is None
+    # A mixture with no negative value keeps its logs, a linear component included.
+    np.testing.assert_allclose(estimate_at(cells, cfg, counts)._log_values, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n", sorted(LARGE))
